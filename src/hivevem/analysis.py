@@ -10,7 +10,8 @@ freedom; interior hexagon centres are slaved values, not vertices).
 True errors against the exact solution use a higher-degree rule,
 degree 6 by default, on the subtriangles.  Lift errors are broken over
 patches: each patch cubic is integrated over its own 16 subtriangles,
-and the H1 seminorm uses the analytic cubic gradients.
+and the H1 seminorm uses the analytic cubic gradients.  The monomials
+are tabulated once per patch frame and applied to blocks of patches.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import HoneycombMesh
-from .lift import LiftResult
+from .lift import LiftResult, monomial_basis, patch_quadrature
 from .problem import ManufacturedProblem
 from .quadrature import rule
 from .system import FieldP1, p1_gradients
@@ -87,39 +88,31 @@ def _field_l2_error(u_h: FieldP1, problem, degree: int) -> float:
     return math.sqrt(float(sq))
 
 
-def _patch_points(lift: LiftResult, degree: int):
-    mesh = lift.grid.mesh
-    q = rule(degree)
-    pts = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
-    return q, pts
-
-
 def _lift_l2_error(lift: LiftResult, problem, degree: int) -> float:
-    mesh = lift.grid.mesh
-    q, pts = _patch_points(lift, degree)
+    q = rule(degree)
+    weights = np.tile(q.weights, 16)
     total = 0.0
-    for patch, fit in zip(lift.grid.patches, lift.fits):
-        p = pts[patch.tri_indices].reshape(-1, 2)
-        diff = np.asarray(problem.u(p[:, 0], p[:, 1])) - fit(p)
-        sq = diff.reshape(-1, q.n_points) ** 2 @ q.weights
-        total += mesh.tri_area * float(sq.sum())
-    return math.sqrt(total)
+    for ids, xy, local in patch_quadrature(lift.grid, q.points):
+        fitted = lift.coeffs[ids] @ monomial_basis(local)[:, 0].T
+        diff = problem.u(xy[..., 0], xy[..., 1]) - fitted
+        total += float(np.sum(diff ** 2 @ weights))
+    return math.sqrt(lift.grid.mesh.tri_area * total)
 
 
 def norm_h1_broken_true(
     lift: LiftResult, problem: ManufacturedProblem, degree: int = 6
 ) -> float:
     """Patch-broken H1 seminorm of ``u - lift`` via analytic gradients."""
-    mesh = lift.grid.mesh
-    q, pts = _patch_points(lift, degree)
+    q = rule(degree)
+    weights = np.tile(q.weights, 16)
     total = 0.0
-    for patch, fit in zip(lift.grid.patches, lift.fits):
-        p = pts[patch.tri_indices].reshape(-1, 2)
-        ux, uy = problem.grad_u(p[:, 0], p[:, 1])
-        g = fit.gradient(p)
-        sq = (np.asarray(ux) - g[:, 0]) ** 2 + (np.asarray(uy) - g[:, 1]) ** 2
-        total += mesh.tri_area * float((sq.reshape(-1, q.n_points) @ q.weights).sum())
-    return math.sqrt(total)
+    for ids, xy, local in patch_quadrature(lift.grid, q.points):
+        basis = monomial_basis(local)
+        coeffs = lift.coeffs[ids] / lift.grid.edge
+        ux, uy = problem.grad_u(xy[..., 0], xy[..., 1])
+        sq = (ux - coeffs @ basis[:, 1].T) ** 2 + (uy - coeffs @ basis[:, 2].T) ** 2
+        total += float(np.sum(sq @ weights))
+    return math.sqrt(lift.grid.mesh.tri_area * total)
 
 
 @dataclass

@@ -199,6 +199,10 @@ def export(
     """Write a mesh, solution or lifted solution as legacy VTK."""
     if what not in ("mesh", "solution", "lift"):
         raise ConfigError(f"cannot export {what!r}; use mesh, solution or lift")
+    if what == "lift" and level < lift.MIN_LIFT_LEVEL:
+        raise ConfigError(
+            f"lift export needs level >= {lift.MIN_LIFT_LEVEL}, got {level}"
+        )
     if what == "mesh":
         vtkio.write_vtk(build_mesh(level), path, title=f"honeycomb level {level}")
         return
@@ -220,16 +224,9 @@ def export(
 def _lift_at_nodes(lifted: lift.LiftResult) -> np.ndarray:
     """Lift values at every node, lowest patch index winning on seams."""
     grid = lifted.grid
-    mesh = grid.mesh
-    owner = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    for patch in reversed(grid.patches):
-        owner[patch.site_nodes] = patch.index
-    values = np.empty(mesh.n_nodes)
-    for patch in grid.patches:
-        sel = np.flatnonzero(owner == patch.index)
-        if sel.size:
-            values[sel] = lifted.fits[patch.index](mesh.node_xy[sel])
-    return values
+    owner = np.full(grid.mesh.n_nodes, grid.n_patches)
+    np.minimum.at(owner, grid.site_nodes, np.arange(grid.n_patches)[:, None])
+    return lift.evaluate_patches(lifted, owner, grid.mesh.node_xy)[0]
 
 
 def _build_parser() -> argparse.ArgumentParser:

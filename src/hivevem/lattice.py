@@ -31,7 +31,7 @@ The domain corners themselves are never class-0 nodes because
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -129,7 +129,6 @@ class HoneycombMesh:
     nh_nodes: np.ndarray
     center_corners: np.ndarray
     _lookup: np.ndarray
-    _tri_lookup: dict | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -154,16 +153,6 @@ class HoneycombMesh:
     def tri_xy(self) -> np.ndarray:
         """Vertex coordinates of every subtriangle, shape (T, 3, 2)."""
         return self.node_xy[self.tris]
-
-    def tri_lookup(self) -> dict:
-        """Map from sorted node triples to subtriangle indices."""
-        if self._tri_lookup is None:
-            srt = np.sort(self.tris, axis=1)
-            self._tri_lookup = {
-                (int(a), int(b), int(c)): t
-                for t, (a, b, c) in enumerate(srt)
-            }
-        return self._tri_lookup
 
 
 def build_mesh(level: int) -> HoneycombMesh:

@@ -5,13 +5,19 @@ is four hexagon edges ``L = 4s``: each of the six sextant triangles of
 the hexagon is subdivided uniformly into ``4**(level-3)`` patches of
 both orientations.  A patch contains 16 subtriangles and carries the 15
 lattice sites of its degree-4 principal lattice; exactly one of its
-three corners is of the hexagon-centre class.
+three corners is of the hexagon-centre class.  The patches are the unit
+triangles of the coarse lattice of spacing L, so the grid is built by
+integer lattice arithmetic and a point is located in O(1) from its
+coarse lattice cell.
 
 On every patch a full bivariate cubic (10 coefficients) is fitted by
 least squares to solution data at a scheme-dependent subset of the 15
 sites.  Fits use a scaled local frame, origin at the patch centroid and
 coordinates divided by L, so design matrices stay well conditioned
-uniformly in the level.
+uniformly in the level.  In that frame the sites depend only on the
+patch's frame, one of twelve ordered pairs of lattice steps along its
+edges, so all patches with the same frame and site subset share one
+design matrix and are fitted together with one pseudo-inverse.
 
 Data schemes
 ------------
@@ -37,21 +43,17 @@ Data schemes
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .lattice import HoneycombMesh, position
+from .lattice import HEX_DIRECTIONS, SQRT3, HoneycombMesh, node_class, position
 from .problem import ManufacturedProblem
 from .system import FieldP1
 
-SCHEMES = (
-    "lattice15-corrected",
-    "paper11-plain",
-    "paper11-corrected",
-    "vertices-only-minnorm",
-    "oracle-center",
-)
+SCHEMES = ("lattice15-corrected", "paper11-plain", "paper11-corrected",
+           "vertices-only-minnorm", "oracle-center")
 
 MIN_LIFT_LEVEL = 3
 
@@ -61,12 +63,35 @@ MONOMIAL_POWERS = (
     (2, 0), (1, 1), (0, 2),
     (3, 0), (2, 1), (1, 2), (0, 3),
 )
+_P, _Q = np.array(MONOMIAL_POWERS).T
+#: Factors, X exponents and Y exponents of the monomials (column 0) and
+#: of their X and Y derivatives (columns 1, 2).
+_FACTOR, _XPOW, _YPOW = np.array([
+    [np.ones(10), _P, _Q],
+    [_P, np.maximum(_P - 1, 0), _P],
+    [_Q, _Q, np.maximum(_Q - 1, 0)],
+])
 
-#: Local (a, b) lattice coordinates of the 15 patch sites.
-_SITE_AB = tuple((a, b) for a in range(5) for b in range(5 - a))
+#: Local (a, b) lattice coordinates of the 15 patch sites, the site ids
+#: of the three corners, and the vertices of the 16 subtriangles.
+_SITE_AB = np.array([(a, b) for a in range(5) for b in range(5 - a)])
+_CORNER_SITES = np.array([0, 4, 14])
+_SUB_AB = np.array(
+    [[(a, b), (a + 1, b), (a, b + 1)] for a in range(4) for b in range(4 - a)]
+    + [[(a + 1, b), (a, b + 1), (a + 1, b + 1)]
+       for a in range(3) for b in range(3 - a)]
+)
 
-#: Site ids of the three patch corners within ``_SITE_AB``.
-_CORNER_SITES = (0, 4, 14)
+#: Lattice steps along the two edges from a patch's origin corner:
+#: frame k < 6 is the aligned ("up") patch of sextant k, 6 + k the other.
+_D = HEX_DIRECTIONS * 2
+_FRAMES = np.array([(_D[k], _D[k + 1]) for k in range(6)]
+                   + [(_D[k + 2], _D[k + 1]) for k in range(6)])
+
+#: Maps (x, y) to lattice coordinates (i, j) at unit spacing, and the
+#: coarse cells searched around the cell of a point.
+_TO_LATTICE = np.array([[1.0, 0.0], [-1.0 / SQRT3, 2.0 / SQRT3]])
+_NEAR_I, _NEAR_J = np.mgrid[-1:2, -1:2].reshape(2, -1)
 
 
 class UnsupportedLevelError(ValueError):
@@ -81,37 +106,73 @@ class RankDeficientFitWarning(UserWarning):
     """Diagnostic warning for minimum-norm fits with deficient rank."""
 
 
-@dataclass(frozen=True)
-class Patch:
-    """One equilateral patch of the lift grid."""
+def monomial_basis(local: np.ndarray) -> np.ndarray:
+    """Cubic monomials and their X and Y derivatives at local points
+    ``(..., 2)``, as ``(..., 3, 10)`` in :data:`MONOMIAL_POWERS` order."""
+    X = local[..., None, None, 0]
+    Y = local[..., None, None, 1]
+    return _FACTOR * X ** _XPOW * Y ** _YPOW
 
+
+def _frame_local(ab) -> np.ndarray:
+    """Scaled local coordinates of patch lattice points ``(a, b)``, per frame."""
+    return position(np.einsum("...a,fad->f...d", ab - 4.0 / 3.0, _FRAMES), 0.25)
+
+
+#: Design matrices at all 15 sites, one per frame: (12, 15, 10).
+_FRAME_DESIGN = monomial_basis(_frame_local(_SITE_AB))[..., 0, :]
+
+
+def _unit_triangles(vertex_sum):
+    """Cell and kind of lattice unit triangles from their vertex sums:
+    ``(3i+1, 3j+1)`` for ``(i,j),(i+1,j),(i,j+1)`` (kind 0) and
+    ``(3i+2, 3j+2)`` for ``(i,j+1),(i+1,j),(i+1,j+1)`` (kind 1)."""
+    return vertex_sum[..., 0] // 3, vertex_sum[..., 1] // 3, vertex_sum[..., 0] % 3 - 1
+
+
+@dataclass(frozen=True, eq=False)
+class Patch:
+    """One equilateral patch of the lift grid: row ``index`` of its arrays."""
+
+    grid: PatchGrid = field(repr=False)
     index: int
-    corners_ij: np.ndarray       # (3, 2) lattice coordinates
-    orientation: str             # "up": aligned with its sextant
-    tri_indices: np.ndarray      # (16,) subtriangle indices
-    site_nodes: np.ndarray       # (15,) node indices
-    site_is_center: np.ndarray   # (15,) interior-centre flags
-    site_xy: np.ndarray          # (15, 2)
-    centroid: np.ndarray         # (2,)
-    edge: float                  # L = 4 s
-    c0_corner_site: int          # site id of the centre-class corner
+
+    corners_ij = property(lambda p: p.grid.corners_ij[p.index])  # (3, 2)
+    frame = property(lambda p: int(p.grid.frame[p.index]))
+    orientation = property(lambda p: "up" if p.frame < 6 else "down")
+    tri_indices = property(lambda p: p.grid.tri_indices[p.index])  # (16,)
+    site_nodes = property(lambda p: p.grid.site_nodes[p.index])  # (15,)
+    site_is_center = property(lambda p: p.grid.site_is_center[p.index])
+    site_xy = property(lambda p: p.grid.mesh.node_xy[p.site_nodes])
+    centroid = property(lambda p: p.grid.centroid[p.index])
+    edge = property(lambda p: p.grid.edge)
+    c0_corner_site = property(lambda p: int(p.grid.c0_corner_site[p.index]))
 
 
 @dataclass
 class PatchGrid:
+    """The lift patches of one mesh, as arrays over the patch index."""
+
     mesh: HoneycombMesh
-    level: int
-    edge: float
-    patches: list[Patch]
-    tri_to_patch: np.ndarray
+    edge: float                  # L = 4 s
+    corners_ij: np.ndarray       # (P, 3, 2) lattice coordinates
+    frame: np.ndarray            # (P,) row of _FRAMES
+    site_nodes: np.ndarray       # (P, 15)
+    site_is_center: np.ndarray   # (P, 15) interior-centre flags
+    tri_indices: np.ndarray      # (P, 16)
+    c0_corner_site: np.ndarray   # (P,) site id of the centre-class corner
+    centroid: np.ndarray         # (P, 2)
+    tri_to_patch: np.ndarray     # (T,)
+    cell_patches: np.ndarray     # patches by coarse cell and kind, else P
+    corner_xy: np.ndarray        # (P + 1, 3, 2), a NaN triangle last
 
     @property
     def n_patches(self) -> int:
-        return len(self.patches)
+        return self.frame.size
 
-
-def _sextant_corners(n: int) -> list[tuple[int, int]]:
-    return [(n, 0), (0, n), (-n, n), (-n, 0), (0, -n), (n, -n)]
+    @cached_property
+    def patches(self) -> list[Patch]:
+        return [Patch(self, p) for p in range(self.n_patches)]
 
 
 def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
@@ -126,107 +187,74 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
         )
     n = mesh.n
     m = 2 ** (mesh.level - MIN_LIFT_LEVEL)  # patches per sextant edge
-    edge = 4.0 * mesh.s
-    domain = _sextant_corners(n)
-    tri_lookup = mesh.tri_lookup()
-    cls0 = (mesh.node_ij[:, 0] - mesh.node_ij[:, 1]) % 3 == 0
+    # Sextant k, with steps e1, e2 of frame k, has aligned patches at
+    # origins 4(a e1 + b e2) and the others at 4((a + 1) e1 + b e2).
+    a, c = np.triu_indices(m)
+    ra, rc = np.triu_indices(m - 1)
+    ab = np.stack([np.r_[a, ra + 1], np.r_[c - a, rc - ra]], axis=1)
+    frame = (np.arange(6)[:, None] + 6 * (np.arange(m * m) >= a.size)).ravel()
+    origin = 4 * np.einsum("pa,kad->kpd", ab, _FRAMES[:6]).reshape(-1, 2)
+    n_patches = frame.size
 
-    patches: list[Patch] = []
-    tri_to_patch = -np.ones(mesh.n_tris, dtype=np.int64)
+    def lattice(local_ab, scale=1):
+        return scale * origin[:, None] + np.einsum(
+            "sa,pad->psd", local_ab, _FRAMES[frame])
 
-    def emit(c0, e1, e2, orientation):
-        index = len(patches)
-        corners = np.array([c0, c0 + 4 * e1, c0 + 4 * e2])
-        site_nodes = np.empty(15, dtype=np.int64)
-        for sid, (a, b) in enumerate(_SITE_AB):
-            p = c0 + a * e1 + b * e2
-            node = mesh.node_index(int(p[0]), int(p[1]))
-            if node < 0:
-                raise RuntimeError(f"patch site {tuple(p)} outside domain")
-            site_nodes[sid] = node
-        tri_ids = np.empty(16, dtype=np.int64)
-        t = 0
-        for a in range(4):
-            for b in range(4 - a):
-                base = c0 + a * e1 + b * e2
-                tri_ids[t] = _find_tri(tri_lookup, mesh, base, base + e1, base + e2)
-                t += 1
-        for a in range(3):
-            for b in range(3 - a):
-                base = c0 + a * e1 + b * e2
-                tri_ids[t] = _find_tri(
-                    tri_lookup, mesh, base + e1, base + e2, base + e1 + e2
-                )
-                t += 1
-        if np.any(tri_to_patch[tri_ids] >= 0):
-            raise RuntimeError("patch tiling overlap")
-        tri_to_patch[tri_ids] = index
+    corners = lattice(np.array([(0, 0), (4, 0), (0, 4)]))
+    sites = lattice(_SITE_AB)
+    if np.abs(np.concatenate([sites, sites.sum(-1, keepdims=True)], -1)).max() > n:
+        raise RuntimeError("patch site outside the domain")
+    site_nodes = mesh._lookup[sites[..., 0] + n, sites[..., 1] + n]
 
-        corner_classes = [
-            int(cls0[site_nodes[sid]]) for sid in _CORNER_SITES
-        ]
-        if sum(corner_classes) != 1:
-            raise RuntimeError("patch without unique centre-class corner")
-        c0_site = _CORNER_SITES[corner_classes.index(1)]
-
-        site_xy = mesh.node_xy[site_nodes]
-        patches.append(Patch(
-            index=index,
-            corners_ij=corners,
-            orientation=orientation,
-            tri_indices=tri_ids,
-            site_nodes=site_nodes,
-            site_is_center=mesh.is_center[site_nodes].copy(),
-            site_xy=site_xy,
-            centroid=site_xy[list(_CORNER_SITES)].mean(axis=0),
-            edge=edge,
-            c0_corner_site=c0_site,
-        ))
-
-    for k in range(6):
-        A = np.array(domain[k])
-        B = np.array(domain[(k + 1) % 6])
-        e1 = A // m // 4
-        e2 = B // m // 4
-        u = 4 * e1
-        v = 4 * e2
-        for a in range(m):
-            for b in range(m - a):
-                emit(a * u + b * v, e1, e2, "up")
-        for a in range(m - 1):
-            for b in range(m - 1 - a):
-                emit(a * u + b * v + u, e2 - e1, e2, "down")
-
-    if np.any(tri_to_patch < 0):
+    tri_table = np.full((2 * n, 2 * n, 2), -1)
+    ti, tj, kind = _unit_triangles(mesh.node_ij[mesh.tris].sum(axis=1))
+    tri_table[ti + n, tj + n, kind] = np.arange(mesh.n_tris)
+    ti, tj, kind = _unit_triangles(lattice(_SUB_AB.sum(axis=1), scale=3))
+    tri_indices = tri_table[ti + n, tj + n, kind]
+    covered = np.bincount(tri_indices.ravel(), minlength=mesh.n_tris)
+    if np.any(covered > 1):
+        raise RuntimeError("patch tiling overlap")
+    if np.any(covered == 0):
         raise RuntimeError("patch tiling does not cover the submesh")
+    tri_to_patch = np.empty(mesh.n_tris, dtype=np.int64)
+    tri_to_patch[tri_indices] = np.arange(n_patches)[:, None]
+
+    corner_sites = sites[:, _CORNER_SITES]
+    cls0 = node_class(corner_sites[..., 0], corner_sites[..., 1]) == 0
+    if np.any(cls0.sum(axis=1) != 1):
+        raise RuntimeError("patch without unique centre-class corner")
+
+    # Patches by coarse cell, with a border of cells that hold index P,
+    # the NaN triangle of ``corner_xy`` that contains no point.
+    cell_patches = np.full((2 * m + 2, 2 * m + 2, 2), n_patches)
+    ci, cj, kind = _unit_triangles((corners // 4).sum(axis=1))
+    cell_patches[ci + m + 1, cj + m + 1, kind] = np.arange(n_patches)
     return PatchGrid(
-        mesh=mesh, level=mesh.level, edge=edge,
-        patches=patches, tri_to_patch=tri_to_patch,
+        mesh, 4.0 * mesh.s, corners, frame, site_nodes,
+        mesh.is_center[site_nodes], tri_indices,
+        _CORNER_SITES[np.argmax(cls0, axis=1)],
+        mesh.node_xy[site_nodes[:, _CORNER_SITES]].mean(axis=1),
+        tri_to_patch, cell_patches,
+        np.concatenate([position(corners, mesh.s), np.full((1, 3, 2), np.nan)]),
     )
 
 
-def _find_tri(tri_lookup, mesh, p, q, r):
-    key = tuple(sorted(
-        mesh.node_index(int(v[0]), int(v[1])) for v in (p, q, r)
-    ))
-    try:
-        return tri_lookup[key]
-    except KeyError:
-        raise RuntimeError(f"patch subtriangle {key} missing from mesh") from None
+def _site_mask(site_is_center, c0_corner_site, scheme: str) -> np.ndarray:
+    """Sites used by a data scheme, as a ``(P, 15)`` mask."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown lift scheme {scheme!r}; available: {SCHEMES}")
+    if scheme in ("lattice15-corrected", "oracle-center"):
+        return np.ones(site_is_center.shape, dtype=bool)
+    mask = ~site_is_center
+    if scheme != "vertices-only-minnorm":
+        mask[np.arange(mask.shape[0]), c0_corner_site] = True
+    return mask
 
 
 def scheme_sites(patch: Patch, scheme: str) -> np.ndarray:
     """Site ids (into the patch's 15) used by a data scheme."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown lift scheme {scheme!r}; available: {SCHEMES}")
-    if scheme in ("lattice15-corrected", "oracle-center"):
-        return np.arange(15)
-    vertex = ~patch.site_is_center
-    if scheme == "vertices-only-minnorm":
-        return np.flatnonzero(vertex)
-    mask = vertex.copy()
-    mask[patch.c0_corner_site] = True
-    return np.flatnonzero(mask)
+    mask = _site_mask(patch.site_is_center[None], [patch.c0_corner_site], scheme)
+    return np.flatnonzero(mask[0])
 
 
 @dataclass(frozen=True)
@@ -244,27 +272,46 @@ class CubicFit:
     sigma_min: float
     residual: float
 
+    def _jet(self, xy) -> np.ndarray:
+        local = (np.atleast_2d(xy) - self.center) / self.scale
+        return monomial_basis(local) @ self.coeffs
+
     def __call__(self, xy: np.ndarray) -> np.ndarray:
-        return _design_matrix(np.atleast_2d(xy), self.center, self.scale) @ self.coeffs
+        return self._jet(xy)[:, 0]
 
     def gradient(self, xy: np.ndarray) -> np.ndarray:
-        xy = np.atleast_2d(xy)
-        X = (xy[:, 0] - self.center[0]) / self.scale
-        Y = (xy[:, 1] - self.center[1]) / self.scale
-        gx = np.zeros_like(X)
-        gy = np.zeros_like(Y)
-        for coef, (p, q) in zip(self.coeffs, MONOMIAL_POWERS):
-            if p:
-                gx += coef * p * X ** (p - 1) * Y ** q
-            if q:
-                gy += coef * q * X ** p * Y ** (q - 1)
-        return np.stack([gx, gy], axis=-1) / self.scale
+        return self._jet(xy)[:, 1:] / self.scale
 
 
-def _design_matrix(xy: np.ndarray, center: np.ndarray, scale: float) -> np.ndarray:
-    X = (xy[:, 0] - center[0]) / scale
-    Y = (xy[:, 1] - center[1]) / scale
-    return np.stack([X ** p * Y ** q for p, q in MONOMIAL_POWERS], axis=1)
+def _fit(frames, masks, data, patches, scheme: str):
+    """Coefficients (n, 10), rank, smallest singular value and residual
+    norm (n,) of fits to ``data`` (n, 15) at the masked sites, with one
+    pseudo-inverse per class of equal frame and mask.  Rank cutoff and
+    minimum-norm solution are those of ``lstsq``; deficient fits raise
+    :class:`LiftRankError`, or warn under the min-norm scheme."""
+    n = len(frames)
+    coeffs, (sigma_min, residual) = np.empty((n, 10)), np.empty((2, n))
+    rank = np.empty(n, dtype=np.int64)
+    keys = frames << 15 | masks @ (1 << np.arange(15))
+    classes, inverse = np.unique(keys, return_inverse=True)
+    for c, key in enumerate(classes):
+        ids = np.flatnonzero(inverse == c)
+        sites = np.flatnonzero(masks[ids[0]])
+        design = _FRAME_DESIGN[key >> 15, sites]
+        u, sv, vt = np.linalg.svd(design, full_matrices=False)
+        keep = sv > np.finfo(float).eps * max(design.shape) * sv[0]
+        d = data[ids[:, None], sites]
+        coeffs[ids] = d @ (u[:, keep] / sv[keep]) @ vt[keep]
+        rank[ids], sigma_min[ids] = keep.sum(), sv[-1]
+        residual[ids] = np.linalg.norm(coeffs[ids] @ design.T - d, axis=1)
+    bad = np.flatnonzero(rank < 10)
+    if bad.size:
+        where = f"patch {patches[bad[0]]}: design matrix rank {rank[bad[0]]} < 10"
+        if scheme != "vertices-only-minnorm":
+            raise LiftRankError(f"{where} under scheme {scheme!r}")
+        warnings.warn(f"{where}, minimum-norm fit ({bad.size} such patches)",
+                      RankDeficientFitWarning, stacklevel=3)
+    return coeffs, rank, sigma_min, residual
 
 
 def fit_patch(patch: Patch, data: np.ndarray, scheme: str) -> CubicFit:
@@ -275,106 +322,138 @@ def fit_patch(patch: Patch, data: np.ndarray, scheme: str) -> CubicFit:
     :class:`LiftRankError` otherwise; the min-norm scheme downgrades
     the condition to a :class:`RankDeficientFitWarning`.
     """
-    sites = scheme_sites(patch, scheme)
+    mask = _site_mask(patch.site_is_center[None], [patch.c0_corner_site], scheme)
     data = np.asarray(data, dtype=float)
-    if data.shape != sites.shape:
+    if data.shape != (mask.sum(),):
         raise ValueError(
-            f"expected {sites.size} data values for scheme {scheme!r}, "
+            f"expected {mask.sum()} data values for scheme {scheme!r}, "
             f"got {data.shape}"
         )
-    A = _design_matrix(patch.site_xy[sites], patch.centroid, patch.edge)
-    coeffs, _, rank, sv = np.linalg.lstsq(A, data, rcond=None)
-    if rank < 10:
-        if scheme == "vertices-only-minnorm":
-            warnings.warn(
-                f"patch {patch.index}: design matrix rank {rank} < 10, "
-                "minimum-norm fit",
-                RankDeficientFitWarning,
-                stacklevel=2,
-            )
-        else:
-            raise LiftRankError(
-                f"patch {patch.index}: design matrix rank {rank} < 10 "
-                f"under scheme {scheme!r}"
-            )
-    return CubicFit(
-        coeffs=coeffs,
-        center=patch.centroid.copy(),
-        scale=patch.edge,
-        rank=int(rank),
-        sigma_min=float(sv[-1]) if sv.size else 0.0,
-        residual=float(np.linalg.norm(A @ coeffs - data)),
-    )
+    full = np.zeros(mask.shape)
+    full[mask] = data
+    coeffs, rank, sigma_min, residual = _fit(
+        np.array([patch.frame]), mask, full, [patch.index], scheme)
+    return CubicFit(coeffs[0], patch.centroid.copy(), patch.edge,
+                    int(rank[0]), float(sigma_min[0]), float(residual[0]))
 
 
 @dataclass
 class LiftResult:
-    """Per-patch cubic fits of one lifted solution."""
+    """Cubic fits of one lifted solution, as arrays over the patch index:
+    ``coeffs`` (P, 10) in each patch's scaled local frame, and the rank,
+    smallest singular value and residual norm of each fit (P,)."""
 
     grid: PatchGrid
     scheme: str
-    fits: list[CubicFit]
+    coeffs: np.ndarray
+    rank: np.ndarray
+    sigma_min: np.ndarray
+    residual: np.ndarray
+
+    @cached_property
+    def fits(self) -> list[CubicFit]:
+        """Per-patch views of the fits."""
+        return [
+            CubicFit(self.coeffs[p], self.grid.centroid[p], self.grid.edge,
+                     int(self.rank[p]), float(self.sigma_min[p]),
+                     float(self.residual[p]))
+            for p in range(self.grid.n_patches)
+        ]
 
 
-def site_data(
-    u_h: FieldP1,
-    problem: ManufacturedProblem,
-    patch: Patch,
-    scheme: str,
-) -> np.ndarray:
+def _node_data(u_h: FieldP1, problem, scheme: str) -> np.ndarray:
+    """Fit data at every node: the solution, with interior centres set to
+    exact values (oracle) or corrected by ``(s**2/4) f``."""
+    values = u_h.values.copy()
+    centers = u_h.mesh.centers
+    x, y = u_h.mesh.node_xy[centers].T
+    if scheme == "oracle-center":
+        values[centers] = problem.u(x, y)
+    elif scheme.endswith("-corrected"):
+        values[centers] += 0.25 * u_h.mesh.s ** 2 * problem.f(x, y)
+    return values
+
+
+def site_data(u_h: FieldP1, problem: ManufacturedProblem, patch: Patch,
+              scheme: str) -> np.ndarray:
     """Fit data at the scheme's sites of one patch."""
-    mesh = u_h.mesh
     sites = scheme_sites(patch, scheme)
-    nodes = patch.site_nodes[sites]
-    vals = u_h.values[nodes].copy()
-    center_sel = patch.site_is_center[sites]
-    if np.any(center_sel):
-        xy = patch.site_xy[sites][center_sel]
-        if scheme == "oracle-center":
-            vals[center_sel] = problem.u(xy[:, 0], xy[:, 1])
-        elif scheme.endswith("-corrected"):
-            vals[center_sel] += 0.25 * mesh.s ** 2 * problem.f(xy[:, 0], xy[:, 1])
-    return vals
+    return _node_data(u_h, problem, scheme)[patch.site_nodes[sites]]
 
 
-def lift_solution(
-    u_h: FieldP1,
-    problem: ManufacturedProblem,
-    grid: PatchGrid,
-    scheme: str = "lattice15-corrected",
-) -> LiftResult:
+def lift_solution(u_h: FieldP1, problem: ManufacturedProblem, grid: PatchGrid,
+                  scheme: str = "lattice15-corrected") -> LiftResult:
     """Fit the cubic lift on every patch of the grid."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown lift scheme {scheme!r}; available: {SCHEMES}")
+    mask = _site_mask(grid.site_is_center, grid.c0_corner_site, scheme)
     if u_h.mesh is not grid.mesh:
         raise ValueError("solution and patch grid live on different meshes")
-    fits = [
-        fit_patch(patch, site_data(u_h, problem, patch, scheme), scheme)
-        for patch in grid.patches
-    ]
-    return LiftResult(grid=grid, scheme=scheme, fits=fits)
+    values = _node_data(u_h, problem, scheme)[grid.site_nodes]
+    fits = _fit(grid.frame, mask, values, np.arange(grid.n_patches), scheme)
+    return LiftResult(grid, scheme, *fits)
 
 
-def locate_patch(grid: PatchGrid, point) -> int:
-    """Index of the patch containing a point; lowest index on ties."""
-    point = np.asarray(point, dtype=float)
-    for patch in grid.patches:
-        tri = position(patch.corners_ij, grid.mesh.s)
-        if _bary_inside(tri, point):
-            return patch.index
-    raise ValueError(f"point {tuple(point)} lies outside the domain")
+def locate_patch(grid: PatchGrid, point):
+    """Index of the patch containing a point; lowest index on ties.
+
+    Takes one point, giving an ``int``, or a ``(k, 2)`` array, giving an
+    index array.  A point is in a patch when none of its barycentric
+    coordinates is below ``-1e-12``; only the patches of the 3x3 coarse
+    cells around the point's own cell can be.
+    """
+    xy = np.asarray(point, dtype=float)
+    pts = xy.reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise ValueError("cannot locate a non-finite point")
+    # Coarse cell, clipped to the domain's cells and shifted past the
+    # border: positive, so truncation floors it.
+    m = grid.cell_patches.shape[0] // 2 - 1
+    cell = (np.clip(pts @ _TO_LATTICE / grid.edge, -m, m - 1) + m + 1).astype(int)
+    cand = grid.cell_patches[cell[:, :1] + _NEAR_I, cell[:, 1:] + _NEAR_J]
+    cand = cand.reshape(len(pts), -1)
+    a, b, c = np.moveaxis(grid.corner_xy[cand], -2, 0)
+    e1, e2, d = b - a, c - a, pts[:, None] - a
+    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    l1 = (d[..., 0] * e2[..., 1] - d[..., 1] * e2[..., 0]) / det
+    l2 = (e1[..., 0] * d[..., 1] - e1[..., 1] * d[..., 0]) / det
+    inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (1.0 - l1 - l2 >= -1e-12)
+    owner = np.where(inside, cand, grid.n_patches).min(axis=1)
+    if (owner == grid.n_patches).any():
+        bad = pts[np.argmax(owner == grid.n_patches)]
+        raise ValueError(f"point {tuple(bad)} lies outside the domain")
+    return int(owner[0]) if xy.ndim == 1 else owner
 
 
-def _bary_inside(tri: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> bool:
-    T = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    lam12 = np.linalg.solve(T, p - tri[0])
-    lam = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
-    return bool(np.all(lam >= -tol))
+def evaluate_patches(result: LiftResult, patches, xy: np.ndarray):
+    """Values (k,) and gradients (k, 2) at points ``xy`` (k, 2), each
+    from the cubic of the matching entry of ``patches``."""
+    grid = result.grid
+    basis = monomial_basis((xy - grid.centroid[patches]) / grid.edge)
+    jet = (basis * result.coeffs[patches, None]).sum(axis=-1)
+    return jet[:, 0], jet[:, 1:] / grid.edge
 
 
 def evaluate_lift(result: LiftResult, point):
-    """Lift value and gradient at one point: ``(value, (gx, gy))``."""
-    idx = locate_patch(result.grid, point)
-    fit = result.fits[idx]
-    xy = np.asarray(point, dtype=float)[None, :]
-    return float(fit(xy)[0]), fit.gradient(xy)[0]
+    """Lift value and gradient at one point, ``(value, (gx, gy))``, or
+    at each row of a ``(k, 2)`` array, ``(values, gradients)``."""
+    xy = np.asarray(point, dtype=float)
+    pts = xy.reshape(-1, 2)
+    values, grads = evaluate_patches(result, locate_patch(result.grid, pts), pts)
+    if xy.ndim == 1:
+        return float(values[0]), grads[0]
+    return values, grads
+
+
+def patch_quadrature(grid: PatchGrid, bary: np.ndarray):
+    """Quadrature points on the 16 subtriangles of every patch.
+
+    ``bary`` holds a rule's barycentric points (nq, 3).  Yields
+    ``(ids, xy, local)`` for blocks of at most 512 patches of one frame:
+    their points ``xy`` (n, 16 nq, 2) and the scaled local coordinates
+    (16 nq, 2) they share, subtriangle major.  The blocks bound the
+    memory of problem evaluations at fine levels.
+    """
+    local = np.einsum("qk,ftkx->ftqx", bary, _frame_local(_SUB_AB))
+    for f, frame_local in enumerate(local.reshape(len(_FRAMES), -1, 2)):
+        members = np.flatnonzero(grid.frame == f)
+        for ids in np.split(members, range(512, members.size, 512)):
+            yield ids, grid.centroid[ids, None] + grid.edge * frame_local, frame_local

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hivevem import cli, lift
 from hivevem.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -156,3 +157,33 @@ def test_main_export(tmp_path):
     assert main(["export", "--level", "2", "--what", "mesh",
                  "--path", str(out)]) == 0
     assert out.exists()
+
+
+def test_export_lift_rejects_low_level_before_solving(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("export allocated before validating the level")
+
+    monkeypatch.setattr(cli, "solve_level", forbidden)
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    out = tmp_path / "lift.vtk"
+    with pytest.raises(ConfigError):
+        export(2, "lift", out)
+    assert main(["export", "--level", "2", "--what", "lift",
+                 "--path", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_lift_at_nodes_matches_per_patch_definition(solved_cache, hex_sine):
+    """Each node takes the fit of the lowest-index patch that lists it
+    as a site, evaluated here patch by patch."""
+    mesh, u_h, _, _ = solved_cache(4)
+    lifted = lift.lift_solution(u_h, hex_sine, lift.build_patch_grid(mesh))
+    owner = np.full(mesh.n_nodes, -1)
+    for patch in reversed(lifted.grid.patches):
+        owner[patch.site_nodes] = patch.index
+    want = np.empty(mesh.n_nodes)
+    for patch in lifted.grid.patches:
+        sel = np.flatnonzero(owner == patch.index)
+        want[sel] = lifted.fits[patch.index](mesh.node_xy[sel])
+    assert np.all(owner >= 0)
+    assert np.allclose(cli._lift_at_nodes(lifted), want, rtol=1e-13, atol=1e-15)

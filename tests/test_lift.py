@@ -6,13 +6,16 @@ patch triangle, and cubic reproduction is verified through the whole
 pipeline, including the centre-value correction.
 """
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hivevem.lattice import build_mesh, node_class, position
+from hivevem.lattice import HEX_DIRECTIONS, build_mesh, node_class, position
 from hivevem.lift import (
     MIN_LIFT_LEVEL,
     MONOMIAL_POWERS,
@@ -30,6 +33,11 @@ from hivevem.lift import (
 )
 from hivevem.problem import _from_expression, get_problem
 from hivevem.system import interpolate, interpolate_pointwise
+
+
+@functools.lru_cache(maxsize=None)
+def grid_at(level):
+    return build_patch_grid(build_mesh(level))
 
 
 def cubic_problem():
@@ -202,6 +210,48 @@ def test_rank_error_type():
     assert issubclass(LiftRankError, RuntimeError)
 
 
+def reference_fit(u_h, problem, patch, scheme):
+    """One patch fitted the direct way: site data gathered by hand and
+    ``np.linalg.lstsq`` on the patch's own design matrix."""
+    sites = scheme_sites(patch, scheme)
+    xy = patch.site_xy[sites]
+    data = u_h.values[patch.site_nodes[sites]].copy()
+    center = patch.site_is_center[sites]
+    if scheme == "oracle-center":
+        data[center] = problem.u(xy[center, 0], xy[center, 1])
+    elif scheme.endswith("-corrected"):
+        s = u_h.mesh.s
+        data[center] += 0.25 * s * s * problem.f(xy[center, 0], xy[center, 1])
+    X = (xy - patch.centroid) / patch.edge
+    A = np.stack([X[:, 0] ** p * X[:, 1] ** q for p, q in MONOMIAL_POWERS], 1)
+    coeffs, _, rank, sv = np.linalg.lstsq(A, data, rcond=None)
+    return coeffs, rank, sv, np.finfo(float).eps * max(A.shape) * sv[0]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_batched_fits_match_per_patch_lstsq(scheme, solved_cache, hex_sine):
+    """One pseudo-inverse per patch class gives each patch's lstsq fit:
+    coefficients to 1e-12, the same rank, and the same smallest singular
+    value (to 1e-12 where the fit has full rank; below the rank cutoff
+    on both sides where it does not)."""
+    mesh, u_h, _, _ = solved_cache(4)
+    grid = build_patch_grid(mesh)
+    if scheme == "vertices-only-minnorm":
+        with pytest.warns(RankDeficientFitWarning):
+            lifted = lift_solution(u_h, hex_sine, grid, scheme)
+    else:
+        lifted = lift_solution(u_h, hex_sine, grid, scheme)
+    for p in grid.patches:
+        coeffs, rank, sv, cutoff = reference_fit(u_h, hex_sine, p, scheme)
+        fit = lifted.fits[p.index]
+        assert np.linalg.norm(fit.coeffs - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
+        assert fit.rank == rank
+        if rank == 10:
+            assert fit.sigma_min == pytest.approx(sv[-1], rel=1e-12)
+        else:
+            assert fit.sigma_min <= cutoff and sv[-1] <= cutoff
+
+
 # ------------------------------------------------------- centre correction
 
 
@@ -253,6 +303,29 @@ def test_plain_centre_data_breaks_cubic_reproduction(mesh_cache):
     assert worst > 1e-6
 
 
+@pytest.mark.parametrize(
+    "scheme", ["lattice15-corrected", "paper11-corrected", "oracle-center"]
+)
+@settings(max_examples=15, deadline=None)
+@given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10))
+def test_batched_lift_reproduces_random_cubics(scheme, coeffs):
+    """Every full-rank scheme with unbiased centre data reproduces any
+    global cubic, values and gradients, at every node.  (paper11-plain
+    is full rank too, but its plain centre data is biased; see below.)"""
+    def expr(X, Y):
+        terms = zip(coeffs, MONOMIAL_POWERS)
+        return sum(c * X ** p * Y ** q for c, (p, q) in terms)
+
+    q = _from_expression("random-cubic", expr)
+    grid = grid_at(4)
+    lifted = lift_solution(interpolate(q, grid.mesh), q, grid, scheme)
+    xy = grid.mesh.node_xy
+    values, grads = evaluate_lift(lifted, xy)
+    gx, gy = q.grad_u(xy[:, 0], xy[:, 1])
+    assert np.allclose(values, q.u(xy[:, 0], xy[:, 1]), rtol=0, atol=1e-12)
+    assert np.allclose(grads, np.stack([gx, gy], axis=1), rtol=0, atol=1e-11)
+
+
 # ------------------------------------------------------------- evaluation
 
 
@@ -295,6 +368,93 @@ def test_seam_tie_break_prefers_lowest_index(grid3):
 def test_locate_rejects_outside_points(grid3):
     with pytest.raises(ValueError):
         locate_patch(grid3, np.array([2.0, 0.0]))
+
+
+def brute_force_owner(grid, point, tol=1e-12):
+    """Lowest index of a patch containing the point, scanning them all.
+
+    Barycentric coordinates by Cramer's rule, the arithmetic of
+    ``locate_patch``: points within rounding of the tolerance edge are
+    drawn, and another formula can decide them the other way.
+    """
+    for p in grid.patches:
+        a, b, c = position(p.corners_ij, grid.mesh.s)
+        e1, e2, d = b - a, c - a, point - a
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        l1 = (d[0] * e2[1] - d[1] * e2[0]) / det
+        l2 = (e1[0] * d[1] - e1[1] * d[0]) / det
+        if min(l1, l2, 1.0 - l1 - l2) >= -tol:
+            return p.index
+    return -1
+
+
+@st.composite
+def patch_points(draw, grid):
+    """A point of a random patch: interior, snapped to an edge, or
+    snapped to a corner, so that seams and corners are hit."""
+    p = grid.patches[draw(st.integers(0, grid.n_patches - 1))]
+    tri = position(p.corners_ij, grid.mesh.s)
+    kind = draw(st.sampled_from(["inside", "edge", "corner"]))
+    k = draw(st.integers(0, 2))
+    if kind == "corner":
+        return tri[k]
+    t = draw(st.floats(0.0, 1.0))
+    if kind == "edge":
+        return (1.0 - t) * tri[k] + t * tri[(k + 1) % 3]
+    r = draw(st.floats(0.0, 1.0))
+    return tri[0] + t * (1.0 - r) * (tri[1] - tri[0]) + t * r * (tri[2] - tri[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), level=st.sampled_from([3, 4, 5]))
+def test_locate_matches_brute_force(data, level):
+    grid = grid_at(level)
+    point = data.draw(patch_points(grid))
+    assert locate_patch(grid, point) == brute_force_owner(grid, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    level=st.sampled_from([3, 4, 5]),
+    side=st.integers(0, 5),
+    t=st.floats(0.0, 1.0),
+)
+def test_locate_rejects_points_just_outside(level, side, t):
+    """A boundary point pushed 1e-9 outward across its edge is outside."""
+    grid = grid_at(level)
+    corners = position(np.array(HEX_DIRECTIONS), 1.0)
+    a, b = corners[side], corners[(side + 1) % 6]
+    normal = (a + b) / np.linalg.norm(a + b)
+    point = (1.0 - t) * a + t * b + 1e-9 * normal
+    with pytest.raises(ValueError):
+        locate_patch(grid, point)
+
+
+@pytest.mark.parametrize(
+    "point", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)]
+)
+def test_locate_rejects_non_finite_points(grid3, point):
+    with pytest.raises(ValueError):
+        locate_patch(grid3, np.array(point))
+    with pytest.raises(ValueError):
+        locate_patch(grid3, np.array([[0.1, 0.1], point]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), level=st.sampled_from([3, 4, 5]))
+def test_batched_evaluation_equals_single_points(data, level):
+    grid = grid_at(level)
+    lifted = lift_solution(interpolate(cubic_problem(), grid.mesh),
+                           cubic_problem(), grid)
+    pts = np.array(data.draw(st.lists(patch_points(grid), min_size=1, max_size=20)))
+    values, grads = evaluate_lift(lifted, pts)
+    assert np.array_equal(locate_patch(grid, pts),
+                          [locate_patch(grid, p) for p in pts])
+    for k, p in enumerate(pts):
+        value, grad = evaluate_lift(lifted, p)
+        assert isinstance(value, float) and grad.shape == (2,)
+        assert value == values[k]
+        assert np.array_equal(grad, grads[k])
 
 
 def test_gradient_matches_finite_differences(solved_cache):
