@@ -5,11 +5,16 @@ levels, prints an aligned table of errors and dyadic orders, and can
 write the same content as CSV.  ``hivevem export`` writes meshes,
 solutions or lifted solutions as legacy VTK.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error (invalid arguments,
+levels or settings), 2 numerical failure (any other ``ValueError``
+included).
 
 The environment variable ``HIVE_VEM_THREADS`` caps the BLAS thread
-pool; the driver itself is sequential, so runs with a fixed
-configuration are bit-for-bit reproducible.
+pool through ``threadpoolctl``.  numpy has loaded its BLAS before the
+variable is read, so the library's own thread variables can no longer
+take effect; without ``threadpoolctl`` a set value is therefore a
+configuration error, not ignored.  hivevem itself is sequential, so
+runs with a fixed configuration are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -199,6 +204,8 @@ def export(
     """Write a mesh, solution or lifted solution as legacy VTK."""
     if what not in ("mesh", "solution", "lift"):
         raise ConfigError(f"cannot export {what!r}; use mesh, solution or lift")
+    if not 1 <= level <= MAX_LEVEL:
+        raise ConfigError(f"level must be in [1, {MAX_LEVEL}], got {level}")
     if what == "lift" and level < lift.MIN_LIFT_LEVEL:
         raise ConfigError(
             f"lift export needs level >= {lift.MIN_LIFT_LEVEL}, got {level}"
@@ -206,7 +213,10 @@ def export(
     if what == "mesh":
         vtkio.write_vtk(build_mesh(level), path, title=f"honeycomb level {level}")
         return
-    problem = get_problem(problem_name)
+    try:
+        problem = get_problem(problem_name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     mesh, u_h, _, _ = solve_level(level, problem, quad_load, solver_config)
     exact = problem.u(mesh.node_xy[:, 0], mesh.node_xy[:, 1])
     if what == "solution":
@@ -273,11 +283,13 @@ def _limit_threads() -> None:
         raise ConfigError(f"HIVE_VEM_THREADS must be an integer, got {cap!r}")
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
+        raise ConfigError(
+            "HIVE_VEM_THREADS needs the threadpoolctl package, which is not "
+            "installed; set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before "
+            "starting hivevem instead"
+        ) from None
+    threadpoolctl.threadpool_limits(limits=n)
 
 
 def main(argv=None) -> int:
@@ -285,6 +297,12 @@ def main(argv=None) -> int:
     try:
         _limit_threads()
         if args.command == "study":
+            try:
+                solver_config = solver.SolverConfig(
+                    method=args.solver, tol=args.tol, max_iterations=args.maxit
+                )
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
             config = StudyConfig(
                 min_level=args.min_level,
                 max_level=args.max_level,
@@ -293,9 +311,7 @@ def main(argv=None) -> int:
                 lift_scheme=args.lift_scheme,
                 quad_load=args.quad_load,
                 quad_error=args.quad_error,
-                solver=solver.SolverConfig(
-                    method=args.solver, tol=args.tol, max_iterations=args.maxit
-                ),
+                solver=solver_config,
                 csv_path=args.csv,
             )
             start = time.perf_counter()
@@ -309,11 +325,11 @@ def main(argv=None) -> int:
                     fh.write(rows_to_csv(rows))
         else:
             export(args.level, args.what, args.path, args.problem)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"hivevem: configuration error: {exc}", file=sys.stderr)
         return 1
-    except (solver.SolverError, lift.LiftRankError, FloatingPointError,
-            ArithmeticError) as exc:
+    except (solver.SolverError, lift.LiftRankError, ArithmeticError,
+            ValueError) as exc:
         print(f"hivevem: numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

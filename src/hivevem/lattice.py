@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -109,8 +110,13 @@ class HoneycombMesh:
         boundary and therefore count as mesh vertices.
     tris : (T, 3) int array
         Subtriangles of the auxiliary mesh, vertices counterclockwise.
-    cells : list of Cell
-        Honeycomb cells ordered by anchor node index.
+    cell_anchors : (M,) int array
+        Anchor node of every honeycomb cell, ascending.
+    cell_members : (T,) int array
+        Subtriangle indices grouped by cell, ascending within a cell;
+        cell ``k`` owns ``cell_members[cell_offsets[k]:cell_offsets[k+1]]``.
+    cell_offsets : (M + 1,) int array
+        Group boundaries in ``cell_members``.
     center_corners : (C, 6) int array
         For every interior centre, its six surrounding corner nodes in
         counterclockwise order (rows align with ``centers``).
@@ -124,7 +130,9 @@ class HoneycombMesh:
     on_boundary: np.ndarray
     is_center: np.ndarray
     tris: np.ndarray
-    cells: list[Cell]
+    cell_anchors: np.ndarray
+    cell_members: np.ndarray
+    cell_offsets: np.ndarray
     centers: np.ndarray
     nh_nodes: np.ndarray
     center_corners: np.ndarray
@@ -133,6 +141,20 @@ class HoneycombMesh:
     @property
     def n_nodes(self) -> int:
         return self.node_ij.shape[0]
+
+    @cached_property
+    def cells(self) -> list[Cell]:
+        """Honeycomb cells ordered by anchor node index, built on first
+        read from the anchor and member arrays."""
+        offsets = self.cell_offsets
+        return [
+            Cell(
+                CellKind.PENTAGON if self.on_boundary[a] else CellKind.HEXAGON,
+                int(a),
+                self.cell_members[offsets[k]:offsets[k + 1]],
+            )
+            for k, a in enumerate(self.cell_anchors)
+        ]
 
     @property
     def n_tris(self) -> int:
@@ -229,27 +251,18 @@ def build_mesh(level: int) -> HoneycombMesh:
         raise MeshConstructionError("subtriangle without unique class-0 vertex")
     anchors = tris[np.arange(tris.shape[0]), np.argmax(tri_cls0, axis=1)]
 
+    # A stable sort keeps each cell's members in ascending order.
     order = np.argsort(anchors, kind="stable")
-    sorted_anchors = anchors[order]
-    uniq, starts = np.unique(sorted_anchors, return_index=True)
-    splits = np.split(order, starts[1:])
-
-    cells: list[Cell] = []
-    for anchor, members in zip(uniq, splits):
-        anchor = int(anchor)
-        members = np.sort(members)
-        if on_boundary[anchor]:
-            if members.size != 3:
-                raise MeshConstructionError(
-                    f"boundary anchor {anchor} has {members.size} subtriangles"
-                )
-            cells.append(Cell(CellKind.PENTAGON, anchor, members))
-        else:
-            if members.size != 6:
-                raise MeshConstructionError(
-                    f"interior anchor {anchor} has {members.size} subtriangles"
-                )
-            cells.append(Cell(CellKind.HEXAGON, anchor, members))
+    cell_anchors, starts, counts = np.unique(
+        anchors[order], return_index=True, return_counts=True
+    )
+    bad = np.flatnonzero(counts != np.where(on_boundary[cell_anchors], 3, 6))
+    if bad.size:
+        anchor = int(cell_anchors[bad[0]])
+        where = "boundary" if on_boundary[anchor] else "interior"
+        raise MeshConstructionError(
+            f"{where} anchor {anchor} has {counts[bad[0]]} subtriangles"
+        )
 
     centers = np.flatnonzero(is_center)
     nh_nodes = np.flatnonzero(~is_center)
@@ -273,7 +286,9 @@ def build_mesh(level: int) -> HoneycombMesh:
         on_boundary=on_boundary,
         is_center=is_center,
         tris=tris,
-        cells=cells,
+        cell_anchors=cell_anchors,
+        cell_members=order,
+        cell_offsets=np.append(starts, order.size),
         centers=centers,
         nh_nodes=nh_nodes,
         center_corners=corner_idx,

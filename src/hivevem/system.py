@@ -98,9 +98,15 @@ class SparseSpd:
     symmetric.  Positive definiteness follows from the construction
     (congruence of the P1 stiffness with a full-rank prolongation) and
     is exercised by the tests rather than re-proved here.
+
+    ``mesh`` is the lattice whose free degrees of freedom index the rows
+    when the matrix comes from :func:`assemble`, else ``None``; the
+    multigrid preconditioner coarsens through it.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
+    def __init__(
+        self, matrix: sp.spmatrix, mesh: HoneycombMesh | None = None
+    ):
         csr = sp.csr_matrix(matrix)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got {csr.shape}")
@@ -113,6 +119,7 @@ class SparseSpd:
             if asym > 1e-14 * max(scale, 1.0):
                 raise ValueError(f"matrix is not symmetric: |A - A^T| = {asym}")
         self._csr = csr
+        self.mesh = mesh
 
     @property
     def n(self) -> int:
@@ -196,6 +203,38 @@ def prolongation(mesh: HoneycombMesh, dofs: DofMap) -> sp.csr_matrix:
     )
 
 
+def refinement_transfer(
+    coarse: HoneycombMesh, fine: HoneycombMesh
+) -> sp.csr_matrix:
+    """Free dofs of ``fine`` from free dofs of ``coarse``, one level up.
+
+    ``P = R I C``: ``C`` is the coarse :func:`prolongation`, ``I`` the
+    P1 injection of the red refinement (fine node ``(a, b)`` takes the
+    mean of the coarse nodes at the ends of the coarse edge through it,
+    or the coarse node itself when ``a`` and ``b`` are even), and ``R``
+    keeps the rows of the fine free dofs.  The two honeycomb spaces are
+    not nested, because the centre constraints differ between levels,
+    so the transfer goes through the full P1 space.
+    """
+    if fine.level != coarse.level + 1:
+        raise ValueError(
+            f"levels {coarse.level} and {fine.level} are not one refinement apart"
+        )
+    ij = fine.node_ij[build_dof_map(fine).dof_to_node]
+    odd = ij & 1
+    # Half the coarse edge through each fine node: none on coarse nodes,
+    # else the lattice step (1, 0), (0, 1) or (1, -1).
+    step = np.stack([odd[:, 0], odd[:, 1] * (1 - 2 * odd[:, 0])], axis=1)
+    ends = np.concatenate([ij - step, ij + step]) // 2 + coarse.n
+    cols = coarse._lookup[ends[:, 0], ends[:, 1]]
+    rows = np.tile(np.arange(ij.shape[0]), 2)
+    inject = sp.csr_matrix(
+        (np.full(rows.size, 0.5), (rows, cols)),
+        shape=(ij.shape[0], coarse.n_nodes),
+    )
+    return inject @ prolongation(coarse, build_dof_map(coarse))
+
+
 def load_vector(
     mesh: HoneycombMesh,
     problem: ManufacturedProblem,
@@ -239,7 +278,7 @@ def assemble(
     load = load_vector(mesh, problem, load_quad_degree)
 
     C = prolongation(mesh, dofs)
-    A = SparseSpd(C.T @ K @ C)
+    A = SparseSpd(C.T @ K @ C, mesh)
     b = C.T @ load
     return A, b, dofs
 

@@ -1,9 +1,12 @@
 """Driver behaviour: configuration, CSV output, exit codes."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
-from hivevem import cli, lift
+from hivevem import analysis, cli, lift
 from hivevem.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -107,10 +110,17 @@ def test_main_study_writes_csv(tmp_path):
     assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
-def test_main_reports_config_errors():
+def test_main_reports_config_errors(tmp_path):
     assert main(["study", "--min-level", "5", "--max-level", "3"]) == 1
     assert main(["study", "--problem", "nope"]) == 1
     assert main(["study", "--quad-load", "7"]) == 1
+    assert main(["study", "--tol", "1e-3"]) == 1
+    assert main(["study", "--maxit", "0"]) == 1
+    out = str(tmp_path / "x.vtk")
+    assert main(["export", "--level", "99", "--what", "mesh",
+                 "--path", out]) == 1
+    assert main(["export", "--level", "2", "--what", "solution",
+                 "--problem", "nope", "--path", out]) == 1
 
 
 def test_main_reports_numerical_failure():
@@ -121,6 +131,16 @@ def test_main_reports_numerical_failure():
     assert code == 2
 
 
+def test_numerical_value_error_is_not_a_config_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(analysis, "norms_superclose", broken)
+    assert main(["study", "--min-level", "2", "--max-level", "2",
+                 "--solver", "chol"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_unknown_arguments_exit_nonzero():
     with pytest.raises(SystemExit) as err:
         main(["study", "--frobnicate"])
@@ -129,12 +149,23 @@ def test_unknown_arguments_exit_nonzero():
         main([])
 
 
-def test_thread_cap_must_be_integer(monkeypatch, tmp_path):
+def test_thread_cap_must_be_integer(monkeypatch, capsys):
+    """The cap is applied through threadpoolctl; without it a set cap is
+    rejected, because the BLAS has loaded before the variable is read."""
+    study = ["study", "--min-level", "1", "--max-level", "1", "--solver", "chol"]
+    calls = []
+    fake = types.SimpleNamespace(threadpool_limits=lambda limits: calls.append(limits))
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
     monkeypatch.setenv("HIVE_VEM_THREADS", "many")
-    assert main(["study", "--min-level", "1", "--max-level", "1"]) == 1
-    monkeypatch.setenv("HIVE_VEM_THREADS", "1")
-    assert main(["study", "--min-level", "1", "--max-level", "1",
-                 "--solver", "chol"]) == 0
+    assert main(study) == 1 and calls == []
+    monkeypatch.setenv("HIVE_VEM_THREADS", "3")
+    assert main(study) == 0 and calls == [3]
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # not installed
+    capsys.readouterr()
+    assert main(study) == 1
+    assert "threadpoolctl" in capsys.readouterr().err
+    monkeypatch.delenv("HIVE_VEM_THREADS")
+    assert main(study) == 0
 
 
 @pytest.mark.parametrize("what", ["mesh", "solution", "lift"])

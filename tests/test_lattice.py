@@ -93,6 +93,20 @@ def test_cell_census(level, hexes, pents, corners, mesh_cache):
     assert np.array_equal(np.sort(members), np.arange(mesh.n_tris))
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_cells_match_a_per_anchor_scan(level, mesh_cache):
+    """The lazily built list equals cells collected anchor by anchor:
+    ascending anchors, ascending members."""
+    mesh = mesh_cache(level)
+    ij = mesh.node_ij[mesh.tris]
+    anchors = mesh.tris[node_class(ij[..., 0], ij[..., 1]) == 0]
+    want = []
+    for a in sorted(set(anchors.tolist())):
+        kind = CellKind.PENTAGON if mesh.on_boundary[a] else CellKind.HEXAGON
+        want.append((kind, a, np.flatnonzero(anchors == a).tolist()))
+    assert [(c.kind, c.anchor, c.members.tolist()) for c in mesh.cells] == want
+
+
 @pytest.mark.parametrize("level", [2, 3, 4])
 def test_conformity(level, mesh_cache):
     """Interior edges belong to two triangles, boundary edges to one."""

@@ -1,10 +1,17 @@
 """Solver contracts: CG and the direct factorization agree, CG energy
-decreases monotonically, and failure to converge raises."""
+decreases monotonically, failure to converge raises, and the multigrid
+preconditioner is symmetric with a level-independent iteration count."""
+
+import gc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hivevem import solver
+from hivevem.problem import _from_expression
 from hivevem.solver import SolverConfig, SolverError, solve
 from hivevem.system import SparseSpd, assemble
 
@@ -39,7 +46,7 @@ def test_direct_matches_numpy_on_a_small_spd_system():
     assert stats.converged and stats.method == "chol"
 
 
-@pytest.mark.parametrize("preconditioner", ["none", "jacobi", "incomplete-cholesky"])
+@pytest.mark.parametrize("preconditioner", ["none", "jacobi", "multigrid"])
 def test_cg_matches_direct(preconditioner, mesh_cache, hex_sine):
     A, b, _ = assemble(mesh_cache(4), hex_sine)
     x_cg, stats = solve(
@@ -100,3 +107,64 @@ def test_solves_are_deterministic(mesh_cache, hex_sine):
     x2, s2 = solve(A, b, SolverConfig(method="cg"))
     assert np.array_equal(x1, x2)
     assert s1.iterations == s2.iterations
+
+
+def test_multigrid_cycle_is_symmetric(mesh_cache, hex_sine):
+    A, _, _ = assemble(mesh_cache(6), hex_sine)
+    cycle = solver._multigrid(A)
+    rng = np.random.default_rng(3)
+    r1, r2 = rng.normal(size=(2, A.n))
+    m1, m2 = cycle(r1), cycle(r2)
+    gap = abs(float(m1 @ r2) - float(r1 @ m2))
+    assert gap <= 1e-12 * np.linalg.norm(m1) * np.linalg.norm(r2)
+    assert float(m1 @ r1) > 0.0
+
+
+def test_multigrid_iterations_are_flat(mesh_cache, hex_sine):
+    counts = []
+    for level in range(4, 9):
+        A, b, _ = assemble(mesh_cache(level), hex_sine)
+        _, stats = solve(A, b, SolverConfig(preconditioner="multigrid"))
+        counts.append(stats.iterations)
+    assert max(counts) <= 15, counts
+    assert max(counts) - min(counts) <= 3, counts
+
+
+def test_multigrid_hierarchy_dies_with_the_solve(mesh_cache, hex_sine):
+    """No reference cycle holds the hierarchy until a later collection."""
+    A, b, _ = assemble(mesh_cache(5), hex_sine)
+    gc.collect()
+    gc.disable()
+    try:
+        solve(A, b, SolverConfig(preconditioner="multigrid"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_multigrid_without_a_mesh_is_the_exact_solve():
+    A = random_spd(12, seed=4)
+    b = np.random.default_rng(5).normal(size=12)
+    x, stats = solve(A, b, SolverConfig(preconditioner="multigrid"))
+    assert stats.iterations <= 2
+    assert np.allclose(x, np.linalg.solve(A.to_csr().toarray(), b), atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
+    level=st.sampled_from([3, 4, 5]),
+)
+def test_multigrid_cg_matches_direct_on_random_loads(coeffs, level, mesh_cache):
+    """Loads of random cubic manufactured solutions."""
+    c = coeffs
+
+    def expr(X, Y):
+        return (c[0] + c[1] * X + c[2] * Y + c[3] * X * X + c[4] * X * Y
+                + c[5] * Y * Y + c[6] * X ** 3 + c[7] * X * X * Y
+                + c[8] * X * Y * Y + c[9] * Y ** 3)
+
+    A, b, _ = assemble(mesh_cache(level), _from_expression("cubic", expr))
+    x_mg, _ = solve(A, b, SolverConfig(preconditioner="multigrid"))
+    x_direct, _ = solve(A, b, SolverConfig(method="chol"))
+    assert np.max(np.abs(x_mg - x_direct), initial=0.0) <= 1e-10

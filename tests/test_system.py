@@ -28,6 +28,7 @@ from hivevem.system import (
     p1_gradients,
     prolongation,
     recover_centers,
+    refinement_transfer,
     restrict,
 )
 
@@ -149,6 +150,52 @@ def test_prolongation_rows(mesh_cache):
 
 
 # --------------------------------------------------------------- assembly
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_refinement_transfer_is_p1_injection(level, mesh_cache):
+    """``P x`` samples the coarse P1 field of ``x`` at the fine free dofs.
+
+    ``x`` holds the samples of a linear function at the coarse free
+    dofs.  The oracle walks the coarse subtriangles, whose vertices and
+    edge midpoints are the fine nodes (found here by their coordinates),
+    and averages the coarse nodal values at the two ends.  Where both
+    ends are coarse free vertices the field is the linear function, so
+    its fine samples are reproduced; next to the boundary (zero) and to
+    a centre (the corner mean) the field differs from it.
+    """
+    coarse, fine = mesh_cache(level), mesh_cache(level + 1)
+
+    def u(xy):
+        return 0.3 + 1.7 * xy[:, 0] - 0.9 * xy[:, 1]
+
+    dofs = build_dof_map(coarse)
+    x = u(coarse.node_xy[dofs.dof_to_node])
+    got = refinement_transfer(coarse, fine) @ x
+
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))
+    ends = np.concatenate([coarse.tris[:, list(p)] for p in pairs])
+    mid = coarse.node_xy[ends].mean(axis=1)
+    j = np.rint(mid[:, 1] / (0.5 * SQRT3 * fine.s)).astype(int)
+    i = np.rint(mid[:, 0] / fine.s - 0.5 * j).astype(int)
+    nodes = np.array([fine.node_index(a, b) for a, b in zip(i, j)])
+    assert np.allclose(fine.node_xy[nodes], mid, rtol=0, atol=1e-14)
+    want = np.full(fine.n_nodes, np.nan)
+    want[nodes] = expand(x, dofs, coarse).values[ends].mean(axis=1)
+    on_line = np.zeros(fine.n_nodes, dtype=bool)
+    on_line[nodes] = np.all(dofs.node_to_dof[ends] >= 0, axis=1)
+
+    free = build_dof_map(fine).dof_to_node
+    scale = np.abs(x).max()
+    assert np.abs(got - want[free]).max() <= 1e-14 * scale
+    exact = on_line[free]
+    assert exact.mean() > 0.2  # a third of the coarse edges touch no centre
+    assert np.abs(got[exact] - u(fine.node_xy[free[exact]])).max() <= 1e-14 * scale
+
+
+def test_refinement_transfer_needs_adjacent_levels(mesh_cache):
+    with pytest.raises(ValueError):
+        refinement_transfer(mesh_cache(3), mesh_cache(5))
 
 
 @pytest.mark.parametrize("level", [2, 3])
