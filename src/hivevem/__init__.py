@@ -18,7 +18,6 @@ from .lattice import (
     Cell,
     CellKind,
     HoneycombMesh,
-    LatticePoint,
     MeshConstructionError,
     boundary_nodes,
     build_mesh,
@@ -47,11 +46,11 @@ from .problem import (
 from .quadrature import QuadratureRule, integrate, monomial_integral, rule
 from .solver import SolveStats, SolverConfig, SolverError, solve
 from .system import (
+    ELEMENT_STIFFNESS,
     DofMap,
     FieldP1,
     SparseSpd,
     assemble,
-    element_stiffness,
     expand,
     interpolate,
     interpolate_pointwise,

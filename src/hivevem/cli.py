@@ -111,7 +111,7 @@ def study_row(
     )
     u_i = system.interpolate(problem, mesh)
     l2, h1, linf = analysis.norms_superclose(u_h, u_i)
-    u_rec = system.recover_centers(u_h, problem, config.quad_load)
+    u_rec = system.recover_centers(u_h, dofs)
     row = analysis.StudyRow(
         level=level,
         h=mesh.s,

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +42,10 @@ SQRT3 = math.sqrt(3.0)
 #: Exact area of the computational domain.
 DOMAIN_AREA = 1.5 * SQRT3
 
-#: Largest refinement level accepted by :func:`build_mesh`.
-MAX_LEVEL = 12
+#: Largest refinement level accepted by :func:`build_mesh`.  Memory grows
+#: about fourfold per level: a level-10 study with the lift peaks at about
+#: 1.45 GB, so level 11 would need about 6 GB.
+MAX_LEVEL = 10
 
 #: The six unit lattice steps, counterclockwise starting from +x.
 HEX_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -52,11 +53,6 @@ HEX_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 class MeshConstructionError(RuntimeError):
     """A structural invariant failed while building a mesh."""
-
-
-class LatticePoint(NamedTuple):
-    i: int
-    j: int
 
 
 class CellKind(Enum):

@@ -1,15 +1,15 @@
 """Linear solvers for the condensed SPD system.
 
-Two methods: preconditioned conjugate gradients (``cg``, the default)
-and a sparse direct solve (``chol``, which despite its name is a
-SuperLU factorisation, ``scipy.sparse.linalg.splu``).  Both are
-deterministic for a fixed configuration.
+Two methods: conjugate gradients (``cg``, the default) and a sparse
+direct solve (``chol``, which despite its name is a SuperLU
+factorisation, ``scipy.sparse.linalg.splu``).  Both are deterministic
+for a fixed configuration.  The direct solve is the reference that CG
+is checked against.
 
-CG takes one of three preconditioners: ``none``, ``jacobi``, or
-``multigrid`` (the default), a V-cycle on the nested lattice hierarchy
-with Galerkin coarse operators (Briggs, Henson and McCormick, *A
-Multigrid Tutorial*, SIAM 2000).  Its iteration count stays flat as the
-mesh is refined, where Jacobi's doubles with every level.
+CG is preconditioned by a multigrid V-cycle on the nested lattice
+hierarchy with Galerkin coarse operators (Briggs, Henson and McCormick,
+*A Multigrid Tutorial*, SIAM 2000).  Its iteration count stays flat as
+the mesh is refined, where Jacobi's doubles with every level.
 
 A note on tolerances.  CG stops when the recurrence residual satisfies
 ``norm(r) <= tol * norm(b)``, the standard criterion.  At fine levels
@@ -36,7 +36,6 @@ from .lattice import build_mesh
 from .system import SparseSpd, refinement_transfer
 
 METHODS = ("cg", "chol")
-PRECONDITIONERS = ("none", "jacobi", "multigrid")
 
 #: Damping factor of the Jacobi smoother in the multigrid V-cycle.
 MG_OMEGA = 0.8
@@ -62,7 +61,6 @@ class SolverConfig:
     method: str = "cg"
     tol: float = 1e-14
     max_iterations: int | None = None
-    preconditioner: str = "multigrid"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -71,11 +69,6 @@ class SolverConfig:
             raise ValueError(f"tol must lie in (0, 1e-6], got {self.tol}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.preconditioner not in PRECONDITIONERS:
-            raise ValueError(
-                f"preconditioner must be one of {PRECONDITIONERS}, "
-                f"got {self.preconditioner!r}"
-            )
 
 
 @dataclass
@@ -110,15 +103,6 @@ def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
     if config.method == "chol":
         return _solve_direct(A, b, config, bnorm)
     return _solve_cg(A, b, config, bnorm)
-
-
-def _make_preconditioner(A: SparseSpd, kind: str):
-    if kind == "none":
-        return lambda r: r
-    if kind == "jacobi":
-        inv_diag = 1.0 / A.diagonal()
-        return lambda r: inv_diag * r
-    return _multigrid(A)
 
 
 def _multigrid(A: SparseSpd):
@@ -174,7 +158,7 @@ def _factorise(matrix: sp.spmatrix):
 def _solve_cg(A: SparseSpd, b, config: SolverConfig, bnorm: float):
     n = A.n
     maxit = config.max_iterations or max(2 * n, 200)
-    apply_m = _make_preconditioner(A, config.preconditioner)
+    apply_m = _multigrid(A)
 
     x = np.zeros(n)
     r = b.copy()
@@ -219,7 +203,7 @@ def _solve_cg(A: SparseSpd, b, config: SolverConfig, bnorm: float):
 
 
 def _solve_direct(A: SparseSpd, b, config: SolverConfig, bnorm: float):
-    lu = _factorise(A.to_csc())
+    lu = _factorise(A.to_csr())
     x = lu.solve(b)
     refinements = 0
     res = b - A @ x

@@ -8,18 +8,22 @@ centre condition is the energy-minimising (discrete harmonic) extension
 of the corner data on the equilateral fan, which is what makes the
 scheme stabiliser-free: no extra penalty term ever enters.
 
-Assembly builds the full P1 stiffness matrix K and load vector over all
-lattice nodes, then condenses through the prolongation C that expresses
-every node value in terms of the free corner degrees of freedom:
+Assembly computes the P1 load vector l over all lattice nodes, then
+builds the full P1 stiffness matrix K from the one element stiffness
+that every equilateral subtriangle shares, and condenses both through
+the prolongation C that expresses every node value in terms of the free
+corner degrees of freedom:
 
     A = C^T K C,     b = C^T l.
 
-A is symmetric positive definite because C has full column rank.
+A is symmetric positive definite because C has full column rank.  The
+load rows of the eliminated centres go into the returned :class:`DofMap`,
+from which :func:`recover_centers` undoes the elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,30 +31,6 @@ import scipy.sparse as sp
 from .lattice import HoneycombMesh
 from .problem import ManufacturedProblem
 from .quadrature import rule
-
-#: P1 stiffness entries on an equilateral triangle (any size).
-_DIAG = 1.0 / np.sqrt(3.0)
-_OFF = -0.5 / np.sqrt(3.0)
-
-
-def element_stiffness(s: float) -> np.ndarray:
-    """P1 stiffness matrix of an equilateral triangle with edge ``s``.
-
-    Computed from the vertex geometry with the standard co-factor
-    formula; the result is independent of ``s`` and of the triangle's
-    position or orientation.
-    """
-    if s <= 0.0:
-        raise ValueError(f"edge length must be positive, got {s}")
-    verts = np.array([
-        [0.0, 0.0],
-        [s, 0.0],
-        [0.5 * s, 0.5 * np.sqrt(3.0) * s],
-    ])
-    grads, area = p1_gradients(verts[None])
-    g = grads[0]
-    return area[0] * (g @ g.T)
-
 
 def p1_gradients(tri_xy: np.ndarray):
     """Constant P1 basis gradients on triangles.
@@ -79,15 +59,36 @@ def p1_gradients(tri_xy: np.ndarray):
     return grads, 0.5 * area2
 
 
+def _unit_stiffness() -> np.ndarray:
+    grads, area = p1_gradients(
+        np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]]])
+    )
+    ke = area[0] * (grads[0] @ grads[0].T)
+    ke.setflags(write=False)
+    return ke
+
+
+#: P1 stiffness matrix of every subtriangle.  It does not depend on the
+#: size, position or orientation of an equilateral triangle, so it is
+#: computed once, on the unit one; its off-diagonal entries are one ulp
+#: from the closed form ``-0.5/sqrt(3)``.
+ELEMENT_STIFFNESS = _unit_stiffness()
+
+
 @dataclass(frozen=True)
 class DofMap:
-    """Free degrees of freedom: interior mesh vertices, in node order."""
+    """Free degrees of freedom: interior mesh vertices, in node order.
+
+    ``center_load`` holds the load at ``mesh.centers`` when the map
+    comes from :func:`assemble`, else ``None``.
+    """
 
     node_to_dof: np.ndarray
     dof_to_node: np.ndarray
     n_dofs: int
     n_boundary: int
     n_centers: int
+    center_load: np.ndarray | None = None
 
 
 class SparseSpd:
@@ -126,30 +127,14 @@ class SparseSpd:
         return self._csr.shape[0]
 
     @property
-    def indptr(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
     def data(self) -> np.ndarray:
         return self._csr.data
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self._csr @ x
-
-    __matmul__ = matvec
-
-    def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
 
     def to_csr(self) -> sp.csr_matrix:
         return self._csr
-
-    def to_csc(self) -> sp.csc_matrix:
-        return self._csr.tocsc()
 
 
 @dataclass(frozen=True)
@@ -259,23 +244,22 @@ def assemble(
 ):
     """Assemble the condensed SPD system.
 
-    Returns ``(A, b, dofs)``.  A zero-dimensional system (level 1 has
-    no free vertices) is returned as such; the solution field is then
-    identically zero.
+    Returns ``(A, b, dofs)``; ``dofs.center_load`` carries the load at
+    the centres for :func:`recover_centers`.  The load is computed
+    first, so its quadrature temporaries are freed before K is built.
+    A zero-dimensional system (level 1 has no free vertices) is returned
+    as such; the solution field is then identically zero.
     """
-    dofs = build_dof_map(mesh)
-    tris = mesh.tris
-    n_tris = tris.shape[0]
+    load = load_vector(mesh, problem, load_quad_degree)
+    dofs = replace(build_dof_map(mesh), center_load=load[mesh.centers])
 
-    ke = element_stiffness(mesh.s)
+    tris = mesh.tris
     rows = tris[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
     cols = tris[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
-    vals = np.tile(ke.ravel(), n_tris)
+    vals = np.tile(ELEMENT_STIFFNESS.ravel(), tris.shape[0])
     K = sp.coo_matrix(
         (vals, (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
     ).tocsr()
-
-    load = load_vector(mesh, problem, load_quad_degree)
 
     C = prolongation(mesh, dofs)
     A = SparseSpd(C.T @ K @ C, mesh)
@@ -302,11 +286,7 @@ def restrict(field: FieldP1, dofs: DofMap) -> np.ndarray:
     return field.values[dofs.dof_to_node].copy()
 
 
-def recover_centers(
-    u_h: FieldP1,
-    problem: ManufacturedProblem,
-    load_quad_degree: int = 4,
-) -> FieldP1:
+def recover_centers(u_h: FieldP1, dofs: DofMap) -> FieldP1:
     """Re-expand hexagon centres by exact static condensation.
 
     The condensed matrix ``C^T K C`` coincides with the Schur
@@ -318,19 +298,27 @@ def recover_centers(
 
         u(x0) = mean(corners) + l(x0) / (2*sqrt(3)),
 
-    where ``l`` is the load vector (the centre's diagonal stiffness on
-    the six-triangle fan is 2*sqrt(3), independent of scale).  These
-    centre values are pointwise fourth-order accurate, while the plain
-    corner average is only second-order accurate there, so error norms
-    of the solution should be measured on this representation.
+    where ``l(x0)`` is the centre's load, ``dofs.center_load`` from
+    :func:`assemble` (the centre's diagonal stiffness on the
+    six-triangle fan is 2*sqrt(3), independent of scale).  These centre
+    values are pointwise fourth-order accurate, while the plain corner
+    average is only second-order accurate there, so error norms of the
+    solution should be measured on this representation.
+
+    Raises ``ValueError`` if ``dofs`` carries no centre loads, as a map
+    from :func:`build_dof_map` does not.
     """
+    if dofs.center_load is None:
+        raise ValueError(
+            "recover_centers needs the centre loads of the DofMap "
+            "that assemble returns"
+        )
     mesh = u_h.mesh
     values = u_h.values.copy()
     if mesh.centers.size:
-        load = load_vector(mesh, problem, load_quad_degree)
         values[mesh.centers] = (
             values[mesh.center_corners].mean(axis=1)
-            + load[mesh.centers] / (2.0 * np.sqrt(3.0))
+            + dofs.center_load / (2.0 * np.sqrt(3.0))
         )
     return FieldP1(mesh=mesh, values=values)
 

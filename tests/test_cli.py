@@ -1,5 +1,6 @@
 """Driver behaviour: configuration, CSV output, exit codes."""
 
+import dataclasses
 import sys
 import types
 
@@ -17,6 +18,8 @@ from hivevem.cli import (
     rows_to_csv,
     run_study,
 )
+from hivevem.lattice import build_mesh
+from hivevem.quadrature import rule
 from hivevem.solver import SolverConfig
 
 
@@ -202,6 +205,35 @@ def test_export_lift_rejects_low_level_before_solving(tmp_path, monkeypatch):
     assert main(["export", "--level", "2", "--what", "lift",
                  "--path", str(out)]) == 1
     assert not out.exists()
+
+
+def test_levels_above_the_memory_ceiling_are_rejected_up_front(
+    tmp_path, monkeypatch
+):
+    """Level 11 would need about 6 GB: refused before any mesh is built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a level above MAX_LEVEL reached build_mesh")
+
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    assert main(["study", "--max-level", "11"]) == 1
+    out = tmp_path / "m.vtk"
+    assert main(["export", "--level", "11", "--what", "mesh",
+                 "--path", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_study_row_evaluates_the_load_once(hex_sine):
+    """The load quadrature, one degree-4 rule per subtriangle, is the
+    only evaluation of ``f``: centre recovery reuses its centre rows."""
+    points = []
+
+    def f(x, y):
+        points.append(np.size(x))
+        return hex_sine.f(x, y)
+
+    problem = dataclasses.replace(hex_sine, f=f)
+    cli.study_row(4, problem, small_config(min_level=4, max_level=4))
+    assert sum(points) == build_mesh(4).n_tris * rule(4).n_points
 
 
 def test_lift_at_nodes_matches_per_patch_definition(solved_cache, hex_sine):
