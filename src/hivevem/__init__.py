@@ -36,7 +36,7 @@ from .lift import (
     lift_solution,
 )
 from .problem import (
-    Jet2,
+    Jet,
     ManufacturedProblem,
     get_problem,
     hex_sine,

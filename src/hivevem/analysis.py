@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import HoneycombMesh
-from .lift import LiftResult, monomial_basis, patch_quadrature
+from .lift import LiftResult, patch_quadrature
 from .problem import ManufacturedProblem
 from .quadrature import rule
-from .system import FieldP1, p1_gradients
+from .system import FieldP1, p1_gradients, tri_quadrature
 
 #: Errors at or below this scale count as round-off; no order is formed.
 ROUNDOFF = 100.0 * np.finfo(float).eps
@@ -79,22 +79,21 @@ def norm_l2_true(approx, problem: ManufacturedProblem, degree: int = 6) -> float
 def _field_l2_error(u_h: FieldP1, problem, degree: int) -> float:
     mesh = u_h.mesh
     q = rule(degree)
-    pts = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
-    exact = np.asarray(
-        problem.u(pts[..., 0].ravel(), pts[..., 1].ravel())
-    ).reshape(pts.shape[:2])
-    approx = u_h.values[mesh.tris] @ q.points.T
-    sq = mesh.tri_area * np.einsum("tq,q->", (exact - approx) ** 2, q.weights)
-    return math.sqrt(float(sq))
+    total = 0.0
+    for tris, xy in tri_quadrature(mesh, q):
+        exact = np.asarray(problem.u(*xy)).reshape(-1, q.n_points)
+        approx = u_h.values[tris] @ q.points.T
+        total += float(np.einsum("tq,q->", (exact - approx) ** 2, q.weights))
+    return math.sqrt(mesh.tri_area * total)
 
 
 def _lift_l2_error(lift: LiftResult, problem, degree: int) -> float:
     q = rule(degree)
     weights = np.tile(q.weights, 16)
     total = 0.0
-    for ids, xy, local in patch_quadrature(lift.grid, q.points):
-        fitted = lift.coeffs[ids] @ monomial_basis(local)[:, 0].T
-        diff = problem.u(xy[..., 0], xy[..., 1]) - fitted
+    for ids, xy, basis in patch_quadrature(lift.grid, q.points):
+        fitted = lift.coeffs[ids] @ basis[:, 0].T
+        diff = problem.u(*xy) - fitted
         total += float(np.sum(diff ** 2 @ weights))
     return math.sqrt(lift.grid.mesh.tri_area * total)
 
@@ -106,10 +105,9 @@ def norm_h1_broken_true(
     q = rule(degree)
     weights = np.tile(q.weights, 16)
     total = 0.0
-    for ids, xy, local in patch_quadrature(lift.grid, q.points):
-        basis = monomial_basis(local)
+    for ids, xy, basis in patch_quadrature(lift.grid, q.points):
         coeffs = lift.coeffs[ids] / lift.grid.edge
-        ux, uy = problem.grad_u(xy[..., 0], xy[..., 1])
+        ux, uy = problem.grad_u(*xy)
         sq = (ux - coeffs @ basis[:, 1].T) ** 2 + (uy - coeffs @ basis[:, 2].T) ** 2
         total += float(np.sum(sq @ weights))
     return math.sqrt(lift.grid.mesh.tri_area * total)

@@ -198,8 +198,6 @@ def export(
     what: str,
     path,
     problem_name: str = "hex-sine",
-    quad_load: int = 4,
-    solver_config: solver.SolverConfig | None = None,
 ) -> None:
     """Write a mesh, solution or lifted solution as legacy VTK."""
     if what not in ("mesh", "solution", "lift"):
@@ -217,7 +215,7 @@ def export(
         problem = get_problem(problem_name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    mesh, u_h, _, _ = solve_level(level, problem, quad_load, solver_config)
+    mesh, u_h, _, _ = solve_level(level, problem)
     exact = problem.u(mesh.node_xy[:, 0], mesh.node_xy[:, 1])
     if what == "solution":
         data = {"u_h": u_h.values, "error": exact - u_h.values}

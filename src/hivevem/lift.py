@@ -50,6 +50,7 @@ import numpy as np
 
 from .lattice import HEX_DIRECTIONS, SQRT3, HoneycombMesh, node_class, position
 from .problem import ManufacturedProblem
+from .quadrature import blocks
 from .system import FieldP1
 
 SCHEMES = ("lattice15-corrected", "paper11-plain", "paper11-corrected",
@@ -447,13 +448,17 @@ def patch_quadrature(grid: PatchGrid, bary: np.ndarray):
     """Quadrature points on the 16 subtriangles of every patch.
 
     ``bary`` holds a rule's barycentric points (nq, 3).  Yields
-    ``(ids, xy, local)`` for blocks of at most 512 patches of one frame:
-    their points ``xy`` (n, 16 nq, 2) and the scaled local coordinates
-    (16 nq, 2) they share, subtriangle major.  The blocks bound the
-    memory of problem evaluations at fine levels.
+    ``(ids, xy, basis)`` for blocks of patches of one frame that carry
+    at most :data:`~hivevem.quadrature.BLOCK_POINTS` points together:
+    the coordinates ``xy`` (2, n, 16 nq) of their points, subtriangle
+    major, and the :func:`monomial_basis` (16 nq, 3, 10) at the scaled
+    local coordinates they share.  The blocks bound the memory of problem
+    evaluations at fine levels.
     """
     local = np.einsum("qk,ftkx->ftqx", bary, _frame_local(_SUB_AB))
     for f, frame_local in enumerate(local.reshape(len(_FRAMES), -1, 2)):
+        basis = monomial_basis(frame_local)
+        offsets = grid.edge * frame_local.T[:, None]
         members = np.flatnonzero(grid.frame == f)
-        for ids in np.split(members, range(512, members.size, 512)):
-            yield ids, grid.centroid[ids, None] + grid.edge * frame_local, frame_local
+        for ids in blocks(members, frame_local.shape[0]):
+            yield ids, grid.centroid[ids].T[..., None] + offsets, basis

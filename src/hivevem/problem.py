@@ -2,12 +2,15 @@
 
 The forcing term is never derived by hand.  The exact solution is
 written once as an ordinary arithmetic expression and differentiated
-with second-order forward mode: :class:`Jet2` carries the truncated
-Taylor expansion ``a0 + a1*t + a2*t**2`` of a function of one scalar
-parameter, so evaluating ``u(x + t, y)`` and ``u(x, y + t)`` yields the
-pure second derivatives and hence the Laplacian to machine precision.
+with forward mode in one bivariate pass: a :class:`Jet` carries the
+value, both first partials and, at order 2, half of both pure second
+partials, so one evaluation yields the Laplacian to machine precision.
+Order 1 drops the second-order parts, which the gradient does not need.
 Coefficients may be numpy arrays, which keeps bulk evaluation at
-quadrature points vectorised.
+quadrature points vectorised.  The callables evaluate whatever they are
+given; the quadrature callers pass at most
+:data:`~hivevem.quadrature.BLOCK_POINTS` points per call, which keeps
+the jet temporaries small.
 """
 
 from __future__ import annotations
@@ -21,83 +24,94 @@ import numpy as np
 SQRT3 = math.sqrt(3.0)
 
 
-class Jet2:
-    """Truncated Taylor number ``a0 + a1 t + a2 t**2``.
+class Jet:
+    """Bivariate Taylor number without the mixed term.
 
-    Supports the arithmetic needed by the manufactured solutions:
-    ring operations, scalar division, integer powers, sin and cos.
+    ``value`` is u, ``first`` the pair ``(u_x, u_y)`` and ``half`` the
+    pair ``(u_xx / 2, u_yy / 2)``, or ``None`` for a jet of order 1.
+    Each direction follows the rules of the one-variable jet
+    ``a0 + a1 t + a2 t**2`` in the same operation order, so every part
+    equals, bit for bit, that of a one-variable jet along x or y.
+    Supports ring operations, division, non-negative integer powers,
+    sin, cos and exp.
     """
 
-    __slots__ = ("a0", "a1", "a2")
+    __slots__ = ("value", "first", "half")
 
-    def __init__(self, a0, a1=0.0, a2=0.0):
-        self.a0 = a0
-        self.a1 = a1
-        self.a2 = a2
+    def __init__(self, value, first, half=None):
+        self.value = value
+        self.first = first
+        self.half = half
 
     @classmethod
-    def variable(cls, value):
-        return cls(value, 1.0, 0.0)
+    def variables(cls, x, y, order: int = 2):
+        """The coordinate jets ``X`` and ``Y`` at ``(x, y)``."""
+        if order not in (1, 2):
+            raise ValueError(f"jet order must be 1 or 2, got {order}")
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        half = (0.0, 0.0) if order == 2 else None
+        return cls(x, (1.0, 0.0), half), cls(y, (0.0, 1.0), half)
 
-    @property
-    def value(self):
-        return self.a0
+    def _map(self, value, first, second):
+        """Jet of ``value`` whose parts in each direction are
+        ``first(a1)`` and ``second(a1, a2)``."""
+        half = None if self.half is None else tuple(
+            map(second, self.first, self.half))
+        return Jet(value, tuple(map(first, self.first)), half)
 
-    @property
-    def first(self):
-        """d/dt at t = 0."""
-        return self.a1
-
-    @property
-    def second(self):
-        """d^2/dt^2 at t = 0."""
-        return 2.0 * self.a2
+    def _zip(self, other, value, first, second):
+        """Binary :meth:`_map`: ``first(a1, b1)``, ``second(a1, a2, b1, b2)``."""
+        half = None if self.half is None else tuple(
+            map(second, self.first, self.half, other.first, other.half))
+        return Jet(value, tuple(map(first, self.first, other.first)), half)
 
     def __add__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.a0 + other.a0, self.a1 + other.a1, self.a2 + other.a2)
-        return Jet2(self.a0 + other, self.a1, self.a2)
+        if isinstance(other, Jet):
+            return self._zip(other, self.value + other.value,
+                             lambda a1, b1: a1 + b1,
+                             lambda a1, a2, b1, b2: a2 + b2)
+        return Jet(self.value + other, self.first, self.half)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.a0, -self.a1, -self.a2)
+        return self._map(-self.value, lambda a1: -a1, lambda a1, a2: -a2)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet2) else -np.asarray(other))
+        return self + (-other if isinstance(other, Jet) else -np.asarray(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(
-                self.a0 * other.a0,
-                self.a0 * other.a1 + self.a1 * other.a0,
-                self.a0 * other.a2 + self.a1 * other.a1 + self.a2 * other.a0,
-            )
-        return Jet2(self.a0 * other, self.a1 * other, self.a2 * other)
+        if isinstance(other, Jet):
+            a0, b0 = self.value, other.value
+            return self._zip(other, a0 * b0,
+                             lambda a1, b1: a0 * b1 + a1 * b0,
+                             lambda a1, a2, b1, b2: a0 * b2 + a1 * b1 + a2 * b0)
+        return self._map(self.value * other, lambda a1: a1 * other,
+                         lambda a1, a2: a2 * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            inv = other._reciprocal()
-            return self * inv
+        if isinstance(other, Jet):
+            return self * other._reciprocal()
         return self * (1.0 / other)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
 
     def _reciprocal(self):
-        inv = 1.0 / self.a0
-        return Jet2(inv, -self.a1 * inv * inv,
-                    (self.a1 * self.a1 * inv - self.a2) * inv * inv)
+        inv = 1.0 / self.value
+        return self._map(inv, lambda a1: -a1 * inv * inv,
+                         lambda a1, a2: (a1 * a1 * inv - a2) * inv * inv)
 
     def __pow__(self, k):
         if not isinstance(k, (int, np.integer)) or k < 0:
-            raise TypeError("Jet2 powers must be non-negative integers")
-        out = Jet2(np.ones_like(np.asarray(self.a0, dtype=float)))
+            raise TypeError("Jet powers must be non-negative integers")
+        out = self._map(np.ones_like(np.asarray(self.value, dtype=float)),
+                        lambda a1: 0.0, lambda a1, a2: 0.0)
         base = self
         e = int(k)
         while e:
@@ -108,40 +122,40 @@ class Jet2:
         return out
 
     def sin(self):
-        s, c = np.sin(self.a0), np.cos(self.a0)
-        return Jet2(s, c * self.a1, c * self.a2 - 0.5 * s * self.a1 * self.a1)
+        s, c = np.sin(self.value), np.cos(self.value)
+        return self._map(s, lambda a1: c * a1,
+                         lambda a1, a2: c * a2 - 0.5 * s * a1 * a1)
 
     def cos(self):
-        s, c = np.sin(self.a0), np.cos(self.a0)
-        return Jet2(c, -s * self.a1, -s * self.a2 - 0.5 * c * self.a1 * self.a1)
+        s, c = np.sin(self.value), np.cos(self.value)
+        return self._map(c, lambda a1: -s * a1,
+                         lambda a1, a2: -s * a2 - 0.5 * c * a1 * a1)
 
     def exp(self):
-        e = np.exp(self.a0)
-        return Jet2(e, e * self.a1, e * (self.a2 + 0.5 * self.a1 * self.a1))
+        e = np.exp(self.value)
+        return self._map(e, lambda a1: e * a1,
+                         lambda a1, a2: e * (a2 + 0.5 * a1 * a1))
 
 
 def sin(z):
-    return z.sin() if isinstance(z, Jet2) else np.sin(z)
+    return z.sin() if isinstance(z, Jet) else np.sin(z)
 
 
 def cos(z):
-    return z.cos() if isinstance(z, Jet2) else np.cos(z)
+    return z.cos() if isinstance(z, Jet) else np.cos(z)
 
 
 def exp(z):
-    return z.exp() if isinstance(z, Jet2) else np.exp(z)
+    return z.exp() if isinstance(z, Jet) else np.exp(z)
 
 
 def jet_eval(expr: Callable, x, y):
     """Evaluate ``expr`` and its derivatives up to second order.
 
-    Returns ``(u, ux, uy, uxx, uyy)`` from two directional jet passes.
+    Returns ``(u, ux, uy, uxx, uyy)`` from one bivariate jet pass.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    jx = expr(Jet2.variable(x), Jet2(y))
-    jy = expr(Jet2(x), Jet2.variable(y))
-    return jx.value, jx.first, jy.first, jx.second, jy.second
+    j = expr(*Jet.variables(x, y))
+    return j.value, *j.first, 2.0 * j.half[0], 2.0 * j.half[1]
 
 
 def laplacian(expr: Callable, x, y):
@@ -168,8 +182,7 @@ def _from_expression(name: str, expr: Callable) -> ManufacturedProblem:
         return expr(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def grad_u(x, y):
-        _, ux, uy, _, _ = jet_eval(expr, x, y)
-        return ux, uy
+        return expr(*Jet.variables(x, y, order=1)).first
 
     def f(x, y):
         return -laplacian(expr, x, y)

@@ -22,6 +22,13 @@ from math import factorial
 
 import numpy as np
 
+#: Most quadrature points passed to one call of a problem's ``u``,
+#: ``grad_u`` or ``f``: the load, the true error and the lift norms
+#: evaluate the exact data over blocks of this size (see :func:`blocks`),
+#: so that the jet temporaries stay cache-sized and their memory stays
+#: flat in the level.
+BLOCK_POINTS = 16384
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -122,6 +129,14 @@ def rule(degree: int) -> QuadratureRule:
     r = QuadratureRule(degree=degree, points=points, weights=weights)
     _validate(r)
     return r
+
+
+def blocks(items: np.ndarray, points_each: int) -> list[np.ndarray]:
+    """Consecutive views of ``items`` along its first axis, for items
+    that carry ``points_each`` quadrature points: at most
+    :data:`BLOCK_POINTS` points per block, and at least one item."""
+    step = max(1, BLOCK_POINTS // points_each)
+    return [items[i:i + step] for i in range(0, len(items), step)]
 
 
 def triangle_area(tri: np.ndarray) -> float:

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .lattice import HoneycombMesh
 from .problem import ManufacturedProblem
-from .quadrature import rule
+from .quadrature import blocks, rule
 
 def p1_gradients(tri_xy: np.ndarray):
     """Constant P1 basis gradients on triangles.
@@ -225,16 +225,32 @@ def load_vector(
     problem: ManufacturedProblem,
     degree: int = 4,
 ) -> np.ndarray:
-    """Load vector of ``f`` against the P1 basis over all lattice nodes."""
+    """Load vector of ``f`` against the P1 basis over all lattice nodes.
+
+    ``f`` is evaluated on blocks of subtriangles (:func:`tri_quadrature`).
+    """
     q = rule(degree)
-    pts = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
-    fvals = np.asarray(
-        problem.f(pts[..., 0].ravel(), pts[..., 1].ravel())
-    ).reshape(mesh.n_tris, q.n_points)
-    contrib = mesh.tri_area * np.einsum("tq,q,qk->tk", fvals, q.weights, q.points)
     load = np.zeros(mesh.n_nodes)
-    np.add.at(load, mesh.tris, contrib)
+    for tris, xy in tri_quadrature(mesh, q):
+        fvals = np.asarray(problem.f(*xy)).reshape(-1, q.n_points)
+        contrib = mesh.tri_area * np.einsum("tq,q,qk->tk", fvals, q.weights, q.points)
+        np.add.at(load, tris, contrib)
     return load
+
+
+def tri_quadrature(mesh: HoneycombMesh, q):
+    """Quadrature points of ``q`` on the subtriangles, block by block.
+
+    Yields ``(tris, xy)``: the vertex indices (t, 3) of a block of at
+    most :data:`~hivevem.quadrature.BLOCK_POINTS` points and the
+    coordinates (2, t nq) of its points, triangle major.  Each
+    coordinate is the left-to-right sum of its three vertex terms.
+    """
+    bary = q.points.T
+    for tris in blocks(mesh.tris, q.n_points):
+        v = mesh.node_xy[tris].transpose(2, 0, 1)[..., None]
+        xy = v[:, :, 0] * bary[0] + v[:, :, 1] * bary[1] + v[:, :, 2] * bary[2]
+        yield tris, xy.reshape(2, -1)
 
 
 def assemble(
@@ -246,14 +262,16 @@ def assemble(
 
     Returns ``(A, b, dofs)``; ``dofs.center_load`` carries the load at
     the centres for :func:`recover_centers`.  The load is computed
-    first, so its quadrature temporaries are freed before K is built.
+    first, block by block, before K is built.
     A zero-dimensional system (level 1 has no free vertices) is returned
     as such; the solution field is then identically zero.
     """
     load = load_vector(mesh, problem, load_quad_degree)
     dofs = replace(build_dof_map(mesh), center_load=load[mesh.centers])
 
-    tris = mesh.tris
+    # scipy stores these indices as int32 anyway; converting first keeps
+    # its 64-bit copies off the peak of assembly.
+    tris = mesh.tris.astype(np.int32)
     rows = tris[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
     cols = tris[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
     vals = np.tile(ELEMENT_STIFFNESS.ravel(), tris.shape[0])

@@ -15,8 +15,10 @@ from hivevem.analysis import (
     observed_order,
     orders,
 )
+from hivevem import quadrature
 from hivevem.lift import build_patch_grid, lift_solution
 from hivevem.problem import _from_expression, get_problem
+from hivevem.quadrature import rule
 from hivevem.system import FieldP1, interpolate, interpolate_pointwise
 
 
@@ -123,3 +125,26 @@ def test_interpolation_error_is_second_order(mesh_cache, hex_sine):
     ]
     rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(1.9 < r < 2.1 for r in rates)
+
+
+@pytest.mark.parametrize("block_points", [100, 5000])
+def test_blocked_error_norms_match_whole_mesh_sums(
+    solved_cache, hex_sine, monkeypatch, block_points
+):
+    """Blocks change only the order in which the squared errors are
+    summed: the true L2 error matches one whole-mesh sum, and the lift
+    norms match the default blocks, to summation round-off."""
+    mesh, u_h, _, _ = solved_cache(5)
+    q = rule(6)
+    pts = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
+    err = hex_sine.u(pts[..., 0], pts[..., 1]) - u_h.values[mesh.tris] @ q.points.T
+    want = math.sqrt(mesh.tri_area * np.einsum("tq,q->", err ** 2, q.weights))
+    lifted = lift_solution(u_h, hex_sine, build_patch_grid(mesh))
+    lift_norms = (norm_l2_true(lifted, hex_sine),
+                  norm_h1_broken_true(lifted, hex_sine))
+    monkeypatch.setattr(quadrature, "BLOCK_POINTS", block_points)
+    assert norm_l2_true(u_h, hex_sine) == pytest.approx(want, rel=1e-12)
+    assert norm_l2_true(lifted, hex_sine) == pytest.approx(lift_norms[0], rel=1e-12)
+    assert norm_h1_broken_true(lifted, hex_sine) == pytest.approx(
+        lift_norms[1], rel=1e-12
+    )

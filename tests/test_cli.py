@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from hivevem import analysis, cli, lift
+from hivevem import analysis, cli, lift, quadrature
 from hivevem.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -234,6 +234,39 @@ def test_study_row_evaluates_the_load_once(hex_sine):
     problem = dataclasses.replace(hex_sine, f=f)
     cli.study_row(4, problem, small_config(min_level=4, max_level=4))
     assert sum(points) == build_mesh(4).n_tris * rule(4).n_points
+
+
+def test_study_row_evaluates_the_exact_data_in_blocks(hex_sine):
+    """No call of ``u``, ``grad_u`` or ``f`` sees more than
+    ``BLOCK_POINTS`` points, and each sees as many points in all as one
+    whole-mesh call per use: the nodes and the degree-4 load rule for
+    ``f``'s centre correction and load, the nodes, the degree-6 rule on
+    the subtriangles and on the patches for ``u``, and the patches for
+    ``grad_u``."""
+    calls = {"u": [], "grad_u": [], "f": []}
+
+    def counted(name):
+        fn = getattr(hex_sine, name)
+
+        def call(x, y):
+            calls[name].append(np.size(x))
+            return fn(x, y)
+
+        return call
+
+    problem = dataclasses.replace(hex_sine, **{k: counted(k) for k in calls})
+    level = 6
+    cli.study_row(level, problem, small_config(
+        min_level=level, max_level=level, lift_enabled=True
+    ))
+    mesh = build_mesh(level)
+    patch_points = lift.build_patch_grid(mesh).n_patches * 16 * rule(6).n_points
+    assert max(max(sizes) for sizes in calls.values()) <= quadrature.BLOCK_POINTS
+    assert sum(calls["f"]) == mesh.n_tris * rule(4).n_points + mesh.centers.size
+    assert sum(calls["u"]) == (
+        mesh.nh_nodes.size + mesh.n_tris * rule(6).n_points + patch_points
+    )
+    assert sum(calls["grad_u"]) == patch_points
 
 
 def test_lift_at_nodes_matches_per_patch_definition(solved_cache, hex_sine):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hivevem.problem import (
-    Jet2,
+    Jet,
+    _from_expression,
     cos,
     exp,
     get_problem,
@@ -103,19 +104,103 @@ def test_jet_division_and_subtraction():
 
 
 def test_jet_power_rejects_bad_exponents():
-    X = Jet2.variable(2.0)
-    with pytest.raises(TypeError):
-        X ** -1
-    with pytest.raises(TypeError):
-        X ** 0.5
-    assert (X ** 0).value == 1.0
+    for order in (1, 2):
+        X, _ = Jet.variables(2.0, 1.0, order)
+        with pytest.raises(TypeError):
+            X ** -1
+        with pytest.raises(TypeError):
+            X ** 0.5
+        assert (X ** 0).value == 1.0
 
 
 def test_jet_variable_seed():
-    X = Jet2.variable(1.5)
-    assert X.value == 1.5
-    assert X.first == 1.0
-    assert X.second == 0.0
+    X, Y = Jet.variables(1.5, -0.5)
+    assert (X.value, Y.value) == (1.5, -0.5)
+    assert X.first == (1.0, 0.0) and Y.first == (0.0, 1.0)
+    assert X.half == Y.half == (0.0, 0.0)
+    X, Y = Jet.variables(1.5, -0.5, order=1)
+    assert X.first == (1.0, 0.0) and Y.first == (0.0, 1.0)
+    assert X.half is None and Y.half is None
+
+
+def test_jet_order_must_be_one_or_two():
+    for order in (0, 3):
+        with pytest.raises(ValueError):
+            Jet.variables(0.0, 0.0, order)
+
+
+# Closed forms at (x, y) = (0.3, -0.6): value, (u_x, u_y), (u_xx, u_yy).
+EX, EY = 0.3, -0.6
+CLOSED_FORMS = [
+    (
+        lambda X, Y: exp(0.5 * X - Y),
+        math.exp(0.5 * EX - EY),
+        (0.5 * math.exp(0.5 * EX - EY), -math.exp(0.5 * EX - EY)),
+        (0.25 * math.exp(0.5 * EX - EY), math.exp(0.5 * EX - EY)),
+    ),
+    (
+        lambda X, Y: 1.0 / (2.0 + X * Y),
+        1.0 / (2.0 + EX * EY),
+        (-EY / (2.0 + EX * EY) ** 2, -EX / (2.0 + EX * EY) ** 2),
+        (2.0 * EY ** 2 / (2.0 + EX * EY) ** 3,
+         2.0 * EX ** 2 / (2.0 + EX * EY) ** 3),
+    ),
+    (
+        lambda X, Y: X ** 3 * Y ** 2,
+        EX ** 3 * EY ** 2,
+        (3.0 * EX ** 2 * EY ** 2, 2.0 * EX ** 3 * EY),
+        (6.0 * EX * EY ** 2, 2.0 * EX ** 3),
+    ),
+]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("expr, value, first, second", CLOSED_FORMS)
+def test_jet_exp_reciprocal_and_powers(expr, value, first, second, order):
+    """exp, the reciprocal and integer powers against closed forms, at
+    both orders; order 1 carries no second-order parts."""
+    j = expr(*Jet.variables(EX, EY, order))
+    assert j.value == pytest.approx(value, rel=1e-14)
+    assert j.first == pytest.approx(first, rel=1e-14)
+    if order == 1:
+        assert j.half is None
+    else:
+        assert [2.0 * h for h in j.half] == pytest.approx(second, rel=1e-14)
+
+
+@pytest.mark.parametrize("expr", CASES + [c[0] for c in CLOSED_FORMS])
+def test_order_one_is_the_first_part_of_order_two(expr):
+    """Dropping the second-order parts leaves the first partials bit for
+    bit, so the gradient may take the cheaper pass."""
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-0.9, 0.9, (2, 257))
+    one = expr(*Jet.variables(x, y, 1))
+    two = expr(*Jet.variables(x, y, 2))
+    assert np.array_equal(one.value, two.value)
+    assert all(np.array_equal(a, b) for a, b in zip(one.first, two.first))
+    ux, uy = _from_expression("case", expr).grad_u(x, y)
+    _, want_x, want_y, _, _ = jet_eval(expr, x, y)
+    assert np.array_equal(ux, want_x) and np.array_equal(uy, want_y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    cuts=st.lists(st.integers(0, 300), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluation_is_block_invariant(n, cuts, seed):
+    """``f`` and ``grad_u`` on an array equal the concatenation of their
+    values over any split of it, so callers may evaluate in blocks."""
+    problem = hex_sine()
+    x, y = np.random.default_rng(seed).uniform(-0.9, 0.9, (2, n))
+    parts = np.split(np.arange(n), sorted(min(c, n) for c in cuts))
+    f = np.concatenate([problem.f(x[p], y[p]) for p in parts])
+    assert np.array_equal(f, problem.f(x, y))
+    whole = problem.grad_u(x, y)
+    for k in range(2):
+        split = np.concatenate([problem.grad_u(x[p], y[p])[k] for p in parts])
+        assert np.array_equal(split, whole[k])
 
 
 def test_hex_sine_against_direct_formula():

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 from hivevem.lattice import build_mesh
 from hivevem.problem import _from_expression, get_problem, hex_sine
+from hivevem import quadrature
 from hivevem.quadrature import integrate, rule
 from hivevem.solver import SolverConfig, solve
 from hivevem.system import (
@@ -270,6 +271,28 @@ def test_load_vector_partition_of_unity(mesh_cache):
     mesh = mesh_cache(3)
     load = load_vector(mesh, poisson_one, degree=2)
     assert load.sum() == pytest.approx(1.5 * SQRT3, rel=1e-13)
+
+
+@pytest.mark.parametrize("block_points", [None, 100])
+@pytest.mark.parametrize("level", range(1, 7))
+def test_blocked_load_equals_one_evaluation(
+    mesh_cache, hex_sine, monkeypatch, level, block_points
+):
+    """The load from blocks of subtriangles is bit-identical to one call
+    of ``f`` on every quadrature point of the mesh, also for blocks that
+    do not divide the mesh evenly."""
+    if block_points is not None:
+        monkeypatch.setattr(quadrature, "BLOCK_POINTS", block_points)
+    mesh = mesh_cache(level)
+    q = rule(4)
+    pts = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
+    fvals = hex_sine.f(pts[..., 0].ravel(), pts[..., 1].ravel())
+    contrib = mesh.tri_area * np.einsum(
+        "tq,q,qk->tk", fvals.reshape(mesh.n_tris, q.n_points), q.weights, q.points
+    )
+    want = np.zeros(mesh.n_nodes)
+    np.add.at(want, mesh.tris, contrib)
+    assert np.array_equal(load_vector(mesh, hex_sine), want)
 
 
 def test_fan_energy_minimizer_is_the_corner_mean():
