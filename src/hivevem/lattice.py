@@ -44,7 +44,7 @@ DOMAIN_AREA = 1.5 * SQRT3
 
 #: Largest refinement level accepted by :func:`build_mesh`.  Memory grows
 #: about fourfold per level: a level-10 study with the lift peaks at about
-#: 1.45 GB, so level 11 would need about 6 GB.
+#: 510 MB, so level 11 would need about 2 GB.
 MAX_LEVEL = 10
 
 #: The six unit lattice steps, counterclockwise starting from +x.

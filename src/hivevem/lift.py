@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .lattice import HEX_DIRECTIONS, SQRT3, HoneycombMesh, node_class, position
 from .problem import ManufacturedProblem
-from .quadrature import blocks
+from .quadrature import blocks, rule, sample
 from .system import FieldP1
 
 SCHEMES = ("lattice15-corrected", "paper11-plain", "paper11-corrected",
@@ -367,11 +367,11 @@ def _node_data(u_h: FieldP1, problem, scheme: str) -> np.ndarray:
     exact values (oracle) or corrected by ``(s**2/4) f``."""
     values = u_h.values.copy()
     centers = u_h.mesh.centers
-    x, y = u_h.mesh.node_xy[centers].T
+    xy = u_h.mesh.node_xy[centers]
     if scheme == "oracle-center":
-        values[centers] = problem.u(x, y)
+        values[centers] = sample(problem.u, xy)
     elif scheme.endswith("-corrected"):
-        values[centers] += 0.25 * u_h.mesh.s ** 2 * problem.f(x, y)
+        values[centers] += 0.25 * u_h.mesh.s ** 2 * sample(problem.f, xy)
     return values
 
 
@@ -444,21 +444,33 @@ def evaluate_lift(result: LiftResult, point):
     return values, grads
 
 
-def patch_quadrature(grid: PatchGrid, bary: np.ndarray):
+@lru_cache(maxsize=None)
+def _patch_rule(degree: int):
+    """Scaled local coordinates (12, 16 nq, 2) of the points of the
+    degree-``degree`` rule on the 16 subtriangles of a patch, per frame,
+    and their :func:`monomial_basis` (12, 16 nq, 3, 10), read-only."""
+    local = np.einsum("qk,ftkx->ftqx", rule(degree).points, _frame_local(_SUB_AB))
+    local = local.reshape(len(_FRAMES), -1, 2)
+    basis = monomial_basis(local)
+    local.setflags(write=False)
+    basis.setflags(write=False)
+    return local, basis
+
+
+def patch_quadrature(grid: PatchGrid, degree: int):
     """Quadrature points on the 16 subtriangles of every patch.
 
-    ``bary`` holds a rule's barycentric points (nq, 3).  Yields
-    ``(ids, xy, basis)`` for blocks of patches of one frame that carry
-    at most :data:`~hivevem.quadrature.BLOCK_POINTS` points together:
-    the coordinates ``xy`` (2, n, 16 nq) of their points, subtriangle
-    major, and the :func:`monomial_basis` (16 nq, 3, 10) at the scaled
-    local coordinates they share.  The blocks bound the memory of problem
-    evaluations at fine levels.
+    Yields ``(ids, xy, basis)`` for blocks of patches of one frame that
+    carry at most :data:`~hivevem.quadrature.BLOCK_POINTS` points of the
+    degree-``degree`` rule together: the coordinates ``xy`` (2, n, 16 nq)
+    of their points, subtriangle major, and the :func:`monomial_basis`
+    (16 nq, 3, 10) at the scaled local coordinates they share, computed
+    once per rule.  The blocks bound the memory of problem evaluations
+    at fine levels.
     """
-    local = np.einsum("qk,ftkx->ftqx", bary, _frame_local(_SUB_AB))
-    for f, frame_local in enumerate(local.reshape(len(_FRAMES), -1, 2)):
-        basis = monomial_basis(frame_local)
+    local, basis = _patch_rule(degree)
+    for f, frame_local in enumerate(local):
         offsets = grid.edge * frame_local.T[:, None]
         members = np.flatnonzero(grid.frame == f)
         for ids in blocks(members, frame_local.shape[0]):
-            yield ids, grid.centroid[ids].T[..., None] + offsets, basis
+            yield ids, grid.centroid[ids].T[..., None] + offsets, basis[f]

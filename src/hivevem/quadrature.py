@@ -22,8 +22,8 @@ from math import factorial
 
 import numpy as np
 
-#: Most quadrature points passed to one call of a problem's ``u``,
-#: ``grad_u`` or ``f``: the load, the true error and the lift norms
+#: Most points passed to one call of a problem's ``u``, ``grad_u`` or
+#: ``f``: the load, the true error, the lift norms and the node samples
 #: evaluate the exact data over blocks of this size (see :func:`blocks`),
 #: so that the jet temporaries stay cache-sized and their memory stays
 #: flat in the level.
@@ -137,6 +137,15 @@ def blocks(items: np.ndarray, points_each: int) -> list[np.ndarray]:
     :data:`BLOCK_POINTS` points per block, and at least one item."""
     step = max(1, BLOCK_POINTS // points_each)
     return [items[i:i + step] for i in range(0, len(items), step)]
+
+
+def sample(fn, xy: np.ndarray) -> np.ndarray:
+    """``fn(x, y)`` at the points ``xy`` (k, 2), called on :func:`blocks`
+    of at most :data:`BLOCK_POINTS` points."""
+    out = np.empty(len(xy))
+    for ids in blocks(np.arange(len(xy)), 1):
+        out[ids] = fn(*xy[ids].T)
+    return out
 
 
 def triangle_area(tri: np.ndarray) -> float:

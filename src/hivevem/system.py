@@ -9,10 +9,12 @@ of the corner data on the equilateral fan, which is what makes the
 scheme stabiliser-free: no extra penalty term ever enters.
 
 Assembly computes the P1 load vector l over all lattice nodes, then
-builds the full P1 stiffness matrix K from the one element stiffness
-that every equilateral subtriangle shares, and condenses both through
-the prolongation C that expresses every node value in terms of the free
-corner degrees of freedom:
+builds the full P1 stiffness matrix K directly in compressed rows from
+the 7-point stencil of the lattice: every equilateral subtriangle shares
+one element stiffness, so each row holds the node and those of its six
+lattice neighbours that lie in the domain.  It condenses both through
+the prolongation C that expresses every node value in terms of the
+free corner degrees of freedom:
 
     A = C^T K C,     b = C^T l.
 
@@ -28,9 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import HoneycombMesh
+from .lattice import HEX_DIRECTIONS, HoneycombMesh
 from .problem import ManufacturedProblem
-from .quadrature import blocks, rule
+from .quadrature import blocks, rule, sample
 
 def p1_gradients(tri_xy: np.ndarray):
     """Constant P1 basis gradients on triangles.
@@ -115,8 +117,16 @@ class SparseSpd:
         csr.sort_indices()
         if csr.nnz:
             scale = float(np.max(np.abs(csr.data)))
-            gap = abs(csr - csr.T)
-            asym = float(gap.max()) if gap.nnz else 0.0
+            # On a symmetric pattern, the transpose's data lines up
+            # with A's; only an asymmetric pattern builds A - A^T.
+            t = csr.tocsc()
+            if np.array_equal(t.indptr, csr.indptr) and np.array_equal(
+                t.indices, csr.indices
+            ):
+                gap = np.subtract(t.data, csr.data, out=t.data)
+            else:
+                gap = (csr - csr.T).data
+            asym = float(np.max(np.abs(gap, out=gap), initial=0.0))
             if asym > 1e-14 * max(scale, 1.0):
                 raise ValueError(f"matrix is not symmetric: |A - A^T| = {asym}")
         self._csr = csr
@@ -253,6 +263,46 @@ def tri_quadrature(mesh: HoneycombMesh, q):
         yield tris, xy.reshape(2, -1)
 
 
+#: Lattice steps to the seven entries of a row of K.  Node indices run
+#: i-major, so this is the sorted column order.
+_STENCIL = np.array([(-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0)])
+#: Columns of the steps of ``HEX_DIRECTIONS`` in ``_STENCIL``.
+_HEX_COLUMNS = [6, 4, 1, 0, 2, 5]
+
+
+def stiffness(mesh: HoneycombMesh) -> sp.csr_matrix:
+    """P1 stiffness K over all lattice nodes, in CSR, from the 7-point
+    lattice stencil.
+
+    Around node p, subtriangle k has the vertices p, p + e_k and
+    p + e_(k+1) (steps of ``HEX_DIRECTIONS``), at the local positions
+    r, r + 1 and r + 2 (mod 3) of ``mesh.tris``, with r = 0, 1, 1, 2, 2, 0.
+    The edge entry K[p, p + e_k] adds the element entries of
+    subtriangles k and k - 1 that lie in the domain, and the diagonal
+    adds ``ELEMENT_STIFFNESS[0, 0]`` once per subtriangle at p.  This is
+    the sum of the element matrices bit for bit, in any order: an edge
+    has at most two terms, and the three diagonal entries of the element
+    matrix are one double.
+    """
+    lookup = np.pad(mesh._lookup.astype(np.int32), 1, constant_values=-1)
+    i, j = (mesh.node_ij + mesh.n + 1).T
+    cols = lookup[i[:, None] + _STENCIL[:, 0], j[:, None] + _STENCIL[:, 1]]
+    near = cols[:, _HEX_COLUMNS] >= 0
+    tri = near & np.roll(near, -1, axis=1)
+    r = np.array([0, 1, 1, 2, 2, 0])
+    ke = ELEMENT_STIFFNESS
+    vals = np.zeros(cols.shape)
+    # Edge k: p + e_k is at r + 1 in subtriangle k, at r + 2 in k - 1.
+    vals[:, _HEX_COLUMNS] = np.where(tri, ke[r, (r + 1) % 3], 0.0)
+    vals[:, _HEX_COLUMNS] += np.where(
+        np.roll(tri, 1, axis=1), np.roll(ke[r, (r + 2) % 3], 1), 0.0)
+    # 0, d, d + d, ...: the terms added one after another.
+    vals[:, 3] = np.cumsum(np.r_[0.0, np.full(6, ke[0, 0])])[tri.sum(axis=1)]
+    keep = cols >= 0
+    indptr = np.r_[0, np.cumsum(keep.sum(axis=1))].astype(np.int32)
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(mesh.n_nodes,) * 2)
+
+
 def assemble(
     mesh: HoneycombMesh,
     problem: ManufacturedProblem,
@@ -269,18 +319,8 @@ def assemble(
     load = load_vector(mesh, problem, load_quad_degree)
     dofs = replace(build_dof_map(mesh), center_load=load[mesh.centers])
 
-    # scipy stores these indices as int32 anyway; converting first keeps
-    # its 64-bit copies off the peak of assembly.
-    tris = mesh.tris.astype(np.int32)
-    rows = tris[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
-    cols = tris[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
-    vals = np.tile(ELEMENT_STIFFNESS.ravel(), tris.shape[0])
-    K = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    ).tocsr()
-
     C = prolongation(mesh, dofs)
-    A = SparseSpd(C.T @ K @ C, mesh)
+    A = SparseSpd(C.T @ stiffness(mesh) @ C, mesh)
     b = C.T @ load
     return A, b, dofs
 
@@ -351,10 +391,9 @@ def interpolate(src, mesh: HoneycombMesh) -> FieldP1:
 
     ``src`` is a manufactured problem or a callable ``u(x, y)``.
     """
-    u = _scalar_source(src)
     values = np.zeros(mesh.n_nodes)
     nh = mesh.nh_nodes
-    values[nh] = u(mesh.node_xy[nh, 0], mesh.node_xy[nh, 1])
+    values[nh] = sample(_scalar_source(src), mesh.node_xy[nh])
     if mesh.centers.size:
         values[mesh.centers] = values[mesh.center_corners].mean(axis=1)
     return FieldP1(mesh=mesh, values=values)
@@ -362,8 +401,4 @@ def interpolate(src, mesh: HoneycombMesh) -> FieldP1:
 
 def interpolate_pointwise(src, mesh: HoneycombMesh) -> FieldP1:
     """Plain nodal sampling at every lattice node, centres included."""
-    u = _scalar_source(src)
-    values = np.asarray(
-        u(mesh.node_xy[:, 0], mesh.node_xy[:, 1]), dtype=float
-    ).copy()
-    return FieldP1(mesh=mesh, values=values)
+    return FieldP1(mesh=mesh, values=sample(_scalar_source(src), mesh.node_xy))

@@ -19,7 +19,7 @@ from hivevem import quadrature
 from hivevem.lift import build_patch_grid, lift_solution
 from hivevem.problem import _from_expression, get_problem
 from hivevem.quadrature import rule
-from hivevem.system import FieldP1, interpolate, interpolate_pointwise
+from hivevem.system import FieldP1, interpolate, interpolate_pointwise, p1_gradients
 
 
 def cubic_problem():
@@ -79,6 +79,18 @@ def test_superclose_quadrature_is_already_exact(solved_cache):
     assert a[1] == b[1]          # H1 term never touches the rule
     assert a[2] == b[2]
     assert all(v > 0 for v in a)
+
+
+@pytest.mark.parametrize("level", range(2, 8))
+def test_superclose_h1_matches_the_p1_gradients(level, solved_cache, hex_sine):
+    """The H1 seminorm from squared edge differences is the sum of
+    area * |grad|^2 of the P1 gradients, to round-off."""
+    mesh, u_h, _, _ = solved_cache(level)
+    u_i = interpolate(hex_sine, mesh)
+    grads, area = p1_gradients(mesh.tri_xy())
+    g = np.einsum("tk,tkx->tx", (u_i.values - u_h.values)[mesh.tris], grads)
+    want = math.sqrt(np.sum(area * np.sum(g * g, axis=1)))
+    assert norms_superclose(u_h, u_i)[1] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_superclose_of_identical_fields_is_zero(mesh_cache, hex_sine):

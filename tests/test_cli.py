@@ -210,7 +210,7 @@ def test_export_lift_rejects_low_level_before_solving(tmp_path, monkeypatch):
 def test_levels_above_the_memory_ceiling_are_rejected_up_front(
     tmp_path, monkeypatch
 ):
-    """Level 11 would need about 6 GB: refused before any mesh is built."""
+    """Level 11 would need about 2 GB: refused before any mesh is built."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a level above MAX_LEVEL reached build_mesh")
 
@@ -236,12 +236,13 @@ def test_study_row_evaluates_the_load_once(hex_sine):
     assert sum(points) == build_mesh(4).n_tris * rule(4).n_points
 
 
-def test_study_row_evaluates_the_exact_data_in_blocks(hex_sine):
+def test_study_row_evaluates_the_exact_data_in_blocks(hex_sine, monkeypatch):
     """No call of ``u``, ``grad_u`` or ``f`` sees more than
-    ``BLOCK_POINTS`` points, and each sees as many points in all as one
-    whole-mesh call per use: the nodes and the degree-4 load rule for
-    ``f``'s centre correction and load, the nodes, the degree-6 rule on
-    the subtriangles and on the patches for ``u``, and the patches for
+    ``BLOCK_POINTS`` points, set below the number of centres and of
+    nodes, and each sees as many points in all as one whole-mesh call
+    per use: the nodes and the degree-4 load rule for ``f``'s centre
+    correction and load, the nodes, the degree-6 rule on the
+    subtriangles and on the patches for ``u``, and the patches for
     ``grad_u``."""
     calls = {"u": [], "grad_u": [], "f": []}
 
@@ -256,6 +257,8 @@ def test_study_row_evaluates_the_exact_data_in_blocks(hex_sine):
 
     problem = dataclasses.replace(hex_sine, **{k: counted(k) for k in calls})
     level = 6
+    monkeypatch.setattr(quadrature, "BLOCK_POINTS", 512)
+    assert build_mesh(level).centers.size > 512
     cli.study_row(level, problem, small_config(
         min_level=level, max_level=level, lift_enabled=True
     ))

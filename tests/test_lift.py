@@ -28,6 +28,8 @@ from hivevem.lift import (
     fit_patch,
     lift_solution,
     locate_patch,
+    monomial_basis,
+    patch_quadrature,
     scheme_sites,
     site_data,
 )
@@ -139,6 +141,24 @@ def test_monomial_basis():
     assert len(MONOMIAL_POWERS) == 10
     assert len(set(MONOMIAL_POWERS)) == 10
     assert all(p + q <= 3 for p, q in MONOMIAL_POWERS)
+
+
+def test_patch_quadrature_computes_the_basis_once_per_rule():
+    """Calls with one rule, on any grid, share one read-only basis per
+    frame: the monomials at each block's scaled local points."""
+    grids = [build_patch_grid(build_mesh(level)) for level in (4, 5)]
+    shared = [
+        {basis.ctypes.data for _, _, basis in patch_quadrature(grid, 6)}
+        for grid in grids
+    ]
+    assert shared[0] == shared[1] and len(shared[0]) == 12
+    grid = grids[1]
+    for ids, xy, basis in patch_quadrature(grid, 6):
+        local = (xy - grid.centroid[ids].T[..., None]) / grid.edge
+        assert not basis.flags.writeable
+        assert np.allclose(
+            monomial_basis(np.moveaxis(local, 0, -1)), basis, rtol=0, atol=1e-12
+        )
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

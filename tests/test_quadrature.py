@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hivevem import quadrature
 from hivevem.quadrature import (
     SUPPORTED_DEGREES,
     integrate,
     monomial_integral,
     rule,
+    sample,
     triangle_area,
 )
 
@@ -145,3 +147,23 @@ def test_integrate_constant_gives_area():
     for tri in (REF, SKEW):
         got = integrate(tri, lambda x, y: np.ones_like(x), rule(2))
         assert got == pytest.approx(triangle_area(tri), rel=1e-15)
+
+
+def test_sample_calls_in_blocks_and_keeps_the_bits(monkeypatch):
+    """``sample`` passes at most ``BLOCK_POINTS`` points per call, also
+    when the blocks do not divide them evenly, and gives what one call
+    on all points gives; no points, no call."""
+    sizes = []
+
+    def fn(x, y):
+        sizes.append(np.size(x))
+        return np.sin(3.0 * x) * np.exp(y) - x * y
+
+    xy = np.random.default_rng(2).normal(size=(1000, 2))
+    want = fn(xy[:, 0], xy[:, 1])
+    sizes.clear()
+    monkeypatch.setattr(quadrature, "BLOCK_POINTS", 64)
+    assert np.array_equal(sample(fn, xy), want)
+    assert max(sizes) == 64 and sum(sizes) == 1000
+    sizes.clear()
+    assert sample(fn, xy[:0]).shape == (0,) and sizes == []

@@ -6,6 +6,7 @@ checked by its exactness on cubics.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 from hivevem.lattice import build_mesh
 from hivevem.problem import _from_expression, get_problem, hex_sine
 from hivevem import quadrature
+from hivevem import system
 from hivevem.quadrature import integrate, rule
 from hivevem.solver import SolverConfig, solve
 from hivevem.system import (
@@ -31,6 +33,7 @@ from hivevem.system import (
     recover_centers,
     refinement_transfer,
     restrict,
+    stiffness,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -89,6 +92,28 @@ def test_p1_gradients_duality():
                 continue
             step = tri[0, i] - tri[0, j]
             assert grads[0, i] @ step == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_stencil_stiffness_is_the_element_sum_bit_for_bit(level, mesh_cache):
+    """The lattice-stencil K equals the sum of the element matrices over
+    the subtriangles, summed by scipy from a COO list, in every array of
+    its CSR."""
+    d = np.diag(ELEMENT_STIFFNESS)
+    assert d[0] == d[1] == d[2]   # the premise of the diagonal's sum
+    mesh = mesh_cache(level)
+    tris = mesh.tris.astype(np.int32)
+    want = sp.coo_matrix(
+        (
+            np.tile(ELEMENT_STIFFNESS.ravel(), mesh.n_tris),
+            (np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()),
+        ),
+        shape=(mesh.n_nodes, mesh.n_nodes),
+    ).tocsr()
+    got = stiffness(mesh)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 # ------------------------------------------------------------------- dofs
@@ -246,6 +271,38 @@ def test_sparsespd_rejects_asymmetry():
         SparseSpd(M)
     with pytest.raises(ValueError):
         SparseSpd(sp.csr_matrix(np.ones((2, 3))))
+
+
+def test_sparsespd_judges_an_asymmetric_pattern_by_value():
+    """A pattern that differs from its transpose's is judged on
+    ``A - A^T``: an unmatched entry is rejected, an explicit zero is not."""
+    with pytest.raises(ValueError, match="not symmetric"):
+        SparseSpd(sp.csr_matrix(np.array([[2.0, 1e-3], [0.0, 2.0]])))
+    zero_stored = sp.csr_matrix(
+        (np.array([2.0, 0.0, 2.0]), np.array([0, 1, 1]), np.array([0, 2, 3])),
+        shape=(2, 2),
+    )
+    assert SparseSpd(zero_stored).data.size == 3
+
+
+def test_assembly_peak_memory_is_a_few_copies_of_a(
+    mesh_cache, hex_sine, monkeypatch
+):
+    """Traced by ``tracemalloc``, building K, C and C^T K C and checking
+    symmetry at level 7 (the load excluded) peaks at no more than six
+    times the bytes of A's CSR arrays."""
+    mesh = mesh_cache(7)
+    load = load_vector(mesh, hex_sine)
+    monkeypatch.setattr(system, "load_vector", lambda *args: load.copy())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        A, _, _ = assemble(mesh, hex_sine)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    csr = A.to_csr()
+    assert peak <= 6 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
 def test_sparsespd_matvec_and_diagonal(mesh_cache, hex_sine):
