@@ -24,15 +24,12 @@ from .lattice import (
     position,
 )
 from .lift import (
-    CubicFit,
     LiftRankError,
     LiftResult,
-    Patch,
     PatchGrid,
     UnsupportedLevelError,
     build_patch_grid,
     evaluate_lift,
-    fit_patch,
     lift_solution,
 )
 from .problem import (

@@ -116,9 +116,24 @@ def norm_h1_broken_true(
     return math.sqrt(lift.grid.mesh.tri_area * total)
 
 
+#: The study columns in CSV order: name, table header and table width.
+#: Each error ``e_X`` is followed by its order ``r_X``; the lift columns
+#: are the ones whose name holds ``lift``.
+COLUMNS = (
+    ("level", "lvl", 3), ("h", "h", 9), ("dofs", "dofs", 7),
+    ("e_ih_l2", "|Iu-uh|_L2", 11), ("r_ih_l2", "r", 5),
+    ("e_ih_h1", "|Iu-uh|_H1", 11), ("r_ih_h1", "r", 5),
+    ("e_ih_linf", "|Iu-uh|_oo", 11), ("r_ih_linf", "r", 5),
+    ("e_l2", "|u-uh|_L2", 11), ("r_l2", "r", 5),
+    ("e_lift_l2", "|u-lift|_L2", 12), ("r_lift_l2", "r", 5),
+    ("e_lift_h1h", "|u-lift|_H1h", 13), ("r_lift_h1h", "r", 5),
+)
+
+
 @dataclass
 class StudyRow:
-    """One refinement level of a convergence study.
+    """One refinement level of a convergence study, with the fields of
+    :data:`COLUMNS`.
 
     Lift entries are ``None`` below the first lift level or when the
     lift is disabled; order entries are the 0.0 sentinel on first rows
@@ -152,21 +167,14 @@ def observed_order(e_prev, e_cur) -> float:
 
 
 def orders(rows: list[StudyRow]) -> list[StudyRow]:
-    """Fill the order columns of consecutive study rows in place."""
-    prev = None
-    for row in rows:
-        if prev is None:
-            row.r_ih_l2 = row.r_ih_h1 = row.r_ih_linf = row.r_l2 = 0.0
-            row.r_lift_l2 = 0.0 if row.e_lift_l2 is not None else None
-            row.r_lift_h1h = 0.0 if row.e_lift_h1h is not None else None
-        else:
-            row.r_ih_l2 = observed_order(prev.e_ih_l2, row.e_ih_l2)
-            row.r_ih_h1 = observed_order(prev.e_ih_h1, row.e_ih_h1)
-            row.r_ih_linf = observed_order(prev.e_ih_linf, row.e_ih_linf)
-            row.r_l2 = observed_order(prev.e_l2, row.e_l2)
-            if row.e_lift_l2 is not None:
-                row.r_lift_l2 = observed_order(prev.e_lift_l2, row.e_lift_l2)
-            if row.e_lift_h1h is not None:
-                row.r_lift_h1h = observed_order(prev.e_lift_h1h, row.e_lift_h1h)
-        prev = row
+    """Fill the order columns of consecutive study rows in place: each
+    ``r_X`` is ``None`` where ``e_X`` is, 0.0 on the first row, and
+    otherwise the order from the previous row's ``e_X``."""
+    errors = [name for name, _, _ in COLUMNS if name.startswith("e_")]
+    for prev, row in zip([None, *rows], rows):
+        for name in errors:
+            e = getattr(row, name)
+            order = None if e is None else (
+                0.0 if prev is None else observed_order(getattr(prev, name), e))
+            setattr(row, "r" + name[1:], order)
     return rows

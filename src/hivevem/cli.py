@@ -32,15 +32,7 @@ from .lattice import MAX_LEVEL, build_mesh
 from .problem import PROBLEMS, ManufacturedProblem, get_problem
 from .quadrature import SUPPORTED_DEGREES
 
-CSV_COLUMNS = (
-    "level", "h", "dofs",
-    "e_ih_l2", "r_ih_l2",
-    "e_ih_h1", "r_ih_h1",
-    "e_ih_linf", "r_ih_linf",
-    "e_l2", "r_l2",
-    "e_lift_l2", "r_lift_l2",
-    "e_lift_h1h", "r_lift_h1h",
-)
+CSV_COLUMNS = tuple(name for name, _, _ in analysis.COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -53,7 +45,7 @@ class StudyConfig:
     max_level: int = 7
     problem: str = "hex-sine"
     lift_enabled: bool = False
-    lift_scheme: str = "lattice15-corrected"
+    lift_scheme: str | None = None  # None: the default, lift.SCHEMES[0]
     quad_load: int = 4
     quad_error: int = 6
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
@@ -69,16 +61,16 @@ class StudyConfig:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; available: {sorted(PROBLEMS)}"
             )
-        if self.lift_enabled:
+        if self.lift_scheme is not None:
             if self.lift_scheme not in lift.SCHEMES:
                 raise ConfigError(
                     f"unknown lift scheme {self.lift_scheme!r}; "
                     f"available: {lift.SCHEMES}"
                 )
-            if self.max_level < lift.MIN_LIFT_LEVEL:
-                raise ConfigError(
-                    f"lift needs max-level >= {lift.MIN_LIFT_LEVEL}"
-                )
+            if not self.lift_enabled:
+                raise ConfigError("a lift scheme needs the lift (--lift)")
+        if self.lift_enabled and self.max_level < lift.MIN_LIFT_LEVEL:
+            raise ConfigError(f"lift needs max-level >= {lift.MIN_LIFT_LEVEL}")
         for name, degree in (("quad-load", self.quad_load),
                              ("quad-error", self.quad_error)):
             if degree not in SUPPORTED_DEGREES:
@@ -123,7 +115,8 @@ def study_row(
     )
     if config.lift_enabled and level >= lift.MIN_LIFT_LEVEL:
         grid = lift.build_patch_grid(mesh)
-        lifted = lift.lift_solution(u_h, problem, grid, config.lift_scheme)
+        scheme = config.lift_scheme or lift.SCHEMES[0]
+        lifted = lift.lift_solution(u_h, problem, grid, scheme)
         row.e_lift_l2 = analysis.norm_l2_true(lifted, problem, config.quad_error)
         row.e_lift_h1h = analysis.norm_h1_broken_true(
             lifted, problem, config.quad_error
@@ -140,56 +133,33 @@ def run_study(config: StudyConfig) -> list[analysis.StudyRow]:
     return analysis.orders(rows)
 
 
-def _cell(value) -> str:
+def _cell(value, spec: str, width: int = 0) -> str:
+    """One cell: ``None`` blank, integers plain, other numbers in ``spec``."""
     if value is None:
-        return ""
+        return " " * width
     if isinstance(value, (int, np.integer)):
-        return str(value)
-    return f"{value:.3e}"
+        spec = ""
+    return format(value, f">{width}{spec}" if width else spec)
 
 
 def rows_to_csv(rows: list[analysis.StudyRow]) -> str:
     out = [",".join(CSV_COLUMNS)]
     for r in rows:
-        out.append(",".join(_cell(v) for v in (
-            r.level, r.h, r.dofs,
-            r.e_ih_l2, r.r_ih_l2,
-            r.e_ih_h1, r.r_ih_h1,
-            r.e_ih_linf, r.r_ih_linf,
-            r.e_l2, r.r_l2,
-            r.e_lift_l2, r.r_lift_l2,
-            r.e_lift_h1h, r.r_lift_h1h,
-        )))
+        out.append(",".join(_cell(getattr(r, name), ".3e") for name in CSV_COLUMNS))
     return "\n".join(out) + "\n"
 
 
 def render_table(rows: list[analysis.StudyRow]) -> str:
-    head = (
-        f"{'lvl':>3} {'h':>9} {'dofs':>7} "
-        f"{'|Iu-uh|_L2':>11} {'r':>5} {'|Iu-uh|_H1':>11} {'r':>5} "
-        f"{'|Iu-uh|_oo':>11} {'r':>5} {'|u-uh|_L2':>11} {'r':>5}"
-    )
+    """Aligned table of the study; the lift columns only when a row has
+    a lift, blank where a row has none."""
     has_lift = any(r.e_lift_l2 is not None for r in rows)
-    if has_lift:
-        head += f" {'|u-lift|_L2':>12} {'r':>5} {'|u-lift|_H1h':>13} {'r':>5}"
-    lines = [head]
+    columns = [c for c in analysis.COLUMNS if has_lift or "lift" not in c[0]]
+    lines = [" ".join(f"{head:>{width}}" for _, head, width in columns)]
     for r in rows:
-        line = (
-            f"{r.level:>3} {r.h:>9.3e} {r.dofs:>7} "
-            f"{r.e_ih_l2:>11.3e} {r.r_ih_l2:>5.2f} "
-            f"{r.e_ih_h1:>11.3e} {r.r_ih_h1:>5.2f} "
-            f"{r.e_ih_linf:>11.3e} {r.r_ih_linf:>5.2f} "
-            f"{r.e_l2:>11.3e} {r.r_l2:>5.2f}"
-        )
-        if has_lift:
-            if r.e_lift_l2 is None:
-                line += f" {'':>12} {'':>5} {'':>13} {'':>5}"
-            else:
-                line += (
-                    f" {r.e_lift_l2:>12.3e} {r.r_lift_l2:>5.2f}"
-                    f" {r.e_lift_h1h:>13.3e} {r.r_lift_h1h:>5.2f}"
-                )
-        lines.append(line)
+        lines.append(" ".join(
+            _cell(getattr(r, name), ".2f" if name.startswith("r_") else ".3e", width)
+            for name, _, width in columns
+        ))
     return "\n".join(lines)
 
 
@@ -216,7 +186,7 @@ def export(
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     mesh, u_h, _, _ = solve_level(level, problem)
-    exact = problem.u(mesh.node_xy[:, 0], mesh.node_xy[:, 1])
+    exact = system.interpolate_pointwise(problem, mesh).values
     if what == "solution":
         data = {"u_h": u_h.values, "error": exact - u_h.values}
         title = f"{problem_name} solution, level {level}"
@@ -247,8 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--problem", default="hex-sine", metavar="NAME")
     st.add_argument("--lift", action="store_true",
                     help="fit and measure the patchwise cubic lift")
-    st.add_argument("--lift-scheme", default="lattice15-corrected",
-                    choices=lift.SCHEMES, metavar="SCHEME")
+    st.add_argument("--lift-scheme", default=None,
+                    choices=lift.SCHEMES, metavar="SCHEME",
+                    help=f"data scheme of the lift (default {lift.SCHEMES[0]})")
     st.add_argument("--quad-load", type=int, default=4, metavar="DEG")
     st.add_argument("--quad-error", type=int, default=6, metavar="DEG")
     st.add_argument("--solver", default="cg", choices=solver.METHODS)

@@ -131,25 +131,6 @@ def _unit_triangles(vertex_sum):
     return vertex_sum[..., 0] // 3, vertex_sum[..., 1] // 3, vertex_sum[..., 0] % 3 - 1
 
 
-@dataclass(frozen=True, eq=False)
-class Patch:
-    """One equilateral patch of the lift grid: row ``index`` of its arrays."""
-
-    grid: PatchGrid = field(repr=False)
-    index: int
-
-    corners_ij = property(lambda p: p.grid.corners_ij[p.index])  # (3, 2)
-    frame = property(lambda p: int(p.grid.frame[p.index]))
-    orientation = property(lambda p: "up" if p.frame < 6 else "down")
-    tri_indices = property(lambda p: p.grid.tri_indices[p.index])  # (16,)
-    site_nodes = property(lambda p: p.grid.site_nodes[p.index])  # (15,)
-    site_is_center = property(lambda p: p.grid.site_is_center[p.index])
-    site_xy = property(lambda p: p.grid.mesh.node_xy[p.site_nodes])
-    centroid = property(lambda p: p.grid.centroid[p.index])
-    edge = property(lambda p: p.grid.edge)
-    c0_corner_site = property(lambda p: int(p.grid.c0_corner_site[p.index]))
-
-
 @dataclass
 class PatchGrid:
     """The lift patches of one mesh, as arrays over the patch index."""
@@ -163,7 +144,6 @@ class PatchGrid:
     tri_indices: np.ndarray      # (P, 16)
     c0_corner_site: np.ndarray   # (P,) site id of the centre-class corner
     centroid: np.ndarray         # (P, 2)
-    tri_to_patch: np.ndarray     # (T,)
     cell_patches: np.ndarray     # patches by coarse cell and kind, else P
     corner_xy: np.ndarray        # (P + 1, 3, 2), a NaN triangle last
 
@@ -174,6 +154,38 @@ class PatchGrid:
     @cached_property
     def patches(self) -> list[Patch]:
         return [Patch(self, p) for p in range(self.n_patches)]
+
+
+# Per-patch views of the arrays, kept only for ``perfbench/worker.py``:
+# it reads ``corners_ij`` from ``grid.patches``, and the rank, sigma_min,
+# residual, values and gradients from ``result.fits``.  The library and
+# its tests use the arrays.
+@dataclass(frozen=True, eq=False)
+class Patch:
+    """Patch ``index`` of a grid."""
+
+    grid: PatchGrid = field(repr=False)
+    index: int
+
+    corners_ij = property(lambda p: p.grid.corners_ij[p.index])  # (3, 2)
+
+
+@dataclass(frozen=True, eq=False)
+class CubicFit:
+    """Fit ``index`` of a lift, evaluated by :func:`evaluate_patches`."""
+
+    result: LiftResult = field(repr=False)
+    index: int
+
+    rank = property(lambda f: int(f.result.rank[f.index]))
+    sigma_min = property(lambda f: float(f.result.sigma_min[f.index]))
+    residual = property(lambda f: float(f.result.residual[f.index]))
+
+    def __call__(self, xy: np.ndarray) -> np.ndarray:
+        return evaluate_patches(self.result, np.full(len(xy), self.index), xy)[0]
+
+    def gradient(self, xy: np.ndarray) -> np.ndarray:
+        return evaluate_patches(self.result, np.full(len(xy), self.index), xy)[1]
 
 
 def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
@@ -217,8 +229,6 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
         raise RuntimeError("patch tiling overlap")
     if np.any(covered == 0):
         raise RuntimeError("patch tiling does not cover the submesh")
-    tri_to_patch = np.empty(mesh.n_tris, dtype=np.int64)
-    tri_to_patch[tri_indices] = np.arange(n_patches)[:, None]
 
     corner_sites = sites[:, _CORNER_SITES]
     cls0 = node_class(corner_sites[..., 0], corner_sites[..., 1]) == 0
@@ -234,8 +244,7 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
         mesh, 4.0 * mesh.s, corners, frame, site_nodes,
         mesh.is_center[site_nodes], tri_indices,
         _CORNER_SITES[np.argmax(cls0, axis=1)],
-        mesh.node_xy[site_nodes[:, _CORNER_SITES]].mean(axis=1),
-        tri_to_patch, cell_patches,
+        mesh.node_xy[site_nodes[:, _CORNER_SITES]].mean(axis=1), cell_patches,
         np.concatenate([position(corners, mesh.s), np.full((1, 3, 2), np.nan)]),
     )
 
@@ -252,39 +261,7 @@ def _site_mask(site_is_center, c0_corner_site, scheme: str) -> np.ndarray:
     return mask
 
 
-def scheme_sites(patch: Patch, scheme: str) -> np.ndarray:
-    """Site ids (into the patch's 15) used by a data scheme."""
-    mask = _site_mask(patch.site_is_center[None], [patch.c0_corner_site], scheme)
-    return np.flatnonzero(mask[0])
-
-
-@dataclass(frozen=True)
-class CubicFit:
-    """Least-squares cubic on one patch, in the scaled local frame.
-
-    ``coeffs`` follow :data:`MONOMIAL_POWERS` applied to
-    ``X = (x - center_x)/scale``, ``Y = (y - center_y)/scale``.
-    """
-
-    coeffs: np.ndarray
-    center: np.ndarray
-    scale: float
-    rank: int
-    sigma_min: float
-    residual: float
-
-    def _jet(self, xy) -> np.ndarray:
-        local = (np.atleast_2d(xy) - self.center) / self.scale
-        return monomial_basis(local) @ self.coeffs
-
-    def __call__(self, xy: np.ndarray) -> np.ndarray:
-        return self._jet(xy)[:, 0]
-
-    def gradient(self, xy: np.ndarray) -> np.ndarray:
-        return self._jet(xy)[:, 1:] / self.scale
-
-
-def _fit(frames, masks, data, patches, scheme: str):
+def _fit(frames, masks, data, scheme: str):
     """Coefficients (n, 10), rank, smallest singular value and residual
     norm (n,) of fits to ``data`` (n, 15) at the masked sites, with one
     pseudo-inverse per class of equal frame and mask.  Rank cutoff and
@@ -307,35 +284,12 @@ def _fit(frames, masks, data, patches, scheme: str):
         residual[ids] = np.linalg.norm(coeffs[ids] @ design.T - d, axis=1)
     bad = np.flatnonzero(rank < 10)
     if bad.size:
-        where = f"patch {patches[bad[0]]}: design matrix rank {rank[bad[0]]} < 10"
+        where = f"patch {bad[0]}: design matrix rank {rank[bad[0]]} < 10"
         if scheme != "vertices-only-minnorm":
             raise LiftRankError(f"{where} under scheme {scheme!r}")
         warnings.warn(f"{where}, minimum-norm fit ({bad.size} such patches)",
                       RankDeficientFitWarning, stacklevel=3)
     return coeffs, rank, sigma_min, residual
-
-
-def fit_patch(patch: Patch, data: np.ndarray, scheme: str) -> CubicFit:
-    """Fit the patch cubic to ``data`` given at the scheme's sites.
-
-    Data must be ordered like :func:`scheme_sites`.  Schemes other than
-    ``vertices-only-minnorm`` require full rank and raise
-    :class:`LiftRankError` otherwise; the min-norm scheme downgrades
-    the condition to a :class:`RankDeficientFitWarning`.
-    """
-    mask = _site_mask(patch.site_is_center[None], [patch.c0_corner_site], scheme)
-    data = np.asarray(data, dtype=float)
-    if data.shape != (mask.sum(),):
-        raise ValueError(
-            f"expected {mask.sum()} data values for scheme {scheme!r}, "
-            f"got {data.shape}"
-        )
-    full = np.zeros(mask.shape)
-    full[mask] = data
-    coeffs, rank, sigma_min, residual = _fit(
-        np.array([patch.frame]), mask, full, [patch.index], scheme)
-    return CubicFit(coeffs[0], patch.centroid.copy(), patch.edge,
-                    int(rank[0]), float(sigma_min[0]), float(residual[0]))
 
 
 @dataclass
@@ -353,13 +307,7 @@ class LiftResult:
 
     @cached_property
     def fits(self) -> list[CubicFit]:
-        """Per-patch views of the fits."""
-        return [
-            CubicFit(self.coeffs[p], self.grid.centroid[p], self.grid.edge,
-                     int(self.rank[p]), float(self.sigma_min[p]),
-                     float(self.residual[p]))
-            for p in range(self.grid.n_patches)
-        ]
+        return [CubicFit(self, p) for p in range(self.grid.n_patches)]
 
 
 def _node_data(u_h: FieldP1, problem, scheme: str) -> np.ndarray:
@@ -375,13 +323,6 @@ def _node_data(u_h: FieldP1, problem, scheme: str) -> np.ndarray:
     return values
 
 
-def site_data(u_h: FieldP1, problem: ManufacturedProblem, patch: Patch,
-              scheme: str) -> np.ndarray:
-    """Fit data at the scheme's sites of one patch."""
-    sites = scheme_sites(patch, scheme)
-    return _node_data(u_h, problem, scheme)[patch.site_nodes[sites]]
-
-
 def lift_solution(u_h: FieldP1, problem: ManufacturedProblem, grid: PatchGrid,
                   scheme: str = "lattice15-corrected") -> LiftResult:
     """Fit the cubic lift on every patch of the grid."""
@@ -389,8 +330,7 @@ def lift_solution(u_h: FieldP1, problem: ManufacturedProblem, grid: PatchGrid,
     if u_h.mesh is not grid.mesh:
         raise ValueError("solution and patch grid live on different meshes")
     values = _node_data(u_h, problem, scheme)[grid.site_nodes]
-    fits = _fit(grid.frame, mask, values, np.arange(grid.n_patches), scheme)
-    return LiftResult(grid, scheme, *fits)
+    return LiftResult(grid, scheme, *_fit(grid.frame, mask, values, scheme))
 
 
 def locate_patch(grid: PatchGrid, point):

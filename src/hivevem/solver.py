@@ -55,7 +55,8 @@ class SolverConfig:
 
     ``max_iterations=None`` selects ``max(2n, 200)``, which always
     covers the finite-termination bound of CG; an explicit value is
-    used as given.
+    used as given.  The direct solve takes no iteration budget, so it
+    refuses one.
     """
 
     method: str = "cg"
@@ -69,6 +70,8 @@ class SolverConfig:
             raise ValueError(f"tol must lie in (0, 1e-6], got {self.tol}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        if self.max_iterations is not None and self.method != "cg":
+            raise ValueError(f"max_iterations applies to cg only, not {self.method}")
 
 
 @dataclass
@@ -122,9 +125,10 @@ def _multigrid(A: SparseSpd):
     while mesh is not None and mesh.level > MG_COARSEST_LEVEL:
         coarse = build_mesh(mesh.level - 1)
         P = refinement_transfer(coarse, mesh)
-        Pt = P.T.tocsr()  # row storage makes restriction faster
-        levels.append((op, MG_OMEGA / op.diagonal(), P, Pt))
-        op, mesh = Pt @ (op @ P), coarse
+        levels.append((op, MG_OMEGA / op.diagonal(), P))
+        # Row storage of P^T for the product only: the cycle restricts
+        # with the view P.T, so the hierarchy keeps one copy of P.
+        op, mesh = P.T.tocsr() @ (op @ P), coarse
     coarsest = _factorise(op)
     return lambda r: _vcycle(levels, coarsest, r)
 
@@ -138,11 +142,11 @@ def _vcycle(levels, coarsest, r, k=0):
     """
     if k == len(levels):
         return coarsest.solve(r)
-    op, w, P, Pt = levels[k]
+    op, w, P = levels[k]
     x = w * r
     for _ in range(MG_SWEEPS - 1):
         x += w * (r - op @ x)
-    x += P @ _vcycle(levels, coarsest, Pt @ (r - op @ x), k + 1)
+    x += P @ _vcycle(levels, coarsest, P.T @ (r - op @ x), k + 1)
     for _ in range(MG_SWEEPS):
         x += w * (r - op @ x)
     return x

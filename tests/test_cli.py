@@ -46,6 +46,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         StudyConfig(lift_enabled=True, lift_scheme="nope")
     with pytest.raises(ConfigError):
+        StudyConfig(lift_scheme="nope")
+    with pytest.raises(ConfigError):
+        StudyConfig(lift_scheme="oracle-center")  # the lift is off
+    with pytest.raises(ConfigError):
         StudyConfig(quad_load=3)
     with pytest.raises(ConfigError):
         StudyConfig(quad_error=5)
@@ -89,6 +93,58 @@ def test_csv_format():
     assert "None" not in text
 
 
+def pinned_rows():
+    """Hand-built rows: one before the first lift level, then two with
+    the lift, whose orders include the 0.0 sentinels and a negative
+    value; and a study with no lift anywhere."""
+    R = analysis.StudyRow
+    lifted = [
+        R(level=2, h=0.5, dofs=6, e_ih_l2=1.2345e-14, e_ih_h1=3.5e-13,
+          e_ih_linf=9.87654e-15, e_l2=0.0123456),
+        R(level=3, h=0.25, dofs=24, e_ih_l2=1.5e-4, e_ih_h1=2.25e-3,
+          e_ih_linf=6.0e-5, e_l2=3.1e-3, e_lift_l2=4.56e-4,
+          e_lift_h1h=7.891e-3, r_l2=1.99, r_lift_l2=0.0, r_lift_h1h=0.0),
+        R(level=4, h=0.125, dofs=114, e_ih_l2=9.4e-6, e_ih_h1=1.43e-4,
+          e_ih_linf=3.76e-6, e_l2=7.76e-4, e_lift_l2=2.8e-5,
+          e_lift_h1h=9.9e-4, r_ih_l2=3.996, r_ih_h1=3.975,
+          r_ih_linf=-0.004, r_l2=1.998, r_lift_l2=4.025, r_lift_h1h=2.995),
+    ]
+    plain = [
+        R(level=1, h=1.0, dofs=0, e_ih_l2=0.0, e_ih_h1=0.0, e_ih_linf=0.0,
+          e_l2=0.3),
+        R(level=2, h=0.5, dofs=6, e_ih_l2=1.0e-14, e_ih_h1=2.0e-2,
+          e_ih_linf=123456.0, e_l2=0.075, r_l2=2.0),
+    ]
+    return lifted, plain
+
+
+def test_output_bytes_are_pinned():
+    """The CSV and the table of hand-built rows, byte for byte."""
+    lifted, plain = pinned_rows()
+    assert rows_to_csv(lifted) == (
+        'level,h,dofs,e_ih_l2,r_ih_l2,e_ih_h1,r_ih_h1,e_ih_linf,r_ih_linf,e_l2,r_l2,e_lift_l2,r_lift_l2,e_lift_h1h,r_lift_h1h\n'
+        '2,5.000e-01,6,1.235e-14,0.000e+00,3.500e-13,0.000e+00,9.877e-15,0.000e+00,1.235e-02,0.000e+00,,,,\n'
+        '3,2.500e-01,24,1.500e-04,0.000e+00,2.250e-03,0.000e+00,6.000e-05,0.000e+00,3.100e-03,1.990e+00,4.560e-04,0.000e+00,7.891e-03,0.000e+00\n'
+        '4,1.250e-01,114,9.400e-06,3.996e+00,1.430e-04,3.975e+00,3.760e-06,-4.000e-03,7.760e-04,1.998e+00,2.800e-05,4.025e+00,9.900e-04,2.995e+00\n'
+    )
+    assert render_table(lifted) == (
+        'lvl         h    dofs  |Iu-uh|_L2     r  |Iu-uh|_H1     r  |Iu-uh|_oo     r   |u-uh|_L2     r  |u-lift|_L2     r  |u-lift|_H1h     r\n'
+        '  2 5.000e-01       6   1.235e-14  0.00   3.500e-13  0.00   9.877e-15  0.00   1.235e-02  0.00                                       \n'
+        '  3 2.500e-01      24   1.500e-04  0.00   2.250e-03  0.00   6.000e-05  0.00   3.100e-03  1.99    4.560e-04  0.00     7.891e-03  0.00\n'
+        '  4 1.250e-01     114   9.400e-06  4.00   1.430e-04  3.98   3.760e-06 -0.00   7.760e-04  2.00    2.800e-05  4.03     9.900e-04  3.00'
+    )
+    assert rows_to_csv(plain) == (
+        'level,h,dofs,e_ih_l2,r_ih_l2,e_ih_h1,r_ih_h1,e_ih_linf,r_ih_linf,e_l2,r_l2,e_lift_l2,r_lift_l2,e_lift_h1h,r_lift_h1h\n'
+        '1,1.000e+00,0,0.000e+00,0.000e+00,0.000e+00,0.000e+00,0.000e+00,0.000e+00,3.000e-01,0.000e+00,,,,\n'
+        '2,5.000e-01,6,1.000e-14,0.000e+00,2.000e-02,0.000e+00,1.235e+05,0.000e+00,7.500e-02,2.000e+00,,,,\n'
+    )
+    assert render_table(plain) == (
+        'lvl         h    dofs  |Iu-uh|_L2     r  |Iu-uh|_H1     r  |Iu-uh|_oo     r   |u-uh|_L2     r\n'
+        '  1 1.000e+00       0   0.000e+00  0.00   0.000e+00  0.00   0.000e+00  0.00   3.000e-01  0.00\n'
+        '  2 5.000e-01       6   1.000e-14  0.00   2.000e-02  0.00   1.235e+05  0.00   7.500e-02  2.00'
+    )
+
+
 def test_reruns_are_byte_identical():
     a = rows_to_csv(run_study(small_config()))
     b = rows_to_csv(run_study(small_config()))
@@ -119,6 +175,9 @@ def test_main_reports_config_errors(tmp_path):
     assert main(["study", "--quad-load", "7"]) == 1
     assert main(["study", "--tol", "1e-3"]) == 1
     assert main(["study", "--maxit", "0"]) == 1
+    # settings that the run would ignore
+    assert main(["study", "--lift-scheme", "oracle-center"]) == 1
+    assert main(["study", "--solver", "chol", "--maxit", "1"]) == 1
     out = str(tmp_path / "x.vtk")
     assert main(["export", "--level", "99", "--what", "mesh",
                  "--path", out]) == 1
@@ -236,14 +295,17 @@ def test_study_row_evaluates_the_load_once(hex_sine):
     assert sum(points) == build_mesh(4).n_tris * rule(4).n_points
 
 
-def test_study_row_evaluates_the_exact_data_in_blocks(hex_sine, monkeypatch):
+def test_study_row_evaluates_the_exact_data_in_blocks(
+    hex_sine, monkeypatch, tmp_path
+):
     """No call of ``u``, ``grad_u`` or ``f`` sees more than
     ``BLOCK_POINTS`` points, set below the number of centres and of
     nodes, and each sees as many points in all as one whole-mesh call
     per use: the nodes and the degree-4 load rule for ``f``'s centre
     correction and load, the nodes, the degree-6 rule on the
     subtriangles and on the patches for ``u``, and the patches for
-    ``grad_u``."""
+    ``grad_u``.  The solution export evaluates ``u`` at every node in
+    blocks as well."""
     calls = {"u": [], "grad_u": [], "f": []}
 
     def counted(name):
@@ -271,18 +333,27 @@ def test_study_row_evaluates_the_exact_data_in_blocks(hex_sine, monkeypatch):
     )
     assert sum(calls["grad_u"]) == patch_points
 
+    calls["u"].clear()
+    monkeypatch.setattr(cli, "get_problem", lambda name: problem)
+    export(level, "solution", tmp_path / "solution.vtk")
+    assert max(calls["u"]) <= quadrature.BLOCK_POINTS
+    assert sum(calls["u"]) == mesh.n_nodes
 
-def test_lift_at_nodes_matches_per_patch_definition(solved_cache, hex_sine):
+
+def test_lift_at_nodes_matches_per_patch_definition(
+    solved_cache, hex_sine, patch_cubic
+):
     """Each node takes the fit of the lowest-index patch that lists it
     as a site, evaluated here patch by patch."""
     mesh, u_h, _, _ = solved_cache(4)
     lifted = lift.lift_solution(u_h, hex_sine, lift.build_patch_grid(mesh))
+    grid = lifted.grid
     owner = np.full(mesh.n_nodes, -1)
-    for patch in reversed(lifted.grid.patches):
-        owner[patch.site_nodes] = patch.index
+    for p in reversed(range(grid.n_patches)):
+        owner[grid.site_nodes[p]] = p
     want = np.empty(mesh.n_nodes)
-    for patch in lifted.grid.patches:
-        sel = np.flatnonzero(owner == patch.index)
-        want[sel] = lifted.fits[patch.index](mesh.node_xy[sel])
+    for p in range(grid.n_patches):
+        sel = np.flatnonzero(owner == p)
+        want[sel] = patch_cubic(lifted, p, mesh.node_xy[sel])[0]
     assert np.all(owner >= 0)
     assert np.allclose(cli._lift_at_nodes(lifted), want, rtol=1e-13, atol=1e-15)

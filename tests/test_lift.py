@@ -6,6 +6,7 @@ patch triangle, and cubic reproduction is verified through the whole
 pipeline, including the centre-value correction.
 """
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -23,17 +24,15 @@ from hivevem.lift import (
     LiftRankError,
     RankDeficientFitWarning,
     UnsupportedLevelError,
+    _node_data,
     build_patch_grid,
     evaluate_lift,
-    fit_patch,
     lift_solution,
     locate_patch,
     monomial_basis,
     patch_quadrature,
-    scheme_sites,
-    site_data,
 )
-from hivevem.problem import _from_expression, get_problem
+from hivevem.problem import _from_expression, get_problem, zero
 from hivevem.system import interpolate, interpolate_pointwise
 
 
@@ -48,6 +47,26 @@ def cubic_problem():
         lambda X, Y: 0.2 - X + 0.4 * Y + 0.7 * X * Y - 0.3 * X * X + 0.6 * Y * Y
         + 0.11 * X ** 3 + 0.23 * X * X * Y - 0.31 * X * Y * Y + 0.07 * Y ** 3,
     )
+
+
+def scheme_sites(grid, p, scheme):
+    """Site ids (into the 15) that a scheme fits on patch ``p``, derived
+    here from the mesh: all 15, or the mesh vertices plus, except under
+    the min-norm scheme, the corner of centre class."""
+    if scheme in ("lattice15-corrected", "oracle-center"):
+        return np.arange(15)
+    ij = grid.mesh.node_ij[grid.site_nodes[p]]
+    corner = (ij[:, None] == grid.corners_ij[p]).all(axis=-1).any(axis=1)
+    keep = ~grid.mesh.is_center[grid.site_nodes[p]]
+    if scheme != "vertices-only-minnorm":
+        keep |= corner & (node_class(ij[:, 0], ij[:, 1]) == 0)
+    return np.flatnonzero(keep)
+
+
+def zero_lift(grid, scheme):
+    """Lift of the zero field: its ranks and smallest singular values
+    are those of the design matrices, which do not depend on the data."""
+    return lift_solution(interpolate(zero(), grid.mesh), zero(), grid, scheme)
 
 
 @pytest.fixture(scope="module")
@@ -78,40 +97,38 @@ def test_patch_counts(level, n_patches, mesh_cache):
 
 
 def test_patches_partition_the_submesh(grid4):
-    seen = np.concatenate([p.tri_indices for p in grid4.patches])
-    assert np.array_equal(np.sort(seen), np.arange(grid4.mesh.n_tris))
-    for p in grid4.patches:
-        assert p.tri_indices.size == 16
-        assert np.all(grid4.tri_to_patch[p.tri_indices] == p.index)
+    assert grid4.tri_indices.shape == (grid4.n_patches, 16)
+    seen = np.sort(grid4.tri_indices.ravel())
+    assert np.array_equal(seen, np.arange(grid4.mesh.n_tris))
 
 
 def test_sites_are_the_principal_lattice(grid3):
     """The 15 sites of each patch are the degree-4 principal lattice
     points of its corner triangle, recomputed here from the corners."""
     mesh = grid3.mesh
-    for p in grid3.patches:
-        tri = position(p.corners_ij, mesh.s)
+    for p in range(grid3.n_patches):
+        tri = position(grid3.corners_ij[p], mesh.s)
         want = sorted(
             tuple(np.round(tri[0] + (k * (tri[1] - tri[0]) + l * (tri[2] - tri[0])) / 4.0, 12))
             for k in range(5)
             for l in range(5 - k)
         )
-        got = sorted(tuple(np.round(xy, 12)) for xy in p.site_xy)
+        got = sorted(tuple(np.round(xy, 12)) for xy in mesh.node_xy[grid3.site_nodes[p]])
         assert got == want
-        assert np.allclose(p.site_xy, mesh.node_xy[p.site_nodes], atol=0)
-        assert np.array_equal(p.site_is_center, mesh.is_center[p.site_nodes])
+    assert np.array_equal(grid3.site_is_center, mesh.is_center[grid3.site_nodes])
 
 
 def test_each_patch_has_one_center_class_corner(grid4):
     mesh = grid4.mesh
-    for p in grid4.patches:
-        corner_xy = position(p.corners_ij, mesh.s)
-        c0_xy = p.site_xy[p.c0_corner_site]
+    for p in range(grid4.n_patches):
+        corner_xy = position(grid4.corners_ij[p], mesh.s)
+        c0_node = grid4.site_nodes[p, grid4.c0_corner_site[p]]
+        c0_xy = mesh.node_xy[c0_node]
         assert np.min(np.linalg.norm(corner_xy - c0_xy, axis=1)) <= 1e-12
-        ij = mesh.node_ij[p.site_nodes[p.c0_corner_site]]
+        ij = mesh.node_ij[c0_node]
         assert node_class(ij[0], ij[1]) == 0
         # exactly one of the three corners has class 0
-        classes = [int(node_class(i, j)) for i, j in p.corners_ij]
+        classes = [int(node_class(i, j)) for i, j in grid4.corners_ij[p]]
         assert classes.count(0) == 1
 
 
@@ -126,12 +143,8 @@ def test_site_census_by_patch(level, census, mesh_cache):
     """How many of the 15 sites are mesh vertices vs interior centres
     depends on where the patch sits relative to the honeycomb."""
     grid = build_patch_grid(mesh_cache(level))
-    seen = {}
-    for p in grid.patches:
-        c = int(p.site_is_center.sum())
-        key = (15 - c, c)
-        seen[key] = seen.get(key, 0) + 1
-    assert seen == census
+    c, count = np.unique(grid.site_is_center.sum(axis=1), return_counts=True)
+    assert {(15 - int(k), int(k)): int(n) for k, n in zip(c, count)} == census
 
 
 # ------------------------------------------------------------------ fits
@@ -163,86 +176,76 @@ def test_patch_quadrature_computes_the_basis_once_per_rule():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.filterwarnings("ignore::hivevem.lift.RankDeficientFitWarning")
-def test_fit_reproduces_cubic_site_data(grid3, scheme):
+def test_fit_reproduces_cubic_site_data(grid3, scheme, patch_cubic):
     """Exact cubic data at the scheme's sites is fitted exactly: the
-    residual vanishes and full-rank fits match the cubic pointwise."""
-    q = cubic_problem()
+    residual vanishes and full-rank fits match the cubic pointwise.
+    Every node carries the exact value and ``f`` is zero, so the data
+    is exact under every scheme."""
+    q = dataclasses.replace(cubic_problem(), f=lambda x, y: 0.0 * x)
+    lifted = lift_solution(interpolate_pointwise(q, grid3.mesh), q, grid3, scheme)
+    assert np.all(lifted.residual <= 1e-12)
     rng = np.random.default_rng(5)
-    for p in grid3.patches:
-        sites = scheme_sites(p, scheme)
-        xy = p.site_xy[sites]
-        fit = fit_patch(p, q.u(xy[:, 0], xy[:, 1]), scheme)
-        assert fit.residual <= 1e-12
-        if fit.rank == 10:
-            pts = p.centroid + 0.1 * rng.normal(size=(20, 2))
-            want = q.u(pts[:, 0], pts[:, 1])
-            assert np.allclose(fit(pts), want, atol=1e-11)
+    for p in np.flatnonzero(lifted.rank == 10):
+        pts = grid3.centroid[p] + 0.1 * rng.normal(size=(20, 2))
+        want = q.u(pts[:, 0], pts[:, 1])
+        assert np.allclose(patch_cubic(lifted, p, pts)[0], want, atol=1e-11)
 
 
-def test_fit_validates_data_length(grid3):
+def test_lift_rejects_unknown_scheme(grid3):
     with pytest.raises(ValueError):
-        fit_patch(grid3.patches[0], np.zeros(14), "lattice15-corrected")
-    with pytest.raises(ValueError):
-        fit_patch(grid3.patches[0], np.zeros(15), "not-a-scheme")
+        zero_lift(grid3, "not-a-scheme")
 
 
 def test_lattice15_fits_are_well_conditioned(mesh_cache):
     """Scaled-frame sigma_min is level-independent and comfortably
     above the 0.01 floor."""
     for level in (3, 4, 5):
-        grid = build_patch_grid(mesh_cache(level))
-        for p in grid.patches:
-            fit = fit_patch(p, np.zeros(15), "lattice15-corrected")
-            assert fit.rank == 10
-            assert fit.sigma_min > 0.01
-            assert fit.sigma_min == pytest.approx(0.0293, abs=0.02)
+        fits = zero_lift(build_patch_grid(mesh_cache(level)), "lattice15-corrected")
+        assert np.all(fits.rank == 10)
+        assert np.all(fits.sigma_min > 0.01)
+        assert np.allclose(fits.sigma_min, 0.0293, rtol=0, atol=0.02)
 
 
 def test_paper11_rank_is_ten_on_level3(grid3):
-    for p in grid3.patches:
-        sites = scheme_sites(p, "paper11-plain")
+    for p in range(grid3.n_patches):
         # eleven mesh vertices plus the centre-class corner
-        assert sites.size == 12
-        fit = fit_patch(p, np.zeros(sites.size), "paper11-plain")
-        assert fit.rank == 10
+        assert scheme_sites(grid3, p, "paper11-plain").size == 12
+    assert np.all(zero_lift(grid3, "paper11-plain").rank == 10)
 
 
 def test_minnorm_warns_on_interior_patches(grid4):
     """Ten vertex values cannot determine ten cubic coefficients on
-    interior patches; the min-norm scheme downgrades this to a warning."""
-    deficient = 0
-    for p in grid4.patches:
-        sites = scheme_sites(p, "vertices-only-minnorm")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fit = fit_patch(p, np.zeros(sites.size), "vertices-only-minnorm")
-        if sites.size == 10:
-            assert fit.rank == 9
-            assert len(caught) == 1
-            assert issubclass(caught[0].category, RankDeficientFitWarning)
-            deficient += 1
-        else:
-            assert fit.rank == 10 and not caught
-    assert deficient == 6
+    interior patches; the min-norm scheme downgrades this to one
+    warning for the whole lift."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = zero_lift(grid4, "vertices-only-minnorm")
+    sizes = np.array([scheme_sites(grid4, p, "vertices-only-minnorm").size
+                      for p in range(grid4.n_patches)])
+    assert np.count_nonzero(sizes == 10) == 6
+    assert np.array_equal(fits.rank, np.where(sizes == 10, 9, 10))
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, RankDeficientFitWarning)
 
 
 def test_rank_error_type():
     assert issubclass(LiftRankError, RuntimeError)
 
 
-def reference_fit(u_h, problem, patch, scheme):
-    """One patch fitted the direct way: site data gathered by hand and
-    ``np.linalg.lstsq`` on the patch's own design matrix."""
-    sites = scheme_sites(patch, scheme)
-    xy = patch.site_xy[sites]
-    data = u_h.values[patch.site_nodes[sites]].copy()
-    center = patch.site_is_center[sites]
+def reference_fit(u_h, problem, grid, p, scheme):
+    """Patch ``p`` fitted the direct way: site data gathered by hand and
+    ``np.linalg.lstsq`` on the patch's own design matrix, in the frame
+    of its corners' mean and the edge 4 s."""
+    mesh = u_h.mesh
+    nodes = grid.site_nodes[p, scheme_sites(grid, p, scheme)]
+    xy = mesh.node_xy[nodes]
+    data = u_h.values[nodes].copy()
+    center = mesh.is_center[nodes]
     if scheme == "oracle-center":
         data[center] = problem.u(xy[center, 0], xy[center, 1])
     elif scheme.endswith("-corrected"):
-        s = u_h.mesh.s
-        data[center] += 0.25 * s * s * problem.f(xy[center, 0], xy[center, 1])
-    X = (xy - patch.centroid) / patch.edge
+        data[center] += 0.25 * mesh.s ** 2 * problem.f(xy[center, 0], xy[center, 1])
+    X = (xy - position(grid.corners_ij[p], mesh.s).mean(axis=0)) / (4.0 * mesh.s)
     A = np.stack([X[:, 0] ** p * X[:, 1] ** q for p, q in MONOMIAL_POWERS], 1)
     coeffs, _, rank, sv = np.linalg.lstsq(A, data, rcond=None)
     return coeffs, rank, sv, np.finfo(float).eps * max(A.shape) * sv[0]
@@ -261,15 +264,15 @@ def test_batched_fits_match_per_patch_lstsq(scheme, solved_cache, hex_sine):
             lifted = lift_solution(u_h, hex_sine, grid, scheme)
     else:
         lifted = lift_solution(u_h, hex_sine, grid, scheme)
-    for p in grid.patches:
-        coeffs, rank, sv, cutoff = reference_fit(u_h, hex_sine, p, scheme)
-        fit = lifted.fits[p.index]
-        assert np.linalg.norm(fit.coeffs - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
-        assert fit.rank == rank
+    for p in range(grid.n_patches):
+        coeffs, rank, sv, cutoff = reference_fit(u_h, hex_sine, grid, p, scheme)
+        got = lifted.coeffs[p]
+        assert np.linalg.norm(got - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
+        assert lifted.rank[p] == rank
         if rank == 10:
-            assert fit.sigma_min == pytest.approx(sv[-1], rel=1e-12)
+            assert lifted.sigma_min[p] == pytest.approx(sv[-1], rel=1e-12)
         else:
-            assert fit.sigma_min <= cutoff and sv[-1] <= cutoff
+            assert lifted.sigma_min[p] <= cutoff and sv[-1] <= cutoff
 
 
 # ------------------------------------------------------- centre correction
@@ -281,11 +284,9 @@ def test_corrected_site_data_is_exact_on_cubics(grid3):
     bias exactly for cubics."""
     q = cubic_problem()
     u_i = interpolate(q, grid3.mesh)
-    for p in grid3.patches:
-        sites = scheme_sites(p, "lattice15-corrected")
-        data = site_data(u_i, q, p, "lattice15-corrected")
-        xy = p.site_xy[sites]
-        assert np.allclose(data, q.u(xy[:, 0], xy[:, 1]), atol=1e-13)
+    data = _node_data(u_i, q, "lattice15-corrected")[grid3.site_nodes]
+    xy = grid3.mesh.node_xy[grid3.site_nodes]
+    assert np.allclose(data, q.u(xy[..., 0], xy[..., 1]), atol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -349,21 +350,20 @@ def test_batched_lift_reproduces_random_cubics(scheme, coeffs):
 # ------------------------------------------------------------- evaluation
 
 
-def test_evaluate_matches_owning_fit(solved_cache):
+def test_evaluate_matches_owning_fit(solved_cache, patch_cubic):
     mesh, u_h, _, _ = solved_cache(4)
     problem = get_problem("hex-sine")
     grid = build_patch_grid(mesh)
     lifted = lift_solution(u_h, problem, grid)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        p = grid.patches[rng.integers(grid.n_patches)]
+        p = rng.integers(grid.n_patches)
         lam = rng.dirichlet(np.ones(3))
-        xy = lam @ position(p.corners_ij, mesh.s)
-        idx = locate_patch(grid, xy)
+        xy = lam @ position(grid.corners_ij[p], mesh.s)
         val, grad = evaluate_lift(lifted, xy)
-        fit = lifted.fits[idx]
-        assert val == pytest.approx(float(fit(xy[None])[0]), rel=1e-15)
-        assert np.allclose(grad, fit.gradient(xy[None])[0], atol=0)
+        want, want_grad = patch_cubic(lifted, locate_patch(grid, xy), xy)
+        assert val == pytest.approx(want[0], rel=1e-13)
+        assert np.allclose(grad, want_grad[0], rtol=1e-13, atol=0)
 
 
 def test_seam_tie_break_prefers_lowest_index(grid3):
@@ -372,15 +372,15 @@ def test_seam_tie_break_prefers_lowest_index(grid3):
     mesh = grid3.mesh
     containing = []
     point = 0.5 * position(np.array([mesh.n, 0]), mesh.s)  # on a sextant seam
-    for p in grid3.patches:
-        tri = position(p.corners_ij, mesh.s)
+    for p in range(grid3.n_patches):
+        tri = position(grid3.corners_ij[p], mesh.s)
         lam = np.linalg.solve(
             np.column_stack([tri[1] - tri[0], tri[2] - tri[0]]),
             point - tri[0],
         )
         lam = np.array([1 - lam.sum(), *lam])
         if np.all(lam >= -1e-12):
-            containing.append(p.index)
+            containing.append(p)
     assert len(containing) >= 2
     assert locate_patch(grid3, point) == min(containing)
 
@@ -397,14 +397,14 @@ def brute_force_owner(grid, point, tol=1e-12):
     ``locate_patch``: points within rounding of the tolerance edge are
     drawn, and another formula can decide them the other way.
     """
-    for p in grid.patches:
-        a, b, c = position(p.corners_ij, grid.mesh.s)
+    for p in range(grid.n_patches):
+        a, b, c = position(grid.corners_ij[p], grid.mesh.s)
         e1, e2, d = b - a, c - a, point - a
         det = e1[0] * e2[1] - e1[1] * e2[0]
         l1 = (d[0] * e2[1] - d[1] * e2[0]) / det
         l2 = (e1[0] * d[1] - e1[1] * d[0]) / det
         if min(l1, l2, 1.0 - l1 - l2) >= -tol:
-            return p.index
+            return p
     return -1
 
 
@@ -412,8 +412,8 @@ def brute_force_owner(grid, point, tol=1e-12):
 def patch_points(draw, grid):
     """A point of a random patch: interior, snapped to an edge, or
     snapped to a corner, so that seams and corners are hit."""
-    p = grid.patches[draw(st.integers(0, grid.n_patches - 1))]
-    tri = position(p.corners_ij, grid.mesh.s)
+    p = draw(st.integers(0, grid.n_patches - 1))
+    tri = position(grid.corners_ij[p], grid.mesh.s)
     kind = draw(st.sampled_from(["inside", "edge", "corner"]))
     k = draw(st.integers(0, 2))
     if kind == "corner":

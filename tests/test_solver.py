@@ -32,6 +32,8 @@ def test_config_validation():
         SolverConfig(tol=1e-3)  # too loose for this problem class
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    with pytest.raises(ValueError):
+        SolverConfig(method="chol", max_iterations=5)  # no budget to cap
 
 
 def test_direct_matches_numpy_on_a_small_spd_system():
