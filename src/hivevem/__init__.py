@@ -19,7 +19,6 @@ from .lattice import (
     CellKind,
     HoneycombMesh,
     MeshConstructionError,
-    boundary_nodes,
     build_mesh,
     position,
 )

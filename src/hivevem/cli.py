@@ -30,7 +30,6 @@ import numpy as np
 from . import analysis, lift, solver, system, vtkio
 from .lattice import MAX_LEVEL, build_mesh
 from .problem import PROBLEMS, ManufacturedProblem, get_problem
-from .quadrature import SUPPORTED_DEGREES
 
 CSV_COLUMNS = tuple(name for name, _, _ in analysis.COLUMNS)
 
@@ -46,8 +45,6 @@ class StudyConfig:
     problem: str = "hex-sine"
     lift_enabled: bool = False
     lift_scheme: str | None = None  # None: the default, lift.SCHEMES[0]
-    quad_load: int = 4
-    quad_error: int = 6
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
     csv_path: str | None = None
 
@@ -71,24 +68,16 @@ class StudyConfig:
                 raise ConfigError("a lift scheme needs the lift (--lift)")
         if self.lift_enabled and self.max_level < lift.MIN_LIFT_LEVEL:
             raise ConfigError(f"lift needs max-level >= {lift.MIN_LIFT_LEVEL}")
-        for name, degree in (("quad-load", self.quad_load),
-                             ("quad-error", self.quad_error)):
-            if degree not in SUPPORTED_DEGREES:
-                raise ConfigError(
-                    f"{name} degree {degree} unsupported; "
-                    f"available: {SUPPORTED_DEGREES}"
-                )
 
 
 def solve_level(
     level: int,
     problem: ManufacturedProblem,
-    quad_load: int = 4,
     solver_config: solver.SolverConfig | None = None,
 ):
     """Solve one level; returns ``(mesh, u_h, dofs, stats)``."""
     mesh = build_mesh(level)
-    A, b, dofs = system.assemble(mesh, problem, load_quad_degree=quad_load)
+    A, b, dofs = system.assemble(mesh, problem)
     x, stats = solver.solve(A, b, solver_config)
     return mesh, system.expand(x, dofs, mesh), dofs, stats
 
@@ -98,9 +87,7 @@ def study_row(
     problem: ManufacturedProblem,
     config: StudyConfig,
 ) -> analysis.StudyRow:
-    mesh, u_h, dofs, _ = solve_level(
-        level, problem, config.quad_load, config.solver
-    )
+    mesh, u_h, dofs, _ = solve_level(level, problem, config.solver)
     u_i = system.interpolate(problem, mesh)
     l2, h1, linf = analysis.norms_superclose(u_h, u_i)
     u_rec = system.recover_centers(u_h, dofs)
@@ -111,16 +98,14 @@ def study_row(
         e_ih_l2=l2,
         e_ih_h1=h1,
         e_ih_linf=linf,
-        e_l2=analysis.norm_l2_true(u_rec, problem, config.quad_error),
+        e_l2=analysis.norm_l2_true(u_rec, problem),
     )
     if config.lift_enabled and level >= lift.MIN_LIFT_LEVEL:
         grid = lift.build_patch_grid(mesh)
         scheme = config.lift_scheme or lift.SCHEMES[0]
         lifted = lift.lift_solution(u_h, problem, grid, scheme)
-        row.e_lift_l2 = analysis.norm_l2_true(lifted, problem, config.quad_error)
-        row.e_lift_h1h = analysis.norm_h1_broken_true(
-            lifted, problem, config.quad_error
-        )
+        row.e_lift_l2 = analysis.norm_l2_true(lifted, problem)
+        row.e_lift_h1h = analysis.norm_h1_broken_true(lifted, problem)
     return row
 
 
@@ -220,8 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--lift-scheme", default=None,
                     choices=lift.SCHEMES, metavar="SCHEME",
                     help=f"data scheme of the lift (default {lift.SCHEMES[0]})")
-    st.add_argument("--quad-load", type=int, default=4, metavar="DEG")
-    st.add_argument("--quad-error", type=int, default=6, metavar="DEG")
     st.add_argument("--solver", default="cg", choices=solver.METHODS)
     st.add_argument("--tol", type=float, default=1e-14)
     st.add_argument("--maxit", type=int, default=None)
@@ -278,8 +261,6 @@ def main(argv=None) -> int:
                 problem=args.problem,
                 lift_enabled=args.lift,
                 lift_scheme=args.lift_scheme,
-                quad_load=args.quad_load,
-                quad_error=args.quad_error,
                 solver=solver_config,
                 csv_path=args.csv,
             )

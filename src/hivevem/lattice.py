@@ -106,16 +106,12 @@ class HoneycombMesh:
         boundary and therefore count as mesh vertices.
     tris : (T, 3) int array
         Subtriangles of the auxiliary mesh, vertices counterclockwise.
-    cell_anchors : (M,) int array
-        Anchor node of every honeycomb cell, ascending.
-    cell_members : (T,) int array
-        Subtriangle indices grouped by cell, ascending within a cell;
-        cell ``k`` owns ``cell_members[cell_offsets[k]:cell_offsets[k+1]]``.
-    cell_offsets : (M + 1,) int array
-        Group boundaries in ``cell_members``.
-    center_corners : (C, 6) int array
-        For every interior centre, its six surrounding corner nodes in
-        counterclockwise order (rows align with ``centers``).
+    centers, nh_nodes : int arrays
+        Indices of the interior centres and of all other nodes.
+
+    :meth:`index` maps lattice coordinates to node indices.
+    :attr:`center_corners` and :attr:`cells` are derived on first read;
+    :func:`build_mesh` has checked both already.
     """
 
     level: int
@@ -126,30 +122,48 @@ class HoneycombMesh:
     on_boundary: np.ndarray
     is_center: np.ndarray
     tris: np.ndarray
-    cell_anchors: np.ndarray
-    cell_members: np.ndarray
-    cell_offsets: np.ndarray
     centers: np.ndarray
     nh_nodes: np.ndarray
-    center_corners: np.ndarray
-    _lookup: np.ndarray
+    _lookup: np.ndarray  # [i + n + 1, j + n + 1]: node index, int32, -1 outside
 
     @property
     def n_nodes(self) -> int:
         return self.node_ij.shape[0]
 
+    def index(self, i, j):
+        """Node indices of the lattice points ``(i, j)``, -1 for every
+        point outside the closed hexagon.
+
+        ``i`` and ``j`` are integer scalars or arrays that broadcast;
+        the result has their shape.  The table holds the square
+        ``|i|, |j| <= n`` and a ring of -1 around it, and clipping takes
+        every point beyond the square onto the ring.
+        """
+        m = self.n + 1
+        return self._lookup[np.clip(i, -m, m) + m, np.clip(j, -m, m) + m]
+
+    @cached_property
+    def center_corners(self) -> np.ndarray:
+        """For every interior centre, its six surrounding corner nodes in
+        counterclockwise order, shape (C, 6); rows align with ``centers``."""
+        ij = self.node_ij[self.centers, :, None] + np.array(HEX_DIRECTIONS).T
+        return self.index(ij[:, 0], ij[:, 1])
+
     @cached_property
     def cells(self) -> list[Cell]:
-        """Honeycomb cells ordered by anchor node index, built on first
-        read from the anchor and member arrays."""
-        offsets = self.cell_offsets
+        """Honeycomb cells ordered by anchor node index, members
+        ascending within a cell; grouped on first read."""
+        anchors = self.tris[node_class(*self.node_ij.T)[self.tris] == 0]
+        # A stable sort keeps each cell's members in ascending order.
+        order = np.argsort(anchors, kind="stable")
+        cell_anchors, starts = np.unique(anchors[order], return_index=True)
         return [
             Cell(
                 CellKind.PENTAGON if self.on_boundary[a] else CellKind.HEXAGON,
                 int(a),
-                self.cell_members[offsets[k]:offsets[k + 1]],
+                members,
             )
-            for k, a in enumerate(self.cell_anchors)
+            for a, members in zip(cell_anchors, np.split(order, starts[1:]))
         ]
 
     @property
@@ -160,13 +174,6 @@ class HoneycombMesh:
     def tri_area(self) -> float:
         """Common area of the equilateral subtriangles."""
         return 0.25 * SQRT3 * self.s * self.s
-
-    def node_index(self, i: int, j: int) -> int:
-        """Index of lattice node ``(i, j)``; -1 if outside the domain."""
-        n = self.n
-        if abs(i) > n or abs(j) > n or abs(i + j) > n:
-            return -1
-        return int(self._lookup[i + n, j + n])
 
     def tri_xy(self) -> np.ndarray:
         """Vertex coordinates of every subtriangle, shape (T, 3, 2)."""
@@ -242,38 +249,21 @@ def build_mesh(level: int) -> HoneycombMesh:
 
     # Each subtriangle must own exactly one class-0 vertex: its anchor.
     tri_cls0 = cls[tris] == 0
-    per_tri = tri_cls0.sum(axis=1)
-    if not np.all(per_tri == 1):
+    if not np.all(tri_cls0.sum(axis=1) == 1):
         raise MeshConstructionError("subtriangle without unique class-0 vertex")
-    anchors = tris[np.arange(tris.shape[0]), np.argmax(tri_cls0, axis=1)]
-
-    # A stable sort keeps each cell's members in ascending order.
-    order = np.argsort(anchors, kind="stable")
-    cell_anchors, starts, counts = np.unique(
-        anchors[order], return_index=True, return_counts=True
-    )
-    bad = np.flatnonzero(counts != np.where(on_boundary[cell_anchors], 3, 6))
+    # Interior class-0 nodes anchor 6 subtriangles, boundary ones 3.
+    count = np.bincount(tris[tri_cls0], minlength=n_nodes)
+    want = np.where(cls == 0, np.where(on_boundary, 3, 6), 0)
+    bad = np.flatnonzero(count != want)
     if bad.size:
-        anchor = int(cell_anchors[bad[0]])
-        where = "boundary" if on_boundary[anchor] else "interior"
+        node = int(bad[0])
+        where = "boundary" if on_boundary[node] else "interior"
         raise MeshConstructionError(
-            f"{where} anchor {anchor} has {counts[bad[0]]} subtriangles"
+            f"{where} node {node} anchors {count[node]} subtriangles, "
+            f"not {want[node]}"
         )
 
-    centers = np.flatnonzero(is_center)
-    nh_nodes = np.flatnonzero(~is_center)
-
-    # Six corners around every interior centre, all of which must exist.
-    dirs = np.array(HEX_DIRECTIONS)
-    cij = node_ij[centers]
-    corner_idx = lookup[
-        cij[:, None, 0] + dirs[None, :, 0] + n,
-        cij[:, None, 1] + dirs[None, :, 1] + n,
-    ]
-    if np.any(corner_idx < 0):
-        raise MeshConstructionError("interior centre with corner outside domain")
-
-    return HoneycombMesh(
+    mesh = HoneycombMesh(
         level=level,
         s=s,
         n=n,
@@ -282,16 +272,11 @@ def build_mesh(level: int) -> HoneycombMesh:
         on_boundary=on_boundary,
         is_center=is_center,
         tris=tris,
-        cell_anchors=cell_anchors,
-        cell_members=order,
-        cell_offsets=np.append(starts, order.size),
-        centers=centers,
-        nh_nodes=nh_nodes,
-        center_corners=corner_idx,
-        _lookup=lookup,
+        centers=np.flatnonzero(is_center),
+        nh_nodes=np.flatnonzero(~is_center),
+        _lookup=np.pad(lookup.astype(np.int32), 1, constant_values=-1),
     )
-
-
-def boundary_nodes(mesh: HoneycombMesh) -> np.ndarray:
-    """Indices of the nodes on the domain boundary."""
-    return np.flatnonzero(mesh.on_boundary)
+    # Six corners around every interior centre, all of which must exist.
+    if np.any(mesh.center_corners < 0):
+        raise MeshConstructionError("interior centre with corner outside domain")
+    return mesh

@@ -215,9 +215,9 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
 
     corners = lattice(np.array([(0, 0), (4, 0), (0, 4)]))
     sites = lattice(_SITE_AB)
-    if np.abs(np.concatenate([sites, sites.sum(-1, keepdims=True)], -1)).max() > n:
+    site_nodes = mesh.index(sites[..., 0], sites[..., 1])
+    if np.any(site_nodes < 0):
         raise RuntimeError("patch site outside the domain")
-    site_nodes = mesh._lookup[sites[..., 0] + n, sites[..., 1] + n]
 
     tri_table = np.full((2 * n, 2 * n, 2), -1)
     ti, tj, kind = _unit_triangles(mesh.node_ij[mesh.tris].sum(axis=1))

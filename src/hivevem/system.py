@@ -88,8 +88,6 @@ class DofMap:
     node_to_dof: np.ndarray
     dof_to_node: np.ndarray
     n_dofs: int
-    n_boundary: int
-    n_centers: int
     center_load: np.ndarray | None = None
 
 
@@ -157,10 +155,8 @@ class FieldP1:
     def constraint_gap(self) -> float:
         """Largest violation of the centre-mean and boundary conditions."""
         mesh = self.mesh
-        gap = 0.0
-        if mesh.centers.size:
-            avg = self.values[mesh.center_corners].mean(axis=1)
-            gap = float(np.max(np.abs(self.values[mesh.centers] - avg)))
+        avg = self.values[mesh.center_corners].mean(axis=1)
+        gap = float(np.max(np.abs(self.values[mesh.centers] - avg), initial=0.0))
         bdry = float(np.max(np.abs(self.values[mesh.on_boundary])))
         return max(gap, bdry)
 
@@ -174,28 +170,18 @@ def build_dof_map(mesh: HoneycombMesh) -> DofMap:
         node_to_dof=node_to_dof,
         dof_to_node=dof_to_node,
         n_dofs=dof_to_node.size,
-        n_boundary=int(mesh.on_boundary.sum()),
-        n_centers=mesh.centers.size,
     )
 
 
 def prolongation(mesh: HoneycombMesh, dofs: DofMap) -> sp.csr_matrix:
     """Node values from free dofs: identity rows for free vertices,
     1/6 corner averages for centres, zero rows for boundary nodes."""
-    rows = [dofs.dof_to_node]
-    cols = [np.arange(dofs.n_dofs)]
-    vals = [np.ones(dofs.n_dofs)]
-    if mesh.centers.size:
-        corner_dofs = dofs.node_to_dof[mesh.center_corners]  # (C, 6)
-        c_rows = np.repeat(mesh.centers, 6)
-        keep = corner_dofs.ravel() >= 0
-        rows.append(c_rows[keep])
-        cols.append(corner_dofs.ravel()[keep])
-        vals.append(np.full(int(keep.sum()), 1.0 / 6.0))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_nodes, dofs.n_dofs),
-    )
+    corner_dofs = dofs.node_to_dof[mesh.center_corners].ravel()
+    keep = corner_dofs >= 0
+    rows = np.r_[dofs.dof_to_node, np.repeat(mesh.centers, 6)[keep]]
+    cols = np.r_[np.arange(dofs.n_dofs), corner_dofs[keep]]
+    vals = np.r_[np.ones(dofs.n_dofs), np.full(int(keep.sum()), 1.0 / 6.0)]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, dofs.n_dofs))
 
 
 def refinement_transfer(
@@ -220,8 +206,8 @@ def refinement_transfer(
     # Half the coarse edge through each fine node: none on coarse nodes,
     # else the lattice step (1, 0), (0, 1) or (1, -1).
     step = np.stack([odd[:, 0], odd[:, 1] * (1 - 2 * odd[:, 0])], axis=1)
-    ends = np.concatenate([ij - step, ij + step]) // 2 + coarse.n
-    cols = coarse._lookup[ends[:, 0], ends[:, 1]]
+    ends = np.concatenate([ij - step, ij + step]) // 2
+    cols = coarse.index(ends[:, 0], ends[:, 1])
     rows = np.tile(np.arange(ij.shape[0]), 2)
     inject = sp.csr_matrix(
         (np.full(rows.size, 0.5), (rows, cols)),
@@ -284,9 +270,8 @@ def stiffness(mesh: HoneycombMesh) -> sp.csr_matrix:
     has at most two terms, and the three diagonal entries of the element
     matrix are one double.
     """
-    lookup = np.pad(mesh._lookup.astype(np.int32), 1, constant_values=-1)
-    i, j = (mesh.node_ij + mesh.n + 1).T
-    cols = lookup[i[:, None] + _STENCIL[:, 0], j[:, None] + _STENCIL[:, 1]]
+    i, j = mesh.node_ij.T
+    cols = mesh.index(i[:, None] + _STENCIL[:, 0], j[:, None] + _STENCIL[:, 1])
     near = cols[:, _HEX_COLUMNS] >= 0
     tri = near & np.roll(near, -1, axis=1)
     r = np.array([0, 1, 1, 2, 2, 0])
@@ -303,11 +288,7 @@ def stiffness(mesh: HoneycombMesh) -> sp.csr_matrix:
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(mesh.n_nodes,) * 2)
 
 
-def assemble(
-    mesh: HoneycombMesh,
-    problem: ManufacturedProblem,
-    load_quad_degree: int = 4,
-):
+def assemble(mesh: HoneycombMesh, problem: ManufacturedProblem):
     """Assemble the condensed SPD system.
 
     Returns ``(A, b, dofs)``; ``dofs.center_load`` carries the load at
@@ -316,7 +297,7 @@ def assemble(
     A zero-dimensional system (level 1 has no free vertices) is returned
     as such; the solution field is then identically zero.
     """
-    load = load_vector(mesh, problem, load_quad_degree)
+    load = load_vector(mesh, problem)
     dofs = replace(build_dof_map(mesh), center_load=load[mesh.centers])
 
     C = prolongation(mesh, dofs)
@@ -333,8 +314,7 @@ def expand(x: np.ndarray, dofs: DofMap, mesh: HoneycombMesh) -> FieldP1:
         raise ValueError(f"expected {dofs.n_dofs} dof values, got {x.shape}")
     values = np.zeros(mesh.n_nodes)
     values[dofs.dof_to_node] = x
-    if mesh.centers.size:
-        values[mesh.centers] = values[mesh.center_corners].mean(axis=1)
+    values[mesh.centers] = values[mesh.center_corners].mean(axis=1)
     return FieldP1(mesh=mesh, values=values)
 
 
@@ -373,32 +353,27 @@ def recover_centers(u_h: FieldP1, dofs: DofMap) -> FieldP1:
         )
     mesh = u_h.mesh
     values = u_h.values.copy()
-    if mesh.centers.size:
-        values[mesh.centers] = (
-            values[mesh.center_corners].mean(axis=1)
-            + dofs.center_load / (2.0 * np.sqrt(3.0))
-        )
+    values[mesh.centers] = (
+        values[mesh.center_corners].mean(axis=1)
+        + dofs.center_load / (2.0 * np.sqrt(3.0))
+    )
     return FieldP1(mesh=mesh, values=values)
 
 
-def _scalar_source(src):
-    return src.u if isinstance(src, ManufacturedProblem) else src
-
-
-def interpolate(src, mesh: HoneycombMesh) -> FieldP1:
-    """Space interpolant: samples at mesh vertices, centre values set
-    to the mean of the six sampled corners.
-
-    ``src`` is a manufactured problem or a callable ``u(x, y)``.
-    """
+def interpolate(problem: ManufacturedProblem, mesh: HoneycombMesh) -> FieldP1:
+    """Space interpolant of the problem's exact solution: samples at
+    mesh vertices, centre values set to the mean of the six sampled
+    corners."""
     values = np.zeros(mesh.n_nodes)
     nh = mesh.nh_nodes
-    values[nh] = sample(_scalar_source(src), mesh.node_xy[nh])
-    if mesh.centers.size:
-        values[mesh.centers] = values[mesh.center_corners].mean(axis=1)
+    values[nh] = sample(problem.u, mesh.node_xy[nh])
+    values[mesh.centers] = values[mesh.center_corners].mean(axis=1)
     return FieldP1(mesh=mesh, values=values)
 
 
-def interpolate_pointwise(src, mesh: HoneycombMesh) -> FieldP1:
-    """Plain nodal sampling at every lattice node, centres included."""
-    return FieldP1(mesh=mesh, values=sample(_scalar_source(src), mesh.node_xy))
+def interpolate_pointwise(
+    problem: ManufacturedProblem, mesh: HoneycombMesh
+) -> FieldP1:
+    """Plain sampling of the problem's exact solution at every lattice
+    node, centres included."""
+    return FieldP1(mesh=mesh, values=sample(problem.u, mesh.node_xy))

@@ -36,7 +36,6 @@ def study(request):
     rows = run_study(StudyConfig(
         min_level=2, max_level=7,
         lift_enabled=True, lift_scheme="lattice15-corrected",
-        quad_load=4, quad_error=6,
         solver=SolverConfig(method="cg", tol=1e-14),
     ))
     elapsed = time.perf_counter() - start

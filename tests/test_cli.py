@@ -49,10 +49,6 @@ def test_config_validation():
         StudyConfig(lift_scheme="nope")
     with pytest.raises(ConfigError):
         StudyConfig(lift_scheme="oracle-center")  # the lift is off
-    with pytest.raises(ConfigError):
-        StudyConfig(quad_load=3)
-    with pytest.raises(ConfigError):
-        StudyConfig(quad_error=5)
 
 
 def test_small_study_rows():
@@ -172,7 +168,9 @@ def test_main_study_writes_csv(tmp_path):
 def test_main_reports_config_errors(tmp_path):
     assert main(["study", "--min-level", "5", "--max-level", "3"]) == 1
     assert main(["study", "--problem", "nope"]) == 1
-    assert main(["study", "--quad-load", "7"]) == 1
+    with pytest.raises(SystemExit) as err:  # the option is gone
+        main(["study", "--quad-load", "4"])
+    assert err.value.code == 1
     assert main(["study", "--tol", "1e-3"]) == 1
     assert main(["study", "--maxit", "0"]) == 1
     # settings that the run would ignore

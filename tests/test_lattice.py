@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hivevem import lattice
 from hivevem.lattice import (
     CellKind,
     MAX_LEVEL,
     MeshConstructionError,
-    boundary_nodes,
     build_mesh,
     node_class,
     position,
@@ -165,7 +165,7 @@ def test_domain_corners_are_never_class0(level, mesh_cache):
     n = mesh.n
     for i, j in [(n, 0), (0, n), (-n, n), (-n, 0), (0, -n), (n, -n)]:
         assert node_class(i, j) != 0
-        k = mesh.node_index(i, j)
+        k = int(mesh.index(i, j))
         assert k >= 0 and mesh.on_boundary[k]
 
 
@@ -173,18 +173,62 @@ def test_node_index_roundtrip(mesh_cache):
     mesh = mesh_cache(3)
     for k in range(0, mesh.n_nodes, 7):
         i, j = mesh.node_ij[k]
-        assert mesh.node_index(int(i), int(j)) == k
+        assert int(mesh.index(i, j)) == k
     n = mesh.n
-    assert mesh.node_index(n + 1, 0) == -1
-    assert mesh.node_index(n, 1) == -1  # |i + j| > n
+    assert int(mesh.index(n + 1, 0)) == -1
+    assert int(mesh.index(n, 1)) == -1  # |i + j| > n
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_index_is_minus_one_outside_the_hexagon(level, mesh_cache):
+    mesh = mesh_cache(level)
+    n = mesh.n
+    assert np.array_equal(mesh.index(*mesh.node_ij.T), np.arange(mesh.n_nodes))
+
+    def hexnorm(i, j):
+        return np.maximum(np.maximum(np.abs(i), np.abs(j)), np.abs(i + j))
+
+    I, J = np.meshgrid(np.arange(-n - 1, n + 2), np.arange(-n - 1, n + 2),
+                       indexing="ij")
+    ring = hexnorm(I, J) == n + 1
+    assert ring.sum() == 6 * (n + 1)
+    assert np.all(mesh.index(I[ring], J[ring]) == -1)
+    square = (np.abs(I) <= n) & (np.abs(J) <= n) & (np.abs(I + J) > n)
+    assert square.sum() == n * (n + 1)
+    assert np.all(mesh.index(I[square], J[square]) == -1)
+    far = np.array([-10 * n, 0, 10 * n])
+    I, J = np.meshgrid(far, far, indexing="ij")
+    assert np.all(mesh.index(I, J)[(I != 0) | (J != 0)] == -1)
+
+    # Scalars stay scalars and (k, 7) stays (k, 7), against a dict oracle.
+    assert np.ndim(mesh.index(0, 0)) == 0
+    assert mesh.node_xy[int(mesh.index(0, 0))].tolist() == [0.0, 0.0]
+    table = {tuple(p): k for k, p in enumerate(mesh.node_ij.tolist())}
+    i, j = np.random.default_rng(level).integers(-2 * n, 2 * n + 1, (2, 5, 7))
+    got = mesh.index(i, j)
+    assert got.shape == (5, 7)
+    assert got.ravel().tolist() == [
+        table.get(p, -1) for p in zip(i.ravel().tolist(), j.ravel().tolist())
+    ]
 
 
 def test_boundary_nodes_lie_on_the_hexagon(mesh_cache):
     mesh = mesh_cache(3)
-    ring = boundary_nodes(mesh)
+    ring = np.flatnonzero(mesh.on_boundary)
     assert ring.size == 6 * mesh.n
-    assert np.array_equal(ring, np.flatnonzero(mesh.on_boundary))
     assert np.allclose(support(mesh.node_xy[ring]), APOTHEM, atol=1e-12)
+
+
+@pytest.mark.parametrize("shift, message", [
+    (lambda d: d % 2, "unique class-0 vertex"),  # not one per triangle
+    (lambda d: (d + 1) % 3, "anchors 2 subtriangles"),  # corners as anchors
+])
+def test_structural_checks_raise(shift, message, monkeypatch):
+    monkeypatch.setattr(
+        lattice, "node_class", lambda i, j: shift(np.asarray(i) - np.asarray(j))
+    )
+    with pytest.raises(MeshConstructionError, match=message):
+        build_mesh(3)
 
 
 def test_level_validation():
@@ -201,7 +245,7 @@ def test_interior_center_neighbourhood(mesh_cache):
     for c, row in zip(mesh.centers, mesh.center_corners):
         ci, cj = mesh.node_ij[c]
         nbrs = {
-            mesh.node_index(int(ci + di), int(cj + dj))
+            int(mesh.index(ci + di, cj + dj))
             for di, dj in [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
         }
         assert nbrs == set(int(x) for x in row)

@@ -124,9 +124,10 @@ def test_dof_counts(level, n_dofs, mesh_cache):
     mesh = mesh_cache(level)
     dofs = build_dof_map(mesh)
     assert dofs.n_dofs == n_dofs
-    assert dofs.n_boundary == 6 * mesh.n
-    assert dofs.n_centers == mesh.centers.size
-    assert dofs.n_dofs + dofs.n_boundary + dofs.n_centers == mesh.n_nodes
+    fixed = mesh.on_boundary.sum() + mesh.centers.size
+    assert dofs.n_dofs + fixed == mesh.n_nodes
+    assert not np.any(mesh.on_boundary[dofs.dof_to_node])
+    assert not np.any(mesh.is_center[dofs.dof_to_node])
     # roundtrip
     assert np.array_equal(
         dofs.node_to_dof[dofs.dof_to_node], np.arange(n_dofs)
@@ -201,7 +202,7 @@ def test_refinement_transfer_is_p1_injection(level, mesh_cache):
     mid = coarse.node_xy[ends].mean(axis=1)
     j = np.rint(mid[:, 1] / (0.5 * SQRT3 * fine.s)).astype(int)
     i = np.rint(mid[:, 0] / fine.s - 0.5 * j).astype(int)
-    nodes = np.array([fine.node_index(a, b) for a, b in zip(i, j)])
+    nodes = fine.index(i, j)
     assert np.allclose(fine.node_xy[nodes], mid, rtol=0, atol=1e-14)
     want = np.full(fine.n_nodes, np.nan)
     want[nodes] = expand(x, dofs, coarse).values[ends].mean(axis=1)
@@ -404,7 +405,7 @@ def test_recover_centers_is_exact_on_cubics(mesh_cache):
     the constrained interpolant exactly for cubic solutions."""
     problem = cubic_problem()
     mesh = mesh_cache(3)
-    _, _, dofs = assemble(mesh, problem, load_quad_degree=4)
+    _, _, dofs = assemble(mesh, problem)
     u_i = interpolate(problem, mesh)
     rec = recover_centers(u_i, dofs)
     exact = problem.u(mesh.node_xy[:, 0], mesh.node_xy[:, 1])

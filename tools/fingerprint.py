@@ -1,0 +1,95 @@
+"""Print SHA-256 fingerprints of the pipeline's arrays, level by level.
+
+For every level given it hashes the condensed matrix A (``data``,
+``indices``, ``indptr``), the load b, the centre loads, the CG
+solution, the recovered field and, from level 3, the default lift's
+``coeffs``, ``rank``, ``sigma_min`` and ``residual``.  A last line
+hashes the CSV of ``hivevem study --min-level 1 --max-level MAX --lift``
+for the largest level given (without ``--lift`` below level 3).
+
+Index arrays are hashed as int64 values, so a change of integer dtype
+alone leaves a hash as it was.  Two checkouts that print the same lines
+compute the same numbers bit for bit.
+
+Usage: ``python tools/fingerprint.py LEVEL [LEVEL ...]``; it imports
+``hivevem`` from the ``src`` directory next to it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hivevem import cli, lift, solver, system  # noqa: E402
+from hivevem.lattice import build_mesh  # noqa: E402
+from hivevem.problem import get_problem  # noqa: E402
+
+
+def digest(*arrays) -> str:
+    """SHA-256 of the shapes and bytes of ``arrays``, integers as int64."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        if a.dtype.kind in "iu":
+            a = a.astype(np.int64)
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def level_hashes(level: int, problem) -> list[tuple[str, str]]:
+    mesh = build_mesh(level)
+    A, b, dofs = system.assemble(mesh, problem)
+    csr = A.to_csr()
+    x, _ = solver.solve(A, b)
+    u_h = system.expand(x, dofs, mesh)
+    out = [
+        ("A", digest(csr.data, csr.indices, csr.indptr)),
+        ("b", digest(b)),
+        ("center_load", digest(dofs.center_load)),
+        ("x", digest(x)),
+        ("recovered", digest(system.recover_centers(u_h, dofs).values)),
+    ]
+    if level >= lift.MIN_LIFT_LEVEL:
+        r = lift.lift_solution(u_h, problem, lift.build_patch_grid(mesh))
+        out += [(name, digest(getattr(r, name)))
+                for name in ("coeffs", "rank", "sigma_min", "residual")]
+    return out
+
+
+def study_csv_hash(max_level: int) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "study.csv"
+        argv = ["study", "--min-level", "1", "--max-level", str(max_level),
+                "--csv", str(path)]
+        if max_level >= lift.MIN_LIFT_LEVEL:
+            argv.append("--lift")
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise SystemExit(f"study {argv} failed")
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main(argv=None) -> int:
+    levels = [int(a) for a in (sys.argv[1:] if argv is None else argv)]
+    if not levels:
+        print("usage: python tools/fingerprint.py LEVEL [LEVEL ...]", file=sys.stderr)
+        return 1
+    problem = get_problem("hex-sine")
+    for level in levels:
+        for name, h in level_hashes(level, problem):
+            print(f"level {level:2d}  {name:12s} {h}")
+    print(f"study 1..{max(levels)}  csv          {study_csv_hash(max(levels))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
