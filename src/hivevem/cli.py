@@ -91,22 +91,26 @@ def study_row(
     u_i = system.interpolate(problem, mesh)
     l2, h1, linf = analysis.norms_superclose(u_h, u_i)
     u_rec = system.recover_centers(u_h, dofs)
-    row = analysis.StudyRow(
+    if config.lift_enabled and level >= lift.MIN_LIFT_LEVEL:
+        grid = lift.build_patch_grid(mesh)
+        scheme = config.lift_scheme or lift.SCHEMES[0]
+        lifted = lift.lift_solution(u_h, problem, grid, scheme)
+        e_l2, e_lift_l2, e_lift_h1h = analysis.norm_l2_true(
+            u_rec, problem, lift=lifted)
+    else:
+        e_l2, e_lift_l2, e_lift_h1h = (
+            analysis.norm_l2_true(u_rec, problem), None, None)
+    return analysis.StudyRow(
         level=level,
         h=mesh.s,
         dofs=dofs.n_dofs,
         e_ih_l2=l2,
         e_ih_h1=h1,
         e_ih_linf=linf,
-        e_l2=analysis.norm_l2_true(u_rec, problem),
+        e_l2=e_l2,
+        e_lift_l2=e_lift_l2,
+        e_lift_h1h=e_lift_h1h,
     )
-    if config.lift_enabled and level >= lift.MIN_LIFT_LEVEL:
-        grid = lift.build_patch_grid(mesh)
-        scheme = config.lift_scheme or lift.SCHEMES[0]
-        lifted = lift.lift_solution(u_h, problem, grid, scheme)
-        row.e_lift_l2 = analysis.norm_l2_true(lifted, problem)
-        row.e_lift_h1h = analysis.norm_h1_broken_true(lifted, problem)
-    return row
 
 
 def run_study(config: StudyConfig) -> list[analysis.StudyRow]:

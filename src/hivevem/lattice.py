@@ -109,7 +109,8 @@ class HoneycombMesh:
     centers, nh_nodes : int arrays
         Indices of the interior centres and of all other nodes.
 
-    :meth:`index` maps lattice coordinates to node indices.
+    :meth:`index` maps lattice coordinates to node indices and
+    :meth:`tri_index` lattice unit triangles to subtriangle indices.
     :attr:`center_corners` and :attr:`cells` are derived on first read;
     :func:`build_mesh` has checked both already.
     """
@@ -141,6 +142,28 @@ class HoneycombMesh:
         """
         m = self.n + 1
         return self._lookup[np.clip(i, -m, m) + m, np.clip(j, -m, m) + m]
+
+    def tri_index(self, i, j, kind):
+        """Subtriangle indices of the lattice unit triangles of kind 0,
+        ``(i,j),(i+1,j),(i,j+1)``, or kind 1, ``(i,j+1),(i+1,j),(i+1,j+1)``,
+        -1 for every triangle not inside the closed hexagon.
+
+        Arguments broadcast as in :meth:`index`.  The table is built on
+        the first call, from the order in which :func:`build_mesh` emits
+        ``tris``, and holds the cells ``-n <= i, j < n`` and a ring of -1.
+        """
+        m = self.n + 1
+        table = self._tri_lookup
+        return table[np.clip(i, -m, m - 1) + m, np.clip(j, -m, m - 1) + m, kind]
+
+    @cached_property
+    def _tri_lookup(self) -> np.ndarray:
+        # ``tris`` holds the kind-0 triangles, then the kind-1 ones, each
+        # row-major over the cells; counting them in that order numbers them.
+        ok = np.stack(_unit_triangles_inside(self._lookup[1:-1, 1:-1] >= 0))
+        table = np.where(ok, np.cumsum(ok).reshape(ok.shape) - 1, -1)
+        return np.pad(table.transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0)),
+                      constant_values=-1)
 
     @cached_property
     def center_corners(self) -> np.ndarray:
@@ -178,6 +201,15 @@ class HoneycombMesh:
     def tri_xy(self) -> np.ndarray:
         """Vertex coordinates of every subtriangle, shape (T, 3, 2)."""
         return self.node_xy[self.tris]
+
+
+def _unit_triangles_inside(inside: np.ndarray):
+    """Masks of the cells whose kind-0 and kind-1 unit triangles have all
+    three vertices ``inside``, a node mask over the square of lattice
+    points; the cells are the square without its last row and column."""
+    up = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:]
+    dn = inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
+    return up, dn
 
 
 def build_mesh(level: int) -> HoneycombMesh:
@@ -231,8 +263,7 @@ def build_mesh(level: int) -> HoneycombMesh:
 
     # Upward subtriangles (i,j),(i+1,j),(i,j+1) and downward ones
     # (i,j+1),(i+1,j),(i+1,j+1), both orderings counterclockwise.
-    up_ok = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:]
-    dn_ok = inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
+    up_ok, dn_ok = _unit_triangles_inside(inside)
     up = np.stack(
         [lookup[:-1, :-1][up_ok], lookup[1:, :-1][up_ok], lookup[:-1, 1:][up_ok]],
         axis=1,

@@ -83,6 +83,12 @@ _SUB_AB = np.array(
        for a in range(3) for b in range(3 - a)]
 )
 
+#: Site ids of the vertices of the 16 subtriangles, ``_SUB_AB`` as
+#: indices into the 15 sites.
+_SITE_ID = np.zeros((5, 5), dtype=int)
+_SITE_ID[tuple(_SITE_AB.T)] = np.arange(15)
+SUB_SITES = _SITE_ID[tuple(_SUB_AB.transpose(2, 0, 1))]
+
 #: Lattice steps along the two edges from a patch's origin corner:
 #: frame k < 6 is the aligned ("up") patch of sextant k, 6 + k the other.
 _D = HEX_DIRECTIONS * 2
@@ -198,7 +204,6 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
         raise UnsupportedLevelError(
             f"patch grid needs level >= {MIN_LIFT_LEVEL}, got {mesh.level}"
         )
-    n = mesh.n
     m = 2 ** (mesh.level - MIN_LIFT_LEVEL)  # patches per sextant edge
     # Sextant k, with steps e1, e2 of frame k, has aligned patches at
     # origins 4(a e1 + b e2) and the others at 4((a + 1) e1 + b e2).
@@ -219,11 +224,8 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
     if np.any(site_nodes < 0):
         raise RuntimeError("patch site outside the domain")
 
-    tri_table = np.full((2 * n, 2 * n, 2), -1)
-    ti, tj, kind = _unit_triangles(mesh.node_ij[mesh.tris].sum(axis=1))
-    tri_table[ti + n, tj + n, kind] = np.arange(mesh.n_tris)
-    ti, tj, kind = _unit_triangles(lattice(_SUB_AB.sum(axis=1), scale=3))
-    tri_indices = tri_table[ti + n, tj + n, kind]
+    tri_indices = mesh.tri_index(
+        *_unit_triangles(lattice(_SUB_AB.sum(axis=1), scale=3)))
     covered = np.bincount(tri_indices.ravel(), minlength=mesh.n_tris)
     if np.any(covered > 1):
         raise RuntimeError("patch tiling overlap")
@@ -405,8 +407,9 @@ def patch_quadrature(grid: PatchGrid, degree: int):
     degree-``degree`` rule together: the coordinates ``xy`` (2, n, 16 nq)
     of their points, subtriangle major, and the :func:`monomial_basis`
     (16 nq, 3, 10) at the scaled local coordinates they share, computed
-    once per rule.  The blocks bound the memory of problem evaluations
-    at fine levels.
+    once per rule.  On subtriangle ``t`` the rule's barycentric
+    coordinates refer to the sites ``SUB_SITES[t]``, in order.  The
+    blocks bound the memory of problem evaluations at fine levels.
     """
     local, basis = _patch_rule(degree)
     for f, frame_local in enumerate(local):

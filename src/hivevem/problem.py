@@ -5,7 +5,8 @@ written once as an ordinary arithmetic expression and differentiated
 with forward mode in one bivariate pass: a :class:`Jet` carries the
 value, both first partials and, at order 2, half of both pure second
 partials, so one evaluation yields the Laplacian to machine precision.
-Order 1 drops the second-order parts, which the gradient does not need.
+Order 1 drops the second-order parts, which the gradient does not need;
+its value part is u, so the gradient pass returns u with it.
 Coefficients may be numpy arrays, which keeps bulk evaluation at
 quadrature points vectorised.  The callables evaluate whatever they are
 given; the quadrature callers pass at most
@@ -110,14 +111,19 @@ class Jet:
     def __pow__(self, k):
         if not isinstance(k, (int, np.integer)) or k < 0:
             raise TypeError("Jet powers must be non-negative integers")
-        out = self._map(np.ones_like(np.asarray(self.value, dtype=float)),
-                        lambda a1: 0.0, lambda a1, a2: 0.0)
-        base = self
-        e = int(k)
+        if k == 0:
+            return self._map(np.ones_like(np.asarray(self.value, dtype=float)),
+                             lambda a1: 0.0, lambda a1, a2: 0.0)
+        # Square and multiply from the lowest bit, starting from the
+        # lowest power that enters the product.
+        base, e = self, int(k)
+        while not e & 1:
+            base, e = base * base, e >> 1
+        out, e = base, e >> 1
         while e:
+            base = base * base
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
         return out
 
@@ -169,6 +175,11 @@ class ManufacturedProblem:
     """Poisson problem -laplace(u) = f with homogeneous Dirichlet data.
 
     ``u``, ``grad_u`` and ``f`` accept scalar or array coordinates.
+    ``grad_u`` returns ``(u, u_x, u_y)`` from one order-1 jet pass, in
+    the order of :func:`jet_eval`.  ``u`` evaluates the expression on
+    plain arrays; its bits can differ from the jet's value by an ulp
+    (the jet divides by a constant through its reciprocal), so callers
+    that need only u, such as the nodal interpolant, keep to ``u``.
     """
 
     name: str
@@ -182,7 +193,8 @@ def _from_expression(name: str, expr: Callable) -> ManufacturedProblem:
         return expr(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def grad_u(x, y):
-        return expr(*Jet.variables(x, y, order=1)).first
+        j = expr(*Jet.variables(x, y, order=1))
+        return j.value, *j.first
 
     def f(x, y):
         return -laplacian(expr, x, y)

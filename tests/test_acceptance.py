@@ -87,7 +87,7 @@ def cubic_floor(grid, problem):
     dx = a * X ** np.maximum(a - 1, 0) * Y ** b / scale
     dy = b * X ** a * Y ** np.maximum(b - 1, 0) / scale
     u = problem.u(xy[..., 0], xy[..., 1])
-    ux, uy = problem.grad_u(xy[..., 0], xy[..., 1])
+    _, ux, uy = problem.grad_u(xy[..., 0], xy[..., 1])
 
     def residual_sq(design, rhs):
         c = np.linalg.lstsq(design, rhs, rcond=None)[0]

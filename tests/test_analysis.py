@@ -125,9 +125,29 @@ def test_lift_norms_vanish_for_reproduced_cubics(mesh_cache):
     assert norm_h1_broken_true(lifted, q, degree=6) <= 1e-11
 
 
-def test_norm_l2_true_rejects_unknown_types(hex_sine):
+def test_norm_l2_true_rejects_unknown_types(solved_cache, hex_sine):
     with pytest.raises(TypeError):
         norm_l2_true(np.zeros(5), hex_sine)
+    mesh, u_h, _, _ = solved_cache(3)
+    lifted = lift_solution(u_h, hex_sine, build_patch_grid(mesh))
+    with pytest.raises(TypeError):
+        norm_l2_true(lifted, hex_sine, lift=lifted)
+    with pytest.raises(MeshMismatchError):
+        norm_l2_true(solved_cache(4)[1], hex_sine, lift=lifted)
+
+
+@pytest.mark.parametrize("scheme", ["lattice15-corrected", "oracle-center"])
+@pytest.mark.parametrize("level", range(3, 7))
+def test_single_pass_matches_the_separate_norms(level, scheme, solved_cache, hex_sine):
+    """The keyword form gives the field's L2 error by the patch rule,
+    which sums the subtriangle integrals in another order, and the lift
+    norms from the same kernel as the separate calls."""
+    mesh, u_h, _, _ = solved_cache(level)
+    lifted = lift_solution(u_h, hex_sine, build_patch_grid(mesh), scheme)
+    e_l2, e_lift_l2, e_lift_h1h = norm_l2_true(u_h, hex_sine, lift=lifted)
+    assert e_l2 == pytest.approx(norm_l2_true(u_h, hex_sine), rel=1e-12)
+    assert e_lift_l2 == norm_l2_true(lifted, hex_sine)
+    assert e_lift_h1h == norm_h1_broken_true(lifted, hex_sine)
 
 
 def test_interpolation_error_is_second_order(mesh_cache, hex_sine):
@@ -144,8 +164,9 @@ def test_blocked_error_norms_match_whole_mesh_sums(
     solved_cache, hex_sine, monkeypatch, block_points
 ):
     """Blocks change only the order in which the squared errors are
-    summed: the true L2 error matches one whole-mesh sum, and the lift
-    norms match the default blocks, to summation round-off."""
+    summed: the true L2 error, alone or from the single pass with the
+    lift, matches one whole-mesh sum, and the lift norms match the
+    default blocks, to summation round-off."""
     mesh, u_h, _, _ = solved_cache(5)
     q = rule(6)
     pts = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
@@ -160,3 +181,5 @@ def test_blocked_error_norms_match_whole_mesh_sums(
     assert norm_h1_broken_true(lifted, hex_sine) == pytest.approx(
         lift_norms[1], rel=1e-12
     )
+    single = norm_l2_true(u_h, hex_sine, lift=lifted)
+    assert single == pytest.approx((want, *lift_norms), rel=1e-12)

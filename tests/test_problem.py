@@ -113,6 +113,37 @@ def test_jet_power_rejects_bad_exponents():
         assert (X ** 0).value == 1.0
 
 
+def _power_from_ones(j, k):
+    """The square-and-multiply power started from the ones jet, the
+    definition the power kept before it started from the base."""
+    out = j._map(np.ones_like(np.asarray(j.value, dtype=float)),
+                 lambda a1: 0.0, lambda a1, a2: 0.0)
+    base, e = j, k
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("k", range(7))
+def test_jet_power_matches_the_ones_start(k, order):
+    """Starting from the base drops a product by the ones jet, which
+    changes no value: at most the sign of an exactly-zero part, which
+    ``array_equal`` does not see."""
+    x, y = np.random.default_rng(k).uniform(-0.9, 0.9, (2, 64))
+    X, Y = Jet.variables(x, y, order)
+
+    def parts(j):
+        return [np.broadcast_to(a, x.shape) for a in (j.value, *j.first, *(j.half or ()))]
+
+    for j in (X, Y, sin(X * Y) + Y):
+        got, want = parts(j ** k), parts(_power_from_ones(j, k))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_jet_variable_seed():
     X, Y = Jet.variables(1.5, -0.5)
     assert (X.value, Y.value) == (1.5, -0.5)
@@ -170,17 +201,18 @@ def test_jet_exp_reciprocal_and_powers(expr, value, first, second, order):
 
 @pytest.mark.parametrize("expr", CASES + [c[0] for c in CLOSED_FORMS])
 def test_order_one_is_the_first_part_of_order_two(expr):
-    """Dropping the second-order parts leaves the first partials bit for
-    bit, so the gradient may take the cheaper pass."""
+    """Dropping the second-order parts leaves the value and the first
+    partials bit for bit, so the gradient may take the cheaper pass:
+    ``grad_u`` returns ``jet_eval``'s u, u_x and u_y."""
     rng = np.random.default_rng(5)
     x, y = rng.uniform(-0.9, 0.9, (2, 257))
     one = expr(*Jet.variables(x, y, 1))
     two = expr(*Jet.variables(x, y, 2))
     assert np.array_equal(one.value, two.value)
     assert all(np.array_equal(a, b) for a, b in zip(one.first, two.first))
-    ux, uy = _from_expression("case", expr).grad_u(x, y)
-    _, want_x, want_y, _, _ = jet_eval(expr, x, y)
-    assert np.array_equal(ux, want_x) and np.array_equal(uy, want_y)
+    got = _from_expression("case", expr).grad_u(x, y)
+    want = jet_eval(expr, x, y)[:3]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,15 +222,16 @@ def test_order_one_is_the_first_part_of_order_two(expr):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_evaluation_is_block_invariant(n, cuts, seed):
-    """``f`` and ``grad_u`` on an array equal the concatenation of their
-    values over any split of it, so callers may evaluate in blocks."""
+    """``f`` and the three entries of ``grad_u`` on an array equal the
+    concatenation of their values over any split of it, so callers may
+    evaluate in blocks."""
     problem = hex_sine()
     x, y = np.random.default_rng(seed).uniform(-0.9, 0.9, (2, n))
     parts = np.split(np.arange(n), sorted(min(c, n) for c in cuts))
     f = np.concatenate([problem.f(x[p], y[p]) for p in parts])
     assert np.array_equal(f, problem.f(x, y))
     whole = problem.grad_u(x, y)
-    for k in range(2):
+    for k in range(3):
         split = np.concatenate([problem.grad_u(x[p], y[p])[k] for p in parts])
         assert np.array_equal(split, whole[k])
 
@@ -244,7 +277,8 @@ def test_source_is_minus_laplacian():
 def test_gradient_is_consistent():
     problem = hex_sine()
     x, y = np.array([0.2, -0.3]), np.array([0.1, 0.4])
-    gx, gy = problem.grad_u(x, y)
+    u, gx, gy = problem.grad_u(x, y)
+    assert np.allclose(u, problem.u(x, y), rtol=1e-13, atol=0)
     h = 1e-6
     assert np.allclose(gx, (problem.u(x + h, y) - problem.u(x - h, y)) / (2 * h), atol=1e-8)
     assert np.allclose(gy, (problem.u(x, y + h) - problem.u(x, y - h)) / (2 * h), atol=1e-8)

@@ -3,9 +3,12 @@
 For every level given it hashes the condensed matrix A (``data``,
 ``indices``, ``indptr``), the load b, the centre loads, the CG
 solution, the recovered field and, from level 3, the default lift's
-``coeffs``, ``rank``, ``sigma_min`` and ``residual``.  A last line
-hashes the CSV of ``hivevem study --min-level 1 --max-level MAX --lift``
-for the largest level given (without ``--lift`` below level 3).
+``coeffs``, ``rank``, ``sigma_min`` and ``residual``.  The last two
+lines hash the study ``hivevem study --min-level 1 --max-level MAX
+--lift`` for the largest level given (without ``--lift`` below level
+3): its CSV, and every error and order value of its rows as
+``float.hex``, which shows the changes in the last bits that the CSV's
+three digits hide.
 
 Index arrays are hashed as int64 values, so a change of integer dtype
 alone leaves a hash as it was.  Two checkouts that print the same lines
@@ -17,11 +20,8 @@ Usage: ``python tools/fingerprint.py LEVEL [LEVEL ...]``; it imports
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -65,17 +65,16 @@ def level_hashes(level: int, problem) -> list[tuple[str, str]]:
     return out
 
 
-def study_csv_hash(max_level: int) -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "study.csv"
-        argv = ["study", "--min-level", "1", "--max-level", str(max_level),
-                "--csv", str(path)]
-        if max_level >= lift.MIN_LIFT_LEVEL:
-            argv.append("--lift")
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(argv) != 0:
-                raise SystemExit(f"study {argv} failed")
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+def study_hashes(max_level: int) -> list[tuple[str, str]]:
+    """Hashes of the study's CSV and of its error and order values."""
+    rows = cli.run_study(cli.StudyConfig(
+        min_level=1, max_level=max_level,
+        lift_enabled=max_level >= lift.MIN_LIFT_LEVEL))
+    values = [getattr(r, name) for r in rows for name in cli.CSV_COLUMNS
+              if name.startswith(("e_", "r_"))]
+    exact = " ".join("None" if v is None else float(v).hex() for v in values)
+    return [("csv", hashlib.sha256(cli.rows_to_csv(rows).encode()).hexdigest()),
+            ("values", hashlib.sha256(exact.encode()).hexdigest())]
 
 
 def main(argv=None) -> int:
@@ -87,7 +86,8 @@ def main(argv=None) -> int:
     for level in levels:
         for name, h in level_hashes(level, problem):
             print(f"level {level:2d}  {name:12s} {h}")
-    print(f"study 1..{max(levels)}  csv          {study_csv_hash(max(levels))}")
+    for name, h in study_hashes(max(levels)):
+        print(f"study 1..{max(levels)}  {name:12s} {h}")
     return 0
 
 
