@@ -9,18 +9,15 @@ Exit codes: 0 success, 1 configuration error (invalid arguments,
 levels or settings), 2 numerical failure (any other ``ValueError``
 included).
 
-The environment variable ``HIVE_VEM_THREADS`` caps the BLAS thread
-pool through ``threadpoolctl``.  numpy has loaded its BLAS before the
-variable is read, so the library's own thread variables can no longer
-take effect; without ``threadpoolctl`` a set value is therefore a
-configuration error, not ignored.  hivevem itself is sequential, so
-runs with a fixed configuration are bit-for-bit reproducible.
+hivevem itself is sequential; the BLAS thread pool is set by the BLAS
+library's own variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``)
+before the process starts.  Runs with a fixed configuration are
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -229,29 +226,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _limit_threads() -> None:
-    cap = os.environ.get("HIVE_VEM_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise ConfigError(f"HIVE_VEM_THREADS must be an integer, got {cap!r}")
-    try:
-        import threadpoolctl
-    except ImportError:
-        raise ConfigError(
-            "HIVE_VEM_THREADS needs the threadpoolctl package, which is not "
-            "installed; set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before "
-            "starting hivevem instead"
-        ) from None
-    threadpoolctl.threadpool_limits(limits=n)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _limit_threads()
         if args.command == "study":
             try:
                 solver_config = solver.SolverConfig(

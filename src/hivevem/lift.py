@@ -17,7 +17,9 @@ coordinates divided by L, so design matrices stay well conditioned
 uniformly in the level.  In that frame the sites depend only on the
 patch's frame, one of twelve ordered pairs of lattice steps along its
 edges, so all patches with the same frame and site subset share one
-design matrix and are fitted together with one pseudo-inverse.
+design matrix and are fitted together with one pseudo-inverse.  Every
+scheme's sites determine a cubic on every patch; a fit of rank below
+10 raises :class:`LiftRankError`.
 
 Data schemes
 ------------
@@ -31,10 +33,6 @@ Data schemes
 ``paper11-plain`` / ``paper11-corrected``
     The mesh vertices of the patch plus its centre-class corner, data
     plain or corrected; the smallest site set with a provable rank.
-``vertices-only-minnorm``
-    Mesh vertices only, minimum-norm solution; on patches with no
-    boundary sites the design matrix is rank deficient and the fit is a
-    diagnostic, not an approximation.
 ``oracle-center``
     All 15 sites with exact solution values at the centres; isolates
     the effect of the centre-data correction.
@@ -42,7 +40,6 @@ Data schemes
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -54,7 +51,7 @@ from .quadrature import blocks, rule, sample
 from .system import FieldP1
 
 SCHEMES = ("lattice15-corrected", "paper11-plain", "paper11-corrected",
-           "vertices-only-minnorm", "oracle-center")
+           "oracle-center")
 
 MIN_LIFT_LEVEL = 3
 
@@ -107,10 +104,6 @@ class UnsupportedLevelError(ValueError):
 
 class LiftRankError(RuntimeError):
     """A scheme that requires a determined fit met a deficient matrix."""
-
-
-class RankDeficientFitWarning(UserWarning):
-    """Diagnostic warning for minimum-norm fits with deficient rank."""
 
 
 def monomial_basis(local: np.ndarray) -> np.ndarray:
@@ -258,17 +251,15 @@ def _site_mask(site_is_center, c0_corner_site, scheme: str) -> np.ndarray:
     if scheme in ("lattice15-corrected", "oracle-center"):
         return np.ones(site_is_center.shape, dtype=bool)
     mask = ~site_is_center
-    if scheme != "vertices-only-minnorm":
-        mask[np.arange(mask.shape[0]), c0_corner_site] = True
+    mask[np.arange(mask.shape[0]), c0_corner_site] = True
     return mask
 
 
 def _fit(frames, masks, data, scheme: str):
     """Coefficients (n, 10), rank, smallest singular value and residual
     norm (n,) of fits to ``data`` (n, 15) at the masked sites, with one
-    pseudo-inverse per class of equal frame and mask.  Rank cutoff and
-    minimum-norm solution are those of ``lstsq``; deficient fits raise
-    :class:`LiftRankError`, or warn under the min-norm scheme."""
+    pseudo-inverse per class of equal frame and mask.  The rank cutoff
+    is that of ``lstsq``; deficient fits raise :class:`LiftRankError`."""
     n = len(frames)
     coeffs, (sigma_min, residual) = np.empty((n, 10)), np.empty((2, n))
     rank = np.empty(n, dtype=np.int64)
@@ -286,11 +277,8 @@ def _fit(frames, masks, data, scheme: str):
         residual[ids] = np.linalg.norm(coeffs[ids] @ design.T - d, axis=1)
     bad = np.flatnonzero(rank < 10)
     if bad.size:
-        where = f"patch {bad[0]}: design matrix rank {rank[bad[0]]} < 10"
-        if scheme != "vertices-only-minnorm":
-            raise LiftRankError(f"{where} under scheme {scheme!r}")
-        warnings.warn(f"{where}, minimum-norm fit ({bad.size} such patches)",
-                      RankDeficientFitWarning, stacklevel=3)
+        raise LiftRankError(f"patch {bad[0]}: design matrix rank "
+                            f"{rank[bad[0]]} < 10 under scheme {scheme!r}")
     return coeffs, rank, sigma_min, residual
 
 

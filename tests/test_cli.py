@@ -1,8 +1,6 @@
 """Driver behaviour: configuration, CSV output, exit codes."""
 
 import dataclasses
-import sys
-import types
 
 import numpy as np
 import pytest
@@ -168,9 +166,11 @@ def test_main_study_writes_csv(tmp_path):
 def test_main_reports_config_errors(tmp_path):
     assert main(["study", "--min-level", "5", "--max-level", "3"]) == 1
     assert main(["study", "--problem", "nope"]) == 1
-    with pytest.raises(SystemExit) as err:  # the option is gone
-        main(["study", "--quad-load", "4"])
-    assert err.value.code == 1
+    for gone in (["--quad-load", "4"],  # the option is gone
+                 ["--lift", "--lift-scheme", "vertices-only-minnorm"]):
+        with pytest.raises(SystemExit) as err:
+            main(["study", *gone])
+        assert err.value.code == 1
     assert main(["study", "--tol", "1e-3"]) == 1
     assert main(["study", "--maxit", "0"]) == 1
     # settings that the run would ignore
@@ -207,25 +207,6 @@ def test_unknown_arguments_exit_nonzero():
     assert err.value.code == 1
     with pytest.raises(SystemExit):
         main([])
-
-
-def test_thread_cap_must_be_integer(monkeypatch, capsys):
-    """The cap is applied through threadpoolctl; without it a set cap is
-    rejected, because the BLAS has loaded before the variable is read."""
-    study = ["study", "--min-level", "1", "--max-level", "1", "--solver", "chol"]
-    calls = []
-    fake = types.SimpleNamespace(threadpool_limits=lambda limits: calls.append(limits))
-    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-    monkeypatch.setenv("HIVE_VEM_THREADS", "many")
-    assert main(study) == 1 and calls == []
-    monkeypatch.setenv("HIVE_VEM_THREADS", "3")
-    assert main(study) == 0 and calls == [3]
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # not installed
-    capsys.readouterr()
-    assert main(study) == 1
-    assert "threadpoolctl" in capsys.readouterr().err
-    monkeypatch.delenv("HIVE_VEM_THREADS")
-    assert main(study) == 0
 
 
 @pytest.mark.parametrize("what", ["mesh", "solution", "lift"])

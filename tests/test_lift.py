@@ -9,7 +9,6 @@ pipeline, including the centre-value correction.
 import dataclasses
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from hivevem.lift import (
     MONOMIAL_POWERS,
     SCHEMES,
     LiftRankError,
-    RankDeficientFitWarning,
     UnsupportedLevelError,
+    _fit,
     _node_data,
     build_patch_grid,
     evaluate_lift,
@@ -51,15 +50,14 @@ def cubic_problem():
 
 def scheme_sites(grid, p, scheme):
     """Site ids (into the 15) that a scheme fits on patch ``p``, derived
-    here from the mesh: all 15, or the mesh vertices plus, except under
-    the min-norm scheme, the corner of centre class."""
+    here from the mesh: all 15, or the mesh vertices plus the corner of
+    centre class."""
     if scheme in ("lattice15-corrected", "oracle-center"):
         return np.arange(15)
     ij = grid.mesh.node_ij[grid.site_nodes[p]]
     corner = (ij[:, None] == grid.corners_ij[p]).all(axis=-1).any(axis=1)
     keep = ~grid.mesh.is_center[grid.site_nodes[p]]
-    if scheme != "vertices-only-minnorm":
-        keep |= corner & (node_class(ij[:, 0], ij[:, 1]) == 0)
+    keep |= corner & (node_class(ij[:, 0], ij[:, 1]) == 0)
     return np.flatnonzero(keep)
 
 
@@ -175,25 +173,25 @@ def test_patch_quadrature_computes_the_basis_once_per_rule():
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.filterwarnings("ignore::hivevem.lift.RankDeficientFitWarning")
 def test_fit_reproduces_cubic_site_data(grid3, scheme, patch_cubic):
     """Exact cubic data at the scheme's sites is fitted exactly: the
-    residual vanishes and full-rank fits match the cubic pointwise.
+    residual vanishes and every fit matches the cubic pointwise.
     Every node carries the exact value and ``f`` is zero, so the data
     is exact under every scheme."""
     q = dataclasses.replace(cubic_problem(), f=lambda x, y: 0.0 * x)
     lifted = lift_solution(interpolate_pointwise(q, grid3.mesh), q, grid3, scheme)
     assert np.all(lifted.residual <= 1e-12)
     rng = np.random.default_rng(5)
-    for p in np.flatnonzero(lifted.rank == 10):
+    for p in range(grid3.n_patches):
         pts = grid3.centroid[p] + 0.1 * rng.normal(size=(20, 2))
         want = q.u(pts[:, 0], pts[:, 1])
         assert np.allclose(patch_cubic(lifted, p, pts)[0], want, atol=1e-11)
 
 
 def test_lift_rejects_unknown_scheme(grid3):
-    with pytest.raises(ValueError):
-        zero_lift(grid3, "not-a-scheme")
+    for scheme in ("not-a-scheme", "vertices-only-minnorm"):
+        with pytest.raises(ValueError):
+            zero_lift(grid3, scheme)
 
 
 def test_lattice15_fits_are_well_conditioned(mesh_cache):
@@ -213,23 +211,19 @@ def test_paper11_rank_is_ten_on_level3(grid3):
     assert np.all(zero_lift(grid3, "paper11-plain").rank == 10)
 
 
-def test_minnorm_warns_on_interior_patches(grid4):
-    """Ten vertex values cannot determine ten cubic coefficients on
-    interior patches; the min-norm scheme downgrades this to one
-    warning for the whole lift."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fits = zero_lift(grid4, "vertices-only-minnorm")
-    sizes = np.array([scheme_sites(grid4, p, "vertices-only-minnorm").size
-                      for p in range(grid4.n_patches)])
-    assert np.count_nonzero(sizes == 10) == 6
-    assert np.array_equal(fits.rank, np.where(sizes == 10, 9, 10))
-    assert len(caught) == 1
-    assert issubclass(caught[0].category, RankDeficientFitWarning)
-
-
 def test_rank_error_type():
     assert issubclass(LiftRankError, RuntimeError)
+
+
+def test_deficient_fit_raises_rank_error(grid4):
+    """Mesh vertices alone cannot determine a cubic on the interior
+    patches of level 4, which carry ten of them: their design matrices
+    have rank 9, below the lstsq cutoff, and the fit raises."""
+    vertices = ~grid4.site_is_center
+    assert np.count_nonzero(vertices.sum(axis=1) == 10) == 6
+    data = np.zeros(vertices.shape)
+    with pytest.raises(LiftRankError, match="rank 9"):
+        _fit(grid4.frame, vertices, data, "vertices")
 
 
 def reference_fit(u_h, problem, grid, p, scheme):
@@ -248,31 +242,23 @@ def reference_fit(u_h, problem, grid, p, scheme):
     X = (xy - position(grid.corners_ij[p], mesh.s).mean(axis=0)) / (4.0 * mesh.s)
     A = np.stack([X[:, 0] ** p * X[:, 1] ** q for p, q in MONOMIAL_POWERS], 1)
     coeffs, _, rank, sv = np.linalg.lstsq(A, data, rcond=None)
-    return coeffs, rank, sv, np.finfo(float).eps * max(A.shape) * sv[0]
+    return coeffs, rank, sv
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_batched_fits_match_per_patch_lstsq(scheme, solved_cache, hex_sine):
     """One pseudo-inverse per patch class gives each patch's lstsq fit:
-    coefficients to 1e-12, the same rank, and the same smallest singular
-    value (to 1e-12 where the fit has full rank; below the rank cutoff
-    on both sides where it does not)."""
+    coefficients to 1e-12, the same full rank, and the same smallest
+    singular value to 1e-12."""
     mesh, u_h, _, _ = solved_cache(4)
     grid = build_patch_grid(mesh)
-    if scheme == "vertices-only-minnorm":
-        with pytest.warns(RankDeficientFitWarning):
-            lifted = lift_solution(u_h, hex_sine, grid, scheme)
-    else:
-        lifted = lift_solution(u_h, hex_sine, grid, scheme)
+    lifted = lift_solution(u_h, hex_sine, grid, scheme)
     for p in range(grid.n_patches):
-        coeffs, rank, sv, cutoff = reference_fit(u_h, hex_sine, grid, p, scheme)
+        coeffs, rank, sv = reference_fit(u_h, hex_sine, grid, p, scheme)
         got = lifted.coeffs[p]
         assert np.linalg.norm(got - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
-        assert lifted.rank[p] == rank
-        if rank == 10:
-            assert lifted.sigma_min[p] == pytest.approx(sv[-1], rel=1e-12)
-        else:
-            assert lifted.sigma_min[p] <= cutoff and sv[-1] <= cutoff
+        assert lifted.rank[p] == rank == 10
+        assert lifted.sigma_min[p] == pytest.approx(sv[-1], rel=1e-12)
 
 
 # ------------------------------------------------------- centre correction

@@ -43,7 +43,7 @@ def test_direct_matches_numpy_on_a_small_spd_system():
     x, stats = solve(A, b, SolverConfig(method="chol"))
     want = np.linalg.solve(A.to_csr().toarray(), b)
     assert np.allclose(x, want, atol=1e-12)
-    assert stats.converged and stats.method == "chol"
+    assert stats.method == "chol"
 
 
 def test_cg_matches_direct(mesh_cache, hex_sine):
@@ -51,7 +51,6 @@ def test_cg_matches_direct(mesh_cache, hex_sine):
     x_cg, stats = solve(A, b, SolverConfig(method="cg"))
     x_direct, _ = solve(A, b, SolverConfig(method="chol"))
     assert np.max(np.abs(x_cg - x_direct)) <= 1e-10
-    assert stats.converged
     assert stats.iterations <= A.n
 
 
@@ -83,13 +82,13 @@ def test_cg_iteration_budget_raises(mesh_cache, hex_sine):
 def test_zero_rhs_short_circuits():
     A = random_spd(5)
     x, stats = solve(A, np.zeros(5), SolverConfig(method="cg"))
-    assert np.all(x == 0) and stats.iterations == 0 and stats.converged
+    assert np.all(x == 0) and stats.iterations == 0
 
 
 def test_empty_system():
     A = SparseSpd(sp.csr_matrix((0, 0)))
     x, stats = solve(A, np.zeros(0))
-    assert x.size == 0 and stats.converged
+    assert x.size == 0
 
 
 def test_rhs_shape_check():

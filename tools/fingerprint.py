@@ -2,13 +2,13 @@
 
 For every level given it hashes the condensed matrix A (``data``,
 ``indices``, ``indptr``), the load b, the centre loads, the CG
-solution, the recovered field and, from level 3, the default lift's
-``coeffs``, ``rank``, ``sigma_min`` and ``residual``.  The last two
-lines hash the study ``hivevem study --min-level 1 --max-level MAX
---lift`` for the largest level given (without ``--lift`` below level
-3): its CSV, and every error and order value of its rows as
-``float.hex``, which shows the changes in the last bits that the CSV's
-three digits hide.
+solution, the recovered field and, from level 3, the lift's ``coeffs``,
+``rank``, ``sigma_min`` and ``residual`` under every scheme of
+``lift.SCHEMES``.  The last two lines hash the study ``hivevem study
+--min-level 1 --max-level MAX --lift`` for the largest level given
+(without ``--lift`` below level 3): its CSV, and every error and order
+value of its rows as ``float.hex``, which shows the changes in the last
+bits that the CSV's three digits hide.
 
 Index arrays are hashed as int64 values, so a change of integer dtype
 alone leaves a hash as it was.  Two checkouts that print the same lines
@@ -59,9 +59,11 @@ def level_hashes(level: int, problem) -> list[tuple[str, str]]:
         ("recovered", digest(system.recover_centers(u_h, dofs).values)),
     ]
     if level >= lift.MIN_LIFT_LEVEL:
-        r = lift.lift_solution(u_h, problem, lift.build_patch_grid(mesh))
-        out += [(name, digest(getattr(r, name)))
-                for name in ("coeffs", "rank", "sigma_min", "residual")]
+        grid = lift.build_patch_grid(mesh)
+        for scheme in lift.SCHEMES:
+            r = lift.lift_solution(u_h, problem, grid, scheme)
+            out += [(f"{scheme} {name}", digest(getattr(r, name)))
+                    for name in ("coeffs", "rank", "sigma_min", "residual")]
     return out
 
 
@@ -85,9 +87,9 @@ def main(argv=None) -> int:
     problem = get_problem("hex-sine")
     for level in levels:
         for name, h in level_hashes(level, problem):
-            print(f"level {level:2d}  {name:12s} {h}")
+            print(f"level {level:2d}  {name:29s} {h}")
     for name, h in study_hashes(max(levels)):
-        print(f"study 1..{max(levels)}  {name:12s} {h}")
+        print(f"study 1..{max(levels)}  {name:29s} {h}")
     return 0
 
 
