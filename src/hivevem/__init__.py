@@ -43,7 +43,6 @@ from .quadrature import QuadratureRule, integrate, monomial_integral, rule
 from .solver import SolveStats, SolverConfig, SolverError, solve
 from .system import (
     ELEMENT_STIFFNESS,
-    DofMap,
     FieldP1,
     SparseSpd,
     assemble,
@@ -52,7 +51,6 @@ from .system import (
     interpolate_pointwise,
     load_vector,
     recover_centers,
-    restrict,
 )
 
 __version__ = "0.1.0"

@@ -6,8 +6,9 @@ write the same content as CSV.  ``hivevem export`` writes meshes,
 solutions or lifted solutions as legacy VTK.
 
 Exit codes: 0 success, 1 configuration error (invalid arguments,
-levels or settings), 2 numerical failure (any other ``ValueError``
-included).
+levels or settings, or an output path that cannot be opened for
+writing, all found before any level is built), 2 numerical failure
+(any other ``ValueError`` included).
 
 hivevem itself is sequential; the BLAS thread pool is set by the BLAS
 library's own variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``)
@@ -18,6 +19,7 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -67,16 +69,29 @@ class StudyConfig:
             raise ConfigError(f"lift needs max-level >= {lift.MIN_LIFT_LEVEL}")
 
 
+def check_writable(path) -> None:
+    """Raise :class:`ConfigError` unless ``path`` can be opened for
+    writing; a file that did not exist is removed again."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def solve_level(
     level: int,
     problem: ManufacturedProblem,
     solver_config: solver.SolverConfig | None = None,
 ):
-    """Solve one level; returns ``(mesh, u_h, dofs, stats)``."""
+    """Solve one level; returns ``(mesh, u_h, center_load, stats)``,
+    ``center_load`` for :func:`system.recover_centers`."""
     mesh = build_mesh(level)
-    A, b, dofs = system.assemble(mesh, problem)
+    A, b, center_load = system.assemble(mesh, problem)
     x, stats = solver.solve(A, b, solver_config)
-    return mesh, system.expand(x, dofs, mesh), dofs, stats
+    return mesh, system.expand(x, mesh), center_load, stats
 
 
 def study_row(
@@ -84,10 +99,10 @@ def study_row(
     problem: ManufacturedProblem,
     config: StudyConfig,
 ) -> analysis.StudyRow:
-    mesh, u_h, dofs, _ = solve_level(level, problem, config.solver)
+    mesh, u_h, center_load, _ = solve_level(level, problem, config.solver)
     u_i = system.interpolate(problem, mesh)
     l2, h1, linf = analysis.norms_superclose(u_h, u_i)
-    u_rec = system.recover_centers(u_h, dofs)
+    u_rec = system.recover_centers(u_h, center_load)
     if config.lift_enabled and level >= lift.MIN_LIFT_LEVEL:
         grid = lift.build_patch_grid(mesh)
         scheme = config.lift_scheme or lift.SCHEMES[0]
@@ -100,7 +115,7 @@ def study_row(
     return analysis.StudyRow(
         level=level,
         h=mesh.s,
-        dofs=dofs.n_dofs,
+        dofs=mesh.free.size,
         e_ih_l2=l2,
         e_ih_h1=h1,
         e_ih_linf=linf,
@@ -164,6 +179,7 @@ def export(
         raise ConfigError(
             f"lift export needs level >= {lift.MIN_LIFT_LEVEL}, got {level}"
         )
+    check_writable(path)
     if what == "mesh":
         vtkio.write_vtk(build_mesh(level), path, title=f"honeycomb level {level}")
         return
@@ -245,6 +261,8 @@ def main(argv=None) -> int:
                 solver=solver_config,
                 csv_path=args.csv,
             )
+            if config.csv_path:
+                check_writable(config.csv_path)
             start = time.perf_counter()
             rows = run_study(config)
             elapsed = time.perf_counter() - start

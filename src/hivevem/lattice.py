@@ -39,9 +39,6 @@ import numpy as np
 
 SQRT3 = math.sqrt(3.0)
 
-#: Exact area of the computational domain.
-DOMAIN_AREA = 1.5 * SQRT3
-
 #: Largest refinement level accepted by :func:`build_mesh`.  Memory grows
 #: about fourfold per level: a level-10 study with the lift peaks at about
 #: 510 MB, so level 11 would need about 2 GB.
@@ -108,6 +105,10 @@ class HoneycombMesh:
         Subtriangles of the auxiliary mesh, vertices counterclockwise.
     centers, nh_nodes : int arrays
         Indices of the interior centres and of all other nodes.
+    free : int array
+        Indices of the free nodes, ascending: the interior mesh vertices,
+        neither on the boundary nor a centre.  They index the degrees of
+        freedom of the discrete system.
 
     :meth:`index` maps lattice coordinates to node indices and
     :meth:`tri_index` lattice unit triangles to subtriangle indices.
@@ -125,6 +126,7 @@ class HoneycombMesh:
     tris: np.ndarray
     centers: np.ndarray
     nh_nodes: np.ndarray
+    free: np.ndarray
     _lookup: np.ndarray  # [i + n + 1, j + n + 1]: node index, int32, -1 outside
 
     @property
@@ -305,6 +307,7 @@ def build_mesh(level: int) -> HoneycombMesh:
         tris=tris,
         centers=np.flatnonzero(is_center),
         nh_nodes=np.flatnonzero(~is_center),
+        free=np.flatnonzero(~is_center & ~on_boundary),
         _lookup=np.pad(lookup.astype(np.int32), 1, constant_values=-1),
     )
     # Six corners around every interior centre, all of which must exist.

@@ -97,11 +97,8 @@ def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
     if b.shape != (A.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
 
-    if A.n == 0:
-        return np.zeros(0), SolveStats(config.method, 0, 0.0, 0.0)
-
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    if bnorm == 0.0:  # the empty system of level 1 included
         return np.zeros(A.n), SolveStats(config.method, 0, 0.0, 0.0)
 
     if config.method == "chol":
@@ -127,8 +124,8 @@ def _multigrid(A: SparseSpd):
         coarse = build_mesh(mesh.level - 1)
         P = refinement_transfer(coarse, mesh)
         levels.append((op, MG_OMEGA / op.diagonal(), P))
-        # Row storage of P^T for the product only: the cycle restricts
-        # with the view P.T, so the hierarchy keeps one copy of P.
+        # Row storage of P^T for the product only: the cycle coarsens
+        # residuals with the view P.T, so the hierarchy keeps one copy of P.
         op, mesh = P.T.tocsr() @ (op @ P), coarse
     coarsest = _factorise(op)
     return lambda r: _vcycle(levels, coarsest, r)
@@ -221,10 +218,4 @@ def _solve_direct(A: SparseSpd, b, config: SolverConfig, bnorm: float):
         rel = new_rel
     if not np.all(np.isfinite(x)) or rel > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {rel:.3e}")
-    stats = SolveStats(
-        method="chol",
-        iterations=refinements,
-        residual=rel,
-        recurrence_residual=rel,
-    )
-    return x, stats
+    return x, SolveStats("chol", refinements, rel, rel)

@@ -1,7 +1,7 @@
 """Discrete Poisson system on the honeycomb mesh.
 
 The trial space is continuous piecewise P1 on the auxiliary triangular
-submesh, restricted by two linear conditions: homogeneous Dirichlet
+submesh, subject to two linear conditions: homogeneous Dirichlet
 values on boundary nodes and, at every interior hexagon centre, the
 value equal to the mean of the six surrounding corner values.  The
 centre condition is the energy-minimising (discrete harmonic) extension
@@ -14,18 +14,18 @@ the 7-point stencil of the lattice: every equilateral subtriangle shares
 one element stiffness, so each row holds the node and those of its six
 lattice neighbours that lie in the domain.  It condenses both through
 the prolongation C that expresses every node value in terms of the
-free corner degrees of freedom:
+values at the free nodes ``mesh.free``, the degrees of freedom:
 
     A = C^T K C,     b = C^T l.
 
 A is symmetric positive definite because C has full column rank.  The
-load rows of the eliminated centres go into the returned :class:`DofMap`,
-from which :func:`recover_centers` undoes the elimination.
+load rows of the eliminated centres are returned next to A and b, and
+:func:`recover_centers` undoes the elimination with them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,20 +77,6 @@ def _unit_stiffness() -> np.ndarray:
 ELEMENT_STIFFNESS = _unit_stiffness()
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Free degrees of freedom: interior mesh vertices, in node order.
-
-    ``center_load`` holds the load at ``mesh.centers`` when the map
-    comes from :func:`assemble`, else ``None``.
-    """
-
-    node_to_dof: np.ndarray
-    dof_to_node: np.ndarray
-    n_dofs: int
-    center_load: np.ndarray | None = None
-
-
 class SparseSpd:
     """Symmetric positive definite matrix in compressed-row storage.
 
@@ -100,7 +86,7 @@ class SparseSpd:
     (congruence of the P1 stiffness with a full-rank prolongation) and
     is exercised by the tests rather than re-proved here.
 
-    ``mesh`` is the lattice whose free degrees of freedom index the rows
+    ``mesh`` is the lattice whose free nodes ``mesh.free`` index the rows
     when the matrix comes from :func:`assemble`, else ``None``; the
     multigrid preconditioner coarsens through it.
     """
@@ -161,27 +147,18 @@ class FieldP1:
         return max(gap, bdry)
 
 
-def build_dof_map(mesh: HoneycombMesh) -> DofMap:
-    free = ~mesh.on_boundary & ~mesh.is_center
-    dof_to_node = np.flatnonzero(free)
-    node_to_dof = -np.ones(mesh.n_nodes, dtype=np.int64)
-    node_to_dof[dof_to_node] = np.arange(dof_to_node.size)
-    return DofMap(
-        node_to_dof=node_to_dof,
-        dof_to_node=dof_to_node,
-        n_dofs=dof_to_node.size,
-    )
-
-
-def prolongation(mesh: HoneycombMesh, dofs: DofMap) -> sp.csr_matrix:
+def prolongation(mesh: HoneycombMesh) -> sp.csr_matrix:
     """Node values from free dofs: identity rows for free vertices,
     1/6 corner averages for centres, zero rows for boundary nodes."""
-    corner_dofs = dofs.node_to_dof[mesh.center_corners].ravel()
+    n_free = mesh.free.size
+    dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    dof[mesh.free] = np.arange(n_free)
+    corner_dofs = dof[mesh.center_corners].ravel()
     keep = corner_dofs >= 0
-    rows = np.r_[dofs.dof_to_node, np.repeat(mesh.centers, 6)[keep]]
-    cols = np.r_[np.arange(dofs.n_dofs), corner_dofs[keep]]
-    vals = np.r_[np.ones(dofs.n_dofs), np.full(int(keep.sum()), 1.0 / 6.0)]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, dofs.n_dofs))
+    rows = np.r_[mesh.free, np.repeat(mesh.centers, 6)[keep]]
+    cols = np.r_[np.arange(n_free), corner_dofs[keep]]
+    vals = np.r_[np.ones(n_free), np.full(int(keep.sum()), 1.0 / 6.0)]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, n_free))
 
 
 def refinement_transfer(
@@ -201,7 +178,7 @@ def refinement_transfer(
         raise ValueError(
             f"levels {coarse.level} and {fine.level} are not one refinement apart"
         )
-    ij = fine.node_ij[build_dof_map(fine).dof_to_node]
+    ij = fine.node_ij[fine.free]
     odd = ij & 1
     # Half the coarse edge through each fine node: none on coarse nodes,
     # else the lattice step (1, 0), (0, 1) or (1, -1).
@@ -213,7 +190,7 @@ def refinement_transfer(
         (np.full(rows.size, 0.5), (rows, cols)),
         shape=(ij.shape[0], coarse.n_nodes),
     )
-    return inject @ prolongation(coarse, build_dof_map(coarse))
+    return inject @ prolongation(coarse)
 
 
 def load_vector(
@@ -291,40 +268,33 @@ def stiffness(mesh: HoneycombMesh) -> sp.csr_matrix:
 def assemble(mesh: HoneycombMesh, problem: ManufacturedProblem):
     """Assemble the condensed SPD system.
 
-    Returns ``(A, b, dofs)``; ``dofs.center_load`` carries the load at
-    the centres for :func:`recover_centers`.  The load is computed
-    first, block by block, before K is built.
+    Returns ``(A, b, center_load)``: the rows of A and b follow
+    ``mesh.free``, and ``center_load`` is the load at ``mesh.centers``
+    for :func:`recover_centers`.  The load is computed first, block by
+    block, before K is built.
     A zero-dimensional system (level 1 has no free vertices) is returned
     as such; the solution field is then identically zero.
     """
     load = load_vector(mesh, problem)
-    dofs = replace(build_dof_map(mesh), center_load=load[mesh.centers])
-
-    C = prolongation(mesh, dofs)
+    C = prolongation(mesh)
     A = SparseSpd(C.T @ stiffness(mesh) @ C, mesh)
     b = C.T @ load
-    return A, b, dofs
+    return A, b, load[mesh.centers]
 
 
-def expand(x: np.ndarray, dofs: DofMap, mesh: HoneycombMesh) -> FieldP1:
-    """Nodal field from a free-dof vector: boundary zero, centres
-    set to the mean of their corners."""
+def expand(x: np.ndarray, mesh: HoneycombMesh) -> FieldP1:
+    """Nodal field from a vector over ``mesh.free``: boundary zero,
+    centres set to the mean of their corners."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (dofs.n_dofs,):
-        raise ValueError(f"expected {dofs.n_dofs} dof values, got {x.shape}")
+    if x.shape != mesh.free.shape:
+        raise ValueError(f"expected {mesh.free.size} dof values, got {x.shape}")
     values = np.zeros(mesh.n_nodes)
-    values[dofs.dof_to_node] = x
+    values[mesh.free] = x
     values[mesh.centers] = values[mesh.center_corners].mean(axis=1)
     return FieldP1(mesh=mesh, values=values)
 
 
-def restrict(field: FieldP1, dofs: DofMap) -> np.ndarray:
-    """Free-dof vector of a nodal field (inverse of :func:`expand` on
-    fields satisfying the space constraints)."""
-    return field.values[dofs.dof_to_node].copy()
-
-
-def recover_centers(u_h: FieldP1, dofs: DofMap) -> FieldP1:
+def recover_centers(u_h: FieldP1, center_load: np.ndarray) -> FieldP1:
     """Re-expand hexagon centres by exact static condensation.
 
     The condensed matrix ``C^T K C`` coincides with the Schur
@@ -336,26 +306,18 @@ def recover_centers(u_h: FieldP1, dofs: DofMap) -> FieldP1:
 
         u(x0) = mean(corners) + l(x0) / (2*sqrt(3)),
 
-    where ``l(x0)`` is the centre's load, ``dofs.center_load`` from
+    where ``l(x0)`` is the centre's load, ``center_load`` from
     :func:`assemble` (the centre's diagonal stiffness on the
     six-triangle fan is 2*sqrt(3), independent of scale).  These centre
     values are pointwise fourth-order accurate, while the plain corner
     average is only second-order accurate there, so error norms of the
     solution should be measured on this representation.
-
-    Raises ``ValueError`` if ``dofs`` carries no centre loads, as a map
-    from :func:`build_dof_map` does not.
     """
-    if dofs.center_load is None:
-        raise ValueError(
-            "recover_centers needs the centre loads of the DofMap "
-            "that assemble returns"
-        )
     mesh = u_h.mesh
     values = u_h.values.copy()
     values[mesh.centers] = (
         values[mesh.center_corners].mean(axis=1)
-        + dofs.center_load / (2.0 * np.sqrt(3.0))
+        + center_load / (2.0 * np.sqrt(3.0))
     )
     return FieldP1(mesh=mesh, values=values)
 

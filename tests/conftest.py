@@ -24,16 +24,16 @@ def mesh_cache():
 
 @pytest.fixture(scope="session")
 def solved_cache(mesh_cache):
-    """level -> (mesh, u_h, dofs, stats) for hex-sine, direct solver."""
+    """level -> (mesh, u_h, center_load, stats) for hex-sine, direct solver."""
     cache = {}
 
     def get(level):
         if level not in cache:
             problem = get_problem("hex-sine")
             mesh = mesh_cache(level)
-            A, b, dofs = assemble(mesh, problem)
+            A, b, center_load = assemble(mesh, problem)
             x, stats = solve(A, b, SolverConfig(method="chol"))
-            cache[level] = (mesh, expand(x, dofs, mesh), dofs, stats)
+            cache[level] = (mesh, expand(x, mesh), center_load, stats)
         return cache[level]
 
     return get

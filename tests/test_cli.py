@@ -260,6 +260,34 @@ def test_levels_above_the_memory_ceiling_are_rejected_up_front(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["study", "export"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_rejected_before_any_mesh(
+    command, where, tmp_path, monkeypatch, capsys
+):
+    """An output path that cannot be opened for writing is a
+    configuration error, found before any level is built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mesh was built before the output path was checked")
+
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    argv = (["study", "--max-level", "3", "--csv", str(path)] if command == "study"
+            else ["export", "--level", "3", "--what", "solution", "--path", str(path)])
+    assert main(argv) == 1
+    assert "hivevem: configuration error: cannot write" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_writable_check_leaves_the_path_as_it_was(tmp_path):
+    out = tmp_path / "x.csv"
+    cli.check_writable(out)
+    assert not out.exists()
+    out.write_text("kept")
+    cli.check_writable(out)
+    assert out.read_text() == "kept"
+
+
 def test_study_row_evaluates_the_load_once(hex_sine):
     """The load quadrature, one degree-4 rule per subtriangle, is the
     only evaluation of ``f``: centre recovery reuses its centre rows."""

@@ -23,7 +23,6 @@ from hivevem.system import (
     FieldP1,
     SparseSpd,
     assemble,
-    build_dof_map,
     expand,
     interpolate,
     interpolate_pointwise,
@@ -32,7 +31,6 @@ from hivevem.system import (
     prolongation,
     recover_centers,
     refinement_transfer,
-    restrict,
     stiffness,
 )
 
@@ -116,60 +114,59 @@ def test_stencil_stiffness_is_the_element_sum_bit_for_bit(level, mesh_cache):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-# ------------------------------------------------------------------- dofs
+# ------------------------------------------------------------- free nodes
 
 
-@pytest.mark.parametrize("level, n_dofs", [(1, 0), (2, 6), (3, 24), (4, 114)])
-def test_dof_counts(level, n_dofs, mesh_cache):
+@pytest.mark.parametrize("level, n_free", [
+    (1, 0), (2, 6), (3, 24), (4, 114), (5, 480), (6, 1986)])
+def test_dof_counts(level, n_free, mesh_cache, hex_sine):
+    """``mesh.free``, the centres and the boundary nodes partition the
+    nodes; ``free`` ascends and numbers the rows of the system."""
     mesh = mesh_cache(level)
-    dofs = build_dof_map(mesh)
-    assert dofs.n_dofs == n_dofs
-    fixed = mesh.on_boundary.sum() + mesh.centers.size
-    assert dofs.n_dofs + fixed == mesh.n_nodes
-    assert not np.any(mesh.on_boundary[dofs.dof_to_node])
-    assert not np.any(mesh.is_center[dofs.dof_to_node])
-    # roundtrip
-    assert np.array_equal(
-        dofs.node_to_dof[dofs.dof_to_node], np.arange(n_dofs)
-    )
+    free = mesh.free
+    assert free.size == n_free
+    owner = np.zeros(mesh.n_nodes, dtype=int)
+    for nodes in (free, mesh.centers, np.flatnonzero(mesh.on_boundary)):
+        np.add.at(owner, nodes, 1)
+    assert np.all(owner == 1)
+    assert np.all(np.diff(free) > 0)
+    A, _, _ = assemble(mesh, hex_sine)
+    assert A.n == free.size
 
 
 def test_expand_places_sixths_at_centers(mesh_cache):
     mesh = mesh_cache(2)
-    dofs = build_dof_map(mesh)
-    x = np.zeros(dofs.n_dofs)
+    x = np.zeros(mesh.free.size)
     x[0] = 1.0
-    field = expand(x, dofs, mesh)
-    node = dofs.dof_to_node[0]
+    field = expand(x, mesh)
+    node = mesh.free[0]
     assert field.values[node] == 1.0
     # level 2 has a single centre whose six corners are the six dofs
     c = mesh.centers[0]
     assert field.values[c] == pytest.approx(1.0 / 6.0, rel=1e-15)
     assert field.constraint_gap() <= 1e-15
-    assert np.array_equal(restrict(field, dofs), x)
+    assert np.array_equal(field.values[mesh.free], x)
 
 
 def test_expand_validates_length(mesh_cache):
     mesh = mesh_cache(2)
-    dofs = build_dof_map(mesh)
     with pytest.raises(ValueError):
-        expand(np.zeros(dofs.n_dofs + 1), dofs, mesh)
+        expand(np.zeros(mesh.free.size + 1), mesh)
 
 
 def test_prolongation_rows(mesh_cache):
     mesh = mesh_cache(3)
-    dofs = build_dof_map(mesh)
-    C = prolongation(mesh, dofs)
-    assert C.shape == (mesh.n_nodes, dofs.n_dofs)
+    C = prolongation(mesh)
+    assert C.shape == (mesh.n_nodes, mesh.free.size)
     dense = C.toarray()
     assert np.all(dense[mesh.on_boundary] == 0)
-    for k, node in enumerate(dofs.dof_to_node):
+    for k, node in enumerate(mesh.free):
         row = dense[node]
         assert row[k] == 1.0 and np.count_nonzero(row) == 1
+    is_free = np.isin(np.arange(mesh.n_nodes), mesh.free)
     for c, ring in zip(mesh.centers, mesh.center_corners):
         row = dense[c]
-        free = dofs.node_to_dof[ring] >= 0
-        assert np.count_nonzero(row) == int(free.sum())
+        assert np.count_nonzero(row) == int(is_free[ring].sum())
         assert np.all(row[row != 0] == pytest.approx(1.0 / 6.0))
 
 
@@ -193,8 +190,7 @@ def test_refinement_transfer_is_p1_injection(level, mesh_cache):
     def u(xy):
         return 0.3 + 1.7 * xy[:, 0] - 0.9 * xy[:, 1]
 
-    dofs = build_dof_map(coarse)
-    x = u(coarse.node_xy[dofs.dof_to_node])
+    x = u(coarse.node_xy[coarse.free])
     got = refinement_transfer(coarse, fine) @ x
 
     pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))
@@ -205,11 +201,11 @@ def test_refinement_transfer_is_p1_injection(level, mesh_cache):
     nodes = fine.index(i, j)
     assert np.allclose(fine.node_xy[nodes], mid, rtol=0, atol=1e-14)
     want = np.full(fine.n_nodes, np.nan)
-    want[nodes] = expand(x, dofs, coarse).values[ends].mean(axis=1)
+    want[nodes] = expand(x, coarse).values[ends].mean(axis=1)
     on_line = np.zeros(fine.n_nodes, dtype=bool)
-    on_line[nodes] = np.all(dofs.node_to_dof[ends] >= 0, axis=1)
+    on_line[nodes] = np.all(np.isin(ends, coarse.free), axis=1)
 
-    free = build_dof_map(fine).dof_to_node
+    free = fine.free
     scale = np.abs(x).max()
     assert np.abs(got - want[free]).max() <= 1e-14 * scale
     exact = on_line[free]
@@ -225,7 +221,7 @@ def test_refinement_transfer_needs_adjacent_levels(mesh_cache):
 @pytest.mark.parametrize("level", [2, 3])
 def test_condensed_matrix_against_dense_rebuild(level, mesh_cache, hex_sine):
     mesh = mesh_cache(level)
-    A, b, dofs = assemble(mesh, hex_sine)
+    A, b, center_load = assemble(mesh, hex_sine)
 
     ke = ELEMENT_STIFFNESS
     K = np.zeros((mesh.n_nodes, mesh.n_nodes))
@@ -233,13 +229,14 @@ def test_condensed_matrix_against_dense_rebuild(level, mesh_cache, hex_sine):
         for a in range(3):
             for bb in range(3):
                 K[tri[a], tri[bb]] += ke[a, bb]
-    C = np.zeros((mesh.n_nodes, dofs.n_dofs))
-    for k, node in enumerate(dofs.dof_to_node):
+    dof = {node: k for k, node in enumerate(mesh.free)}
+    C = np.zeros((mesh.n_nodes, len(dof)))
+    for node, k in dof.items():
         C[node, k] = 1.0
     for c, ring in zip(mesh.centers, mesh.center_corners):
         for r in ring:
-            if dofs.node_to_dof[r] >= 0:
-                C[c, dofs.node_to_dof[r]] = 1.0 / 6.0
+            if r in dof:
+                C[c, dof[r]] = 1.0 / 6.0
     want = C.T @ K @ C
     assert np.allclose(A.to_csr().toarray(), want, atol=1e-13)
 
@@ -255,7 +252,7 @@ def test_condensed_matrix_against_dense_rebuild(level, mesh_cache, hex_sine):
                 return hex_sine.f(x, y) * (coef[0] + coef[1] * x + coef[2] * y)
             load[tri[k]] += integrate(xy, g, q)
     assert np.allclose(b, (C.T @ load), atol=1e-13)
-    assert np.allclose(dofs.center_load, load[mesh.centers], atol=1e-13)
+    assert np.allclose(center_load, load[mesh.centers], atol=1e-13)
 
 
 def test_matrix_is_spd(mesh_cache, hex_sine):
@@ -317,9 +314,9 @@ def test_sparsespd_matvec_and_diagonal(mesh_cache, hex_sine):
 
 
 def test_level1_system_is_empty(mesh_cache, hex_sine):
-    A, b, dofs = assemble(mesh_cache(1), hex_sine)
-    assert dofs.n_dofs == 0 and A.n == 0 and b.size == 0
-    field = expand(np.zeros(0), dofs, mesh_cache(1))
+    A, b, _ = assemble(mesh_cache(1), hex_sine)
+    assert mesh_cache(1).free.size == 0 and A.n == 0 and b.size == 0
+    field = expand(np.zeros(0), mesh_cache(1))
     assert np.max(np.abs(field.values)) == 0.0
 
 
@@ -372,10 +369,10 @@ def test_fan_energy_minimizer_is_the_corner_mean():
 
 
 def test_galerkin_residual(solved_cache):
-    mesh, u_h, dofs, _ = solved_cache(4)
+    mesh, u_h, _, _ = solved_cache(4)
     problem = get_problem("hex-sine")
     A, b, _ = assemble(mesh, problem)
-    r = b - A @ restrict(u_h, dofs)
+    r = b - A @ u_h.values[mesh.free]
     assert np.max(np.abs(r)) <= 1e-13 * max(np.max(np.abs(b)), 1.0)
     assert u_h.constraint_gap() <= 1e-14
 
@@ -405,9 +402,9 @@ def test_recover_centers_is_exact_on_cubics(mesh_cache):
     the constrained interpolant exactly for cubic solutions."""
     problem = cubic_problem()
     mesh = mesh_cache(3)
-    _, _, dofs = assemble(mesh, problem)
+    _, _, center_load = assemble(mesh, problem)
     u_i = interpolate(problem, mesh)
-    rec = recover_centers(u_i, dofs)
+    rec = recover_centers(u_i, center_load)
     exact = problem.u(mesh.node_xy[:, 0], mesh.node_xy[:, 1])
     assert np.allclose(rec.values[mesh.centers], exact[mesh.centers], atol=1e-13)
     # vertex values untouched
@@ -415,18 +412,12 @@ def test_recover_centers_is_exact_on_cubics(mesh_cache):
     assert np.array_equal(rec.values[verts], u_i.values[verts])
 
 
-def test_recover_centers_needs_the_assembled_loads(mesh_cache, hex_sine):
-    mesh = mesh_cache(3)
-    with pytest.raises(ValueError, match="centre loads"):
-        recover_centers(interpolate(hex_sine, mesh), build_dof_map(mesh))
-
-
 def test_recover_centers_fourth_order(solved_cache):
     problem = get_problem("hex-sine")
     errs = []
     for level in (4, 5, 6):
-        mesh, u_h, dofs, _ = solved_cache(level)
-        rec = recover_centers(u_h, dofs)
+        mesh, u_h, center_load, _ = solved_cache(level)
+        rec = recover_centers(u_h, center_load)
         exact = problem.u(mesh.node_xy[:, 0], mesh.node_xy[:, 1])
         errs.append(np.max(np.abs(rec.values[mesh.centers] - exact[mesh.centers])))
     rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -434,9 +425,9 @@ def test_recover_centers_fourth_order(solved_cache):
 
 
 def test_recover_centers_beats_the_plain_average(solved_cache):
-    mesh, u_h, dofs, _ = solved_cache(5)
+    mesh, u_h, center_load, _ = solved_cache(5)
     problem = get_problem("hex-sine")
-    rec = recover_centers(u_h, dofs)
+    rec = recover_centers(u_h, center_load)
     exact = problem.u(mesh.node_xy[:, 0], mesh.node_xy[:, 1])
     plain = np.max(np.abs(u_h.values[mesh.centers] - exact[mesh.centers]))
     fixed = np.max(np.abs(rec.values[mesh.centers] - exact[mesh.centers]))

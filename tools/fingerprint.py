@@ -47,16 +47,16 @@ def digest(*arrays) -> str:
 
 def level_hashes(level: int, problem) -> list[tuple[str, str]]:
     mesh = build_mesh(level)
-    A, b, dofs = system.assemble(mesh, problem)
+    A, b, center_load = system.assemble(mesh, problem)
     csr = A.to_csr()
     x, _ = solver.solve(A, b)
-    u_h = system.expand(x, dofs, mesh)
+    u_h = system.expand(x, mesh)
     out = [
         ("A", digest(csr.data, csr.indices, csr.indptr)),
         ("b", digest(b)),
-        ("center_load", digest(dofs.center_load)),
+        ("center_load", digest(center_load)),
         ("x", digest(x)),
-        ("recovered", digest(system.recover_centers(u_h, dofs).values)),
+        ("recovered", digest(system.recover_centers(u_h, center_load).values)),
     ]
     if level >= lift.MIN_LIFT_LEVEL:
         grid = lift.build_patch_grid(mesh)
