@@ -179,14 +179,14 @@ def export(
         raise ConfigError(
             f"lift export needs level >= {lift.MIN_LIFT_LEVEL}, got {level}"
         )
-    check_writable(path)
-    if what == "mesh":
-        vtkio.write_vtk(build_mesh(level), path, title=f"honeycomb level {level}")
-        return
     try:
         problem = get_problem(problem_name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    check_writable(path)
+    if what == "mesh":
+        vtkio.write_vtk(build_mesh(level), path, title=f"honeycomb level {level}")
+        return
     mesh, u_h, _, _ = solve_level(level, problem)
     exact = system.interpolate_pointwise(problem, mesh).values
     if what == "solution":

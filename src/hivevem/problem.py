@@ -12,6 +12,17 @@ quadrature points vectorised.  The callables evaluate whatever they are
 given; the quadrature callers pass at most
 :data:`~hivevem.quadrature.BLOCK_POINTS` points per call, which keeps
 the jet temporaries small.
+
+Parts that are known to vanish are not computed.  The coordinate jets
+carry their unit and zero parts as the floats 1.0 and 0.0, and the jet
+arithmetic keeps them so: a float 0.0 factor makes a product 0.0, a
+float 0.0 term drops out of a sum, and a float 1.0 factor returns the
+other one.  ``X**2`` thus has no y-parts to compute, and a sine of a
+linear argument no second-order term from the argument.  Every skipped
+operation would have added or multiplied an exact zero or one, so the
+values are those of full array arithmetic; only the sign of an exact
+zero may differ.  :func:`jet_eval` and ``grad_u`` broadcast float parts
+back to the shape of the value.
 """
 
 from __future__ import annotations
@@ -23,6 +34,35 @@ from typing import Callable
 import numpy as np
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _is(a, c) -> bool:
+    return isinstance(a, float) and a == c
+
+
+def _sum(*terms):
+    """Left-to-right sum of ``terms`` without the float zeros."""
+    out = 0.0
+    for t in terms:
+        out = t if _is(out, 0.0) else out if _is(t, 0.0) else out + t
+    return out
+
+
+def _mul(*factors):
+    """Left-to-right product of ``factors``: 0.0 if a float factor is
+    zero, and a float factor 1.0 drops out."""
+    out = 1.0
+    for f in factors:
+        if _is(out, 0.0) or _is(f, 0.0):
+            return 0.0
+        out = f if _is(out, 1.0) else out if _is(f, 1.0) else out * f
+    return out
+
+
+def _full(value, *parts):
+    """``value`` and ``parts``, float parts broadcast to its shape."""
+    shape = np.shape(value)
+    return value, *(p if np.shape(p) == shape else np.full(shape, p) for p in parts)
 
 
 class Jet:
@@ -46,7 +86,9 @@ class Jet:
 
     @classmethod
     def variables(cls, x, y, order: int = 2):
-        """The coordinate jets ``X`` and ``Y`` at ``(x, y)``."""
+        """The coordinate jets ``X`` and ``Y`` at ``(x, y)``; their unit
+        and zero parts are the floats 1.0 and 0.0, which the arithmetic
+        skips."""
         if order not in (1, 2):
             raise ValueError(f"jet order must be 1 or 2, got {order}")
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -69,8 +111,8 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return self._zip(other, self.value + other.value,
-                             lambda a1, b1: a1 + b1,
-                             lambda a1, a2, b1, b2: a2 + b2)
+                             lambda a1, b1: _sum(a1, b1),
+                             lambda a1, a2, b1, b2: _sum(a2, b2))
         return Jet(self.value + other, self.first, self.half)
 
     __radd__ = __add__
@@ -87,11 +129,12 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a0, b0 = self.value, other.value
-            return self._zip(other, a0 * b0,
-                             lambda a1, b1: a0 * b1 + a1 * b0,
-                             lambda a1, a2, b1, b2: a0 * b2 + a1 * b1 + a2 * b0)
-        return self._map(self.value * other, lambda a1: a1 * other,
-                         lambda a1, a2: a2 * other)
+            return self._zip(
+                other, a0 * b0,
+                lambda a1, b1: _sum(_mul(a0, b1), _mul(a1, b0)),
+                lambda a1, a2, b1, b2: _sum(_mul(a0, b2), _mul(a1, b1), _mul(a2, b0)))
+        return self._map(self.value * other, lambda a1: _mul(a1, other),
+                         lambda a1, a2: _mul(a2, other))
 
     __rmul__ = __mul__
 
@@ -105,8 +148,8 @@ class Jet:
 
     def _reciprocal(self):
         inv = 1.0 / self.value
-        return self._map(inv, lambda a1: -a1 * inv * inv,
-                         lambda a1, a2: (a1 * a1 * inv - a2) * inv * inv)
+        return self._map(inv, lambda a1: _mul(-a1, inv, inv),
+                         lambda a1, a2: _mul(_sum(_mul(a1, a1, inv), -a2), inv, inv))
 
     def __pow__(self, k):
         if not isinstance(k, (int, np.integer)) or k < 0:
@@ -129,18 +172,18 @@ class Jet:
 
     def sin(self):
         s, c = np.sin(self.value), np.cos(self.value)
-        return self._map(s, lambda a1: c * a1,
-                         lambda a1, a2: c * a2 - 0.5 * s * a1 * a1)
+        return self._map(s, lambda a1: _mul(c, a1),
+                         lambda a1, a2: _sum(_mul(c, a2), _mul(-0.5, s, a1, a1)))
 
     def cos(self):
-        s, c = np.sin(self.value), np.cos(self.value)
-        return self._map(c, lambda a1: -s * a1,
-                         lambda a1, a2: -s * a2 - 0.5 * c * a1 * a1)
+        s, c = -np.sin(self.value), np.cos(self.value)
+        return self._map(c, lambda a1: _mul(s, a1),
+                         lambda a1, a2: _sum(_mul(s, a2), _mul(-0.5, c, a1, a1)))
 
     def exp(self):
         e = np.exp(self.value)
-        return self._map(e, lambda a1: e * a1,
-                         lambda a1, a2: e * (a2 + 0.5 * a1 * a1))
+        return self._map(e, lambda a1: _mul(e, a1),
+                         lambda a1, a2: _mul(e, _sum(a2, _mul(0.5, a1, a1))))
 
 
 def sin(z):
@@ -161,7 +204,7 @@ def jet_eval(expr: Callable, x, y):
     Returns ``(u, ux, uy, uxx, uyy)`` from one bivariate jet pass.
     """
     j = expr(*Jet.variables(x, y))
-    return j.value, *j.first, 2.0 * j.half[0], 2.0 * j.half[1]
+    return _full(j.value, *j.first, 2.0 * j.half[0], 2.0 * j.half[1])
 
 
 def laplacian(expr: Callable, x, y):
@@ -194,7 +237,7 @@ def _from_expression(name: str, expr: Callable) -> ManufacturedProblem:
 
     def grad_u(x, y):
         j = expr(*Jet.variables(x, y, order=1))
-        return j.value, *j.first
+        return _full(j.value, *j.first)
 
     def f(x, y):
         return -laplacian(expr, x, y)

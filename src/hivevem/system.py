@@ -21,6 +21,15 @@ values at the free nodes ``mesh.free``, the degrees of freedom:
 A is symmetric positive definite because C has full column rank.  The
 load rows of the eliminated centres are returned next to A and b, and
 :func:`recover_centers` undoes the elimination with them.
+
+The quadrature points of the subtriangles follow the lattice too.  A
+unit triangle of kind k in cell (i, j) has its vertices at fixed
+lattice steps from (i, j); since a node's x is ``s (2i + j) / 2`` and
+its y ``s sqrt(3) j / 2``, every point's x is a function of k and
+2i + j, and its y of k and j.  :func:`tri_quadrature` tabulates both,
+with the arithmetic of the direct sum over the vertices, and reads the
+points of each block from the tables; the load sums the element
+contributions onto the nodes with one ``bincount``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import HEX_DIRECTIONS, HoneycombMesh
+from .lattice import HEX_DIRECTIONS, HoneycombMesh, position
 from .problem import ManufacturedProblem
 from .quadrature import blocks, rule, sample
 
@@ -200,15 +209,23 @@ def load_vector(
 ) -> np.ndarray:
     """Load vector of ``f`` against the P1 basis over all lattice nodes.
 
-    ``f`` is evaluated on blocks of subtriangles (:func:`tri_quadrature`).
+    ``f`` is evaluated on blocks of subtriangles (:func:`tri_quadrature`);
+    each block writes its rows of the (T, 3) element contributions, and
+    one ``bincount`` sums them onto the nodes in the order of
+    ``np.add.at``, triangle by triangle.
     """
     q = rule(degree)
-    load = np.zeros(mesh.n_nodes)
-    for tris, xy in tri_quadrature(mesh, q):
+    contrib = np.empty(mesh.tris.shape)
+    # The blocks of ``contrib`` are those of ``mesh.tris`` in tri_quadrature.
+    for (_, xy), out in zip(tri_quadrature(mesh, q), blocks(contrib, q.n_points)):
         fvals = np.asarray(problem.f(*xy)).reshape(-1, q.n_points)
-        contrib = mesh.tri_area * np.einsum("tq,q,qk->tk", fvals, q.weights, q.points)
-        np.add.at(load, tris, contrib)
-    return load
+        out[:] = mesh.tri_area * np.einsum("tq,q,qk->tk", fvals, q.weights, q.points)
+    return np.bincount(mesh.tris.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
+
+
+#: Lattice steps from cell (i, j) to the vertices of its unit triangles
+#: of kind 0 and kind 1, in the local order of ``mesh.tris``.
+_CELL_VERTICES = np.array([[(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])
 
 
 def tri_quadrature(mesh: HoneycombMesh, q):
@@ -218,11 +235,34 @@ def tri_quadrature(mesh: HoneycombMesh, q):
     most :data:`~hivevem.quadrature.BLOCK_POINTS` points and the
     coordinates (2, t nq) of its points, triangle major.  Each
     coordinate is the left-to-right sum of its three vertex terms.
+
+    The points are read from tables.  On the unit triangle of kind k in
+    cell (i, j), a vertex's x is ``s (2i + j + c) / 2`` and its y
+    ``s sqrt(3)/2 (j + c')``, with steps c and c' fixed by k and the
+    vertex, so a point's x depends on k and 2i + j alone and its y on k
+    and j alone.  The tables hold those sums once per key, from the
+    same :func:`~hivevem.lattice.position` coordinates as
+    ``mesh.node_xy``, and each block takes its rows.
     """
+    cell = mesh.node_ij[mesh.tris[:, 1]] - (1, 0)
+    kind = mesh.node_ij[mesh.tris[:, 0], 1] - cell[:, 1]
+    m, j = cell @ (2, 1), cell[:, 1]
+    # Vertex keys by kind and cell key; the lattice point (a // 2, a % 2)
+    # has 2i + j = a, and (0, b) has j = b.
+    a = np.arange(m.min(), m.max() + 1)[:, None] + (_CELL_VERTICES @ (2, 1))[:, None]
+    b = np.arange(j.min(), j.max() + 1)[:, None] + _CELL_VERTICES[:, None, :, 1]
+    x = position(np.stack([a // 2, a % 2], axis=-1), mesh.s)[..., 0, None]
+    y = position(np.stack([0 * b, b], axis=-1), mesh.s)[..., 1, None]
     bary = q.points.T
-    for tris in blocks(mesh.tris, q.n_points):
-        v = mesh.node_xy[tris].transpose(2, 0, 1)[..., None]
-        xy = v[:, :, 0] * bary[0] + v[:, :, 1] * bary[1] + v[:, :, 2] * bary[2]
+    tables = [(v[..., 0, :] * bary[0] + v[..., 1, :] * bary[1] + v[..., 2, :] * bary[2]
+               ).reshape(-1, q.n_points) for v in (x, y)]
+    rows = (kind * a.shape[1] + m - m.min(), kind * b.shape[1] + j - j.min())
+    for tris, *block_rows in zip(*(blocks(r, q.n_points) for r in (mesh.tris, *rows))):
+        xy = np.empty((2, tris.shape[0], q.n_points))
+        # The rows lie in the tables by construction; "clip" writes to
+        # ``out`` without the buffered bounds check of "raise".
+        for table, r, out in zip(tables, block_rows, xy):
+            np.take(table, r, axis=0, out=out, mode="clip")
         yield tris, xy.reshape(2, -1)
 
 

@@ -245,6 +245,21 @@ def test_export_lift_rejects_low_level_before_solving(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_export_rejects_an_unknown_problem_before_writing(tmp_path, monkeypatch):
+    """A mesh export needs no problem, but a name that is not one is a
+    configuration error all the same, found before anything is built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("export built a mesh for an unknown problem")
+
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    out = tmp_path / "m.vtk"
+    with pytest.raises(ConfigError, match="unknown problem 'nope'"):
+        export(2, "mesh", out, "nope")
+    assert main(["export", "--level", "2", "--what", "mesh",
+                 "--problem", "nope", "--path", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_levels_above_the_memory_ceiling_are_rejected_up_front(
     tmp_path, monkeypatch
 ):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hivevem.lattice import build_mesh
 from hivevem.problem import (
     Jet,
     _from_expression,
@@ -19,6 +20,8 @@ from hivevem.problem import (
     sin,
     zero,
 )
+from hivevem.quadrature import rule
+from hivevem.system import tri_quadrature
 
 SQRT3 = math.sqrt(3.0)
 
@@ -301,3 +304,43 @@ def test_registry():
     z = zero()
     x = np.array([0.1, -0.2])
     assert np.all(z.u(x, x) == 0) and np.all(z.f(x, x) == 0)
+
+
+def _array_variables(cls, x, y, order=2):
+    """``Jet.variables`` with array unit and zero parts, which take no
+    shortcut: every part is computed as a full array."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    one, nil = np.ones_like(x), np.zeros_like(x)
+    half = (nil, nil) if order == 2 else None
+    return cls(x, (one, nil), half), cls(y, (nil, one), half)
+
+
+@pytest.mark.parametrize("level", range(3, 7))
+def test_zero_parts_change_no_value(level, monkeypatch):
+    """Skipping the float 0.0 and 1.0 parts gives the same f, ``grad_u``
+    and ``jet_eval`` values as full array arithmetic, at the degree-6
+    points of a mesh; only the sign of an exact zero may differ, which
+    ``array_equal`` does not see."""
+    problem = hex_sine()
+    xy = np.concatenate([p for _, p in tri_quadrature(build_mesh(level), rule(6))],
+                        axis=1)
+    skipped = [problem.f(*xy), *problem.grad_u(*xy),
+               *(v for expr in CASES for v in jet_eval(expr, *xy))]
+    monkeypatch.setattr(Jet, "variables", classmethod(_array_variables))
+    full = [problem.f(*xy), *problem.grad_u(*xy),
+            *(v for expr in CASES for v in jet_eval(expr, *xy))]
+    assert len(skipped) == len(full) == 4 + 5 * len(CASES)
+    for a, b in zip(skipped, full):
+        assert a.shape == xy[0].shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_zero_problem_returns_arrays_of_the_input_shape(shape):
+    """All parts of ``0 * X * Y`` but the value are float zeros, and
+    ``f``, ``grad_u`` and ``jet_eval`` broadcast them back to the shape
+    of the value (a numpy scalar for scalar input)."""
+    problem = zero()
+    x, y = np.random.default_rng(1).uniform(-0.9, 0.9, (2, *shape))
+    expr = lambda X, Y: 0.0 * X * Y  # noqa: E731
+    for v in (problem.f(x, y), *problem.grad_u(x, y), *jet_eval(expr, x, y)):
+        assert np.shape(v) == shape and not np.any(v)

@@ -333,21 +333,46 @@ def test_load_vector_partition_of_unity(mesh_cache):
 def test_blocked_load_equals_one_evaluation(
     mesh_cache, hex_sine, monkeypatch, level, block_points
 ):
-    """The load from blocks of subtriangles is bit-identical to one call
-    of ``f`` on every quadrature point of the mesh, also for blocks that
-    do not divide the mesh evenly."""
+    """The load from blocks of subtriangles, summed by one ``bincount``,
+    is bit-identical to one call of ``f`` on every quadrature point of
+    the mesh scattered by ``np.add.at``, for the rules of degree 2, 4
+    and 6 and also for blocks that do not divide the mesh evenly."""
     if block_points is not None:
         monkeypatch.setattr(quadrature, "BLOCK_POINTS", block_points)
     mesh = mesh_cache(level)
-    q = rule(4)
-    pts = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
-    fvals = hex_sine.f(pts[..., 0].ravel(), pts[..., 1].ravel())
-    contrib = mesh.tri_area * np.einsum(
-        "tq,q,qk->tk", fvals.reshape(mesh.n_tris, q.n_points), q.weights, q.points
-    )
-    want = np.zeros(mesh.n_nodes)
-    np.add.at(want, mesh.tris, contrib)
-    assert np.array_equal(load_vector(mesh, hex_sine), want)
+    for degree in (2, 4, 6):
+        q = rule(degree)
+        pts = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
+        fvals = hex_sine.f(pts[..., 0].ravel(), pts[..., 1].ravel())
+        contrib = mesh.tri_area * np.einsum(
+            "tq,q,qk->tk", fvals.reshape(mesh.n_tris, q.n_points), q.weights, q.points
+        )
+        want = np.zeros(mesh.n_nodes)
+        np.add.at(want, mesh.tris, contrib)
+        assert np.array_equal(load_vector(mesh, hex_sine, degree), want)
+
+
+@pytest.mark.parametrize("block_points", [None, 1000])
+@pytest.mark.parametrize("degree", quadrature.SUPPORTED_DEGREES)
+@pytest.mark.parametrize("level", range(1, 8))
+def test_tabled_points_are_the_vertex_sums(
+    mesh_cache, monkeypatch, level, degree, block_points
+):
+    """The points that ``tri_quadrature`` takes from its tables equal,
+    bit for bit, the barycentric sums of the vertex coordinates, in
+    blocks that follow ``mesh.tris``; 1000 points divide no rule's
+    blocks evenly into the mesh."""
+    if block_points is not None:
+        monkeypatch.setattr(quadrature, "BLOCK_POINTS", block_points)
+    mesh = mesh_cache(level)
+    q = rule(degree)
+    got = list(system.tri_quadrature(mesh, q))
+    step = max(1, quadrature.BLOCK_POINTS // q.n_points)
+    assert [t.shape[0] for t, _ in got][:-1] == [step] * (len(got) - 1)
+    assert np.array_equal(np.concatenate([t for t, _ in got]), mesh.tris)
+    xy = np.concatenate([xy.reshape(2, -1, q.n_points) for _, xy in got], axis=1)
+    want = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
+    assert xy.transpose(1, 2, 0).tobytes() == want.tobytes()
 
 
 def test_fan_energy_minimizer_is_the_corner_mean():

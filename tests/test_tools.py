@@ -1,0 +1,62 @@
+"""Smoke tests of the scripts in ``tools/``: the bit fingerprint and the
+code-line count, which report on the package and break silently when
+its signatures change."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from hivevem import lift
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fingerprint_prints_every_label(capsys):
+    """Levels 1 to 3 give five hashes each, four per lift scheme from
+    level 3, and the study's two."""
+    assert _load("fingerprint").main(["1", "2", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    base = ["A", "b", "center_load", "x", "recovered"]
+    schemes = [f"{s} {name}" for s in lift.SCHEMES
+               for name in ("coeffs", "rank", "sigma_min", "residual")]
+    want = ([f"level  {lv}  {label}" for lv in (1, 2) for label in base]
+            + [f"level  3  {label}" for label in base + schemes]
+            + ["study 1..3  csv", "study 1..3  values"])
+    assert len(lines) == len(want) == 33
+    for line, label in zip(lines, want):
+        head, digest = line.rsplit(" ", 1)
+        assert " ".join(head.split()) == " ".join(label.split())
+        assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+def test_fingerprint_needs_a_level(capsys):
+    assert _load("fingerprint").main([]) == 1
+    assert "usage" in capsys.readouterr().err
+
+
+def test_sloc_prints_a_total_of_the_package(capsys):
+    assert _load("sloc").main([]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    counts = {name: int(n) for n, name in rows}
+    assert {"cli.py", "system.py", "problem.py"} <= counts.keys()
+    total = counts.pop("total")
+    assert total == sum(counts.values()) > 0
+    assert all(n > 0 for n in counts.values())
+
+
+@pytest.mark.parametrize("source, code", [
+    ('"""Doc."""\n\n# note\nx = 1\n', 1),
+    ('def f():\n    """Doc\n    more."""\n    return (1,\n            2)\n', 3),
+])
+def test_sloc_skips_docstrings_comments_and_blanks(tmp_path, source, code):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert _load("sloc").code_lines(path) == code
