@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, lift, solver, system, vtkio
+from . import analysis, lift, quadrature, solver, system, vtkio
 from .lattice import MAX_LEVEL, build_mesh
 from .problem import PROBLEMS, ManufacturedProblem, get_problem
 
@@ -187,10 +187,12 @@ def export(
     if what == "mesh":
         vtkio.write_vtk(build_mesh(level), path, title=f"honeycomb level {level}")
         return
-    mesh, u_h, _, _ = solve_level(level, problem)
+    mesh, u_h, center_load, _ = solve_level(level, problem)
     exact = system.interpolate_pointwise(problem, mesh).values
     if what == "solution":
-        data = {"u_h": u_h.values, "error": exact - u_h.values}
+        # The centres as the study measures them (see recover_centers).
+        values = system.recover_centers(u_h, center_load).values
+        data = {"u_h": values, "error": exact - values}
         title = f"{problem_name} solution, level {level}"
     else:
         grid = lift.build_patch_grid(mesh)
@@ -202,11 +204,16 @@ def export(
 
 
 def _lift_at_nodes(lifted: lift.LiftResult) -> np.ndarray:
-    """Lift values at every node, lowest patch index winning on seams."""
+    """Lift values at every node, lowest patch index winning on seams,
+    evaluated over :func:`quadrature.blocks` of nodes."""
     grid = lifted.grid
     owner = np.full(grid.mesh.n_nodes, grid.n_patches)
     np.minimum.at(owner, grid.site_nodes, np.arange(grid.n_patches)[:, None])
-    return lift.evaluate_patches(lifted, owner, grid.mesh.node_xy)[0]
+    values = np.empty(grid.mesh.n_nodes)
+    for ids in quadrature.blocks(np.arange(grid.mesh.n_nodes), 1):
+        values[ids] = lift.evaluate_patches(
+            lifted, owner[ids], grid.mesh.node_xy[ids])[0]
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -223,8 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=lift.SCHEMES, metavar="SCHEME",
                     help=f"data scheme of the lift (default {lift.SCHEMES[0]})")
     st.add_argument("--solver", default="cg", choices=solver.METHODS)
-    st.add_argument("--tol", type=float, default=1e-14)
-    st.add_argument("--maxit", type=int, default=None)
     st.add_argument("--csv", default=None, metavar="PATH")
 
     ex = sub.add_parser("export", help="write legacy VTK files")
@@ -246,19 +251,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "study":
-            try:
-                solver_config = solver.SolverConfig(
-                    method=args.solver, tol=args.tol, max_iterations=args.maxit
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
             config = StudyConfig(
                 min_level=args.min_level,
                 max_level=args.max_level,
                 problem=args.problem,
                 lift_enabled=args.lift,
                 lift_scheme=args.lift_scheme,
-                solver=solver_config,
+                solver=solver.SolverConfig(method=args.solver),
                 csv_path=args.csv,
             )
             if config.csv_path:

@@ -11,22 +11,33 @@ hierarchy with Galerkin coarse operators (Briggs, Henson and McCormick,
 *A Multigrid Tutorial*, SIAM 2000).  Its iteration count stays flat as
 the mesh is refined, where Jacobi's doubles with every level.
 
-A note on tolerances.  CG stops when the recurrence residual satisfies
-``norm(r) <= tol * norm(b)``, the standard criterion.  At fine levels
-the *recomputed* residual ``b - A x`` cannot drop to ``tol * norm(b)``
-in double precision no matter the solver: evaluating ``A x`` for the
-smooth solution of a stiffness system cancels by a factor of order
-``1/h**2``, which puts a floor of roughly ``eps / h**2`` on the
-measurable relative residual.  The recomputed value is therefore
+A note on tolerances.  Both methods work to one fixed relative
+tolerance, :data:`TOL`: CG stops when the recurrence residual satisfies
+``norm(r) <= TOL * norm(b)``, and the direct solve refines while the
+recomputed residual exceeds it.  The tolerance is not a setting because
+the study's result depends on it: the superclose errors fall like
+``h**4``, so any looser stop puts a solver error above them at fine
+levels.  With ``1e-6``, a study of levels 6 to 8 printed superclose H1
+orders 1.75 and 1.16 at levels 7 and 8, where ``1e-14`` gives 4.00 and
+4.00.  Neither is the CG budget a setting: ``max(2n, 200)`` covers the
+finite-termination bound of CG, and the multigrid-preconditioned
+iteration needs about 11 steps at every level, so a smaller budget
+could only fail a run.
+
+At fine levels the *recomputed* residual ``b - A x`` cannot drop to
+``TOL * norm(b)`` in double precision no matter the solver: evaluating
+``A x`` for the smooth solution of a stiffness system cancels by a
+factor of order ``1/h**2``, which puts a floor of roughly ``eps / h**2``
+on the measurable relative residual.  The recomputed value is therefore
 reported in the statistics rather than enforced; the backward-stable
-check ``max|A x - b| <= tol * (norm_inf(A) norm_inf(x) + norm_inf(b))``
+check ``max|A x - b| <= TOL * (norm_inf(A) norm_inf(x) + norm_inf(b))``
 is the meaningful post-condition and is what the test-suite asserts.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +47,10 @@ from .lattice import build_mesh
 from .system import SparseSpd, refinement_transfer
 
 METHODS = ("cg", "chol")
+
+#: Relative residual at which CG stops and below which the direct solve
+#: needs no refinement; see the note on tolerances above.
+TOL = 1e-14
 
 #: Damping factor of the Jacobi smoother in the multigrid V-cycle.
 MG_OMEGA = 0.8
@@ -51,27 +66,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Validated solver settings.
-
-    ``max_iterations=None`` selects ``max(2n, 200)``, which always
-    covers the finite-termination bound of CG; an explicit value is
-    used as given.  The direct solve takes no iteration budget, so it
-    refuses one.
-    """
+    """Validated solver settings: the method, one of :data:`METHODS`."""
 
     method: str = "cg"
-    tol: float = 1e-14
-    max_iterations: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not (0.0 < self.tol <= 1e-6):
-            raise ValueError(f"tol must lie in (0, 1e-6], got {self.tol}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.max_iterations is not None and self.method != "cg":
-            raise ValueError(f"max_iterations applies to cg only, not {self.method}")
 
 
 @dataclass
@@ -80,16 +81,15 @@ class SolveStats:
     iterations: int
     residual: float              # recomputed |b - Ax| / |b|
     recurrence_residual: float   # CG recurrence value at termination
-    energies: list = field(default_factory=list)
 
 
 def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
     """Solve ``A x = b``; returns ``(x, stats)``.
 
     Raises :class:`SolverError` if CG fails to converge within its
-    iteration budget or the direct solve leaves a relative residual
-    above 1e-8, so every solve that returns has passed its convergence
-    test.
+    iteration budget of ``max(2n, 200)`` or the direct solve leaves a
+    relative residual above 1e-8, so every solve that returns has passed
+    its convergence test.
     """
     if config is None:
         config = SolverConfig()
@@ -102,8 +102,8 @@ def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
         return np.zeros(A.n), SolveStats(config.method, 0, 0.0, 0.0)
 
     if config.method == "chol":
-        return _solve_direct(A, b, config, bnorm)
-    return _solve_cg(A, b, config, bnorm)
+        return _solve_direct(A, b, bnorm)
+    return _solve_cg(A, b, bnorm)
 
 
 def _multigrid(A: SparseSpd):
@@ -157,9 +157,9 @@ def _factorise(matrix: sp.spmatrix):
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def _solve_cg(A: SparseSpd, b, config: SolverConfig, bnorm: float):
+def _solve_cg(A: SparseSpd, b, bnorm: float):
     n = A.n
-    maxit = config.max_iterations or max(2 * n, 200)
+    maxit = max(2 * n, 200)
     apply_m = _multigrid(A)
 
     x = np.zeros(n)
@@ -167,7 +167,6 @@ def _solve_cg(A: SparseSpd, b, config: SolverConfig, bnorm: float):
     z = apply_m(r)
     p = z.copy()
     rz = float(r @ z)
-    energies = []
     rnorm = bnorm
     iterations = 0
     for iterations in range(1, maxit + 1):
@@ -175,10 +174,8 @@ def _solve_cg(A: SparseSpd, b, config: SolverConfig, bnorm: float):
         alpha = rz / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        # 0.5 x'Ax - b'x expressed through the recurrence residual.
-        energies.append(-0.5 * float(x @ (b + r)))
         rnorm = float(np.linalg.norm(r))
-        if rnorm <= config.tol * bnorm:
+        if rnorm <= TOL * bnorm:
             break
         z = apply_m(r)
         rz_new = float(r @ z)
@@ -186,29 +183,28 @@ def _solve_cg(A: SparseSpd, b, config: SolverConfig, bnorm: float):
         rz = rz_new
 
     true_res = float(np.linalg.norm(b - A @ x)) / bnorm
-    if rnorm > config.tol * bnorm:
+    if rnorm > TOL * bnorm:
         raise SolverError(
             f"CG did not converge in {maxit} iterations: "
             f"recurrence residual {rnorm / bnorm:.3e}, "
-            f"recomputed residual {true_res:.3e} (tol {config.tol:.1e})"
+            f"recomputed residual {true_res:.3e} (tol {TOL:.1e})"
         )
     stats = SolveStats(
         method="cg",
         iterations=iterations,
         residual=true_res,
         recurrence_residual=rnorm / bnorm,
-        energies=energies,
     )
     return x, stats
 
 
-def _solve_direct(A: SparseSpd, b, config: SolverConfig, bnorm: float):
+def _solve_direct(A: SparseSpd, b, bnorm: float):
     lu = _factorise(A.to_csr())
     x = lu.solve(b)
     refinements = 0
     res = b - A @ x
     rel = float(np.linalg.norm(res)) / bnorm
-    while rel > config.tol and refinements < 2:
+    while rel > TOL and refinements < 2:
         x = x + lu.solve(res)
         refinements += 1
         res = b - A @ x

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import quadrature
 from .lattice import HoneycombMesh
 
 VTK_TRIANGLE = 5
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
+    """Write one ``fmt`` line per row of the 2-D ``rows``, a block of
+    :data:`~hivevem.quadrature.BLOCK_POINTS` rows at a time."""
+    for block in quadrature.blocks(rows, 1):
+        fh.write("".join(fmt % tuple(r) for r in block.tolist()))
 
 
 def write_vtk(
@@ -26,31 +30,27 @@ def write_vtk(
     title: str = "honeycomb mesh",
 ) -> None:
     """Write the triangular submesh, optionally with nodal scalars."""
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
-    ]
-    for x, y in mesh.node_xy:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
-    lines.append(f"CELLS {mesh.n_tris} {4 * mesh.n_tris}")
-    for a, b, c in mesh.tris:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {mesh.n_tris}")
-    lines.extend([str(VTK_TRIANGLE)] * mesh.n_tris)
-    if point_data:
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
-        for name, values in point_data.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != (mesh.n_nodes,):
-                raise ValueError(
-                    f"point data {name!r} has shape {values.shape}, "
-                    f"expected ({mesh.n_nodes},)"
-                )
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in values)
+    fields = {}
+    for name, values in (point_data or {}).items():
+        values = np.asarray(values, dtype=float)
+        if values.shape != (mesh.n_nodes,):
+            raise ValueError(
+                f"point data {name!r} has shape {values.shape}, "
+                f"expected ({mesh.n_nodes},)"
+            )
+        fields[name] = values
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_nodes} double\n"
+        )
+        _write_rows(fh, "%.17g %.17g 0\n", mesh.node_xy)
+        fh.write(f"CELLS {mesh.n_tris} {4 * mesh.n_tris}\n")
+        _write_rows(fh, "3 %d %d %d\n", mesh.tris)
+        fh.write(f"CELL_TYPES {mesh.n_tris}\n")
+        fh.write(f"{VTK_TRIANGLE}\n" * mesh.n_tris)
+        if fields:
+            fh.write(f"POINT_DATA {mesh.n_nodes}\n")
+        for name, values in fields.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            _write_rows(fh, "%.17g\n", values[:, None])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hivevem import solver
 from hivevem.lattice import build_mesh, position
 from hivevem.lift import MONOMIAL_POWERS
 from hivevem.problem import get_problem
@@ -37,6 +38,19 @@ def solved_cache(mesh_cache):
         return cache[level]
 
     return get
+
+
+@pytest.fixture
+def indefinite_preconditioner(monkeypatch):
+    """Replace the multigrid cycle by ``r -> s * r`` with signs ``s``
+    alternating along the unknowns: an indefinite preconditioner under
+    which CG cannot converge, so a solve exhausts its iteration budget."""
+
+    def multigrid(A):
+        signs = np.where(np.arange(A.n) % 2, -1.0, 1.0)
+        return lambda r: signs * r
+
+    monkeypatch.setattr(solver, "_multigrid", multigrid)
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ def study(request):
     rows = run_study(StudyConfig(
         min_level=2, max_level=7,
         lift_enabled=True, lift_scheme="lattice15-corrected",
-        solver=SolverConfig(method="cg", tol=1e-14),
+        solver=SolverConfig(method="cg"),
     ))
     elapsed = time.perf_counter() - start
     return rows, elapsed
@@ -371,7 +371,7 @@ def test_criterion_8_numerics_hygiene(mesh_cache, hex_sine):
 
     # CG against the direct factorization
     A, b, _ = assemble(mesh_cache(4), hex_sine)
-    x_cg, _ = solve(A, b, SolverConfig(method="cg", tol=1e-14))
+    x_cg, _ = solve(A, b, SolverConfig(method="cg"))
     x_chol, _ = solve(A, b, SolverConfig(method="chol"))
     solver_gap = float(np.max(np.abs(x_cg - x_chol)))
 

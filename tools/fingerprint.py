@@ -8,7 +8,9 @@ solution, the recovered field and, from level 3, the lift's ``coeffs``,
 --min-level 1 --max-level MAX --lift`` for the largest level given
 (without ``--lift`` below level 3): its CSV, and every error and order
 value of its rows as ``float.hex``, which shows the changes in the last
-bits that the CSV's three digits hide.
+bits that the CSV's three digits hide.  Then come the bytes of the files
+that ``hivevem export`` writes at the largest level given: the mesh, the
+solution and, from level 3, the lift.
 
 Index arrays are hashed as int64 values, so a change of integer dtype
 alone leaves a hash as it was.  Two checkouts that print the same lines
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,18 @@ def study_hashes(max_level: int) -> list[tuple[str, str]]:
             ("values", hashlib.sha256(exact.encode()).hexdigest())]
 
 
+def export_hashes(level: int) -> list[tuple[str, str]]:
+    """Hashes of the bytes of every ``export`` kind at ``level``."""
+    kinds = ["mesh", "solution"] + (["lift"] if level >= lift.MIN_LIFT_LEVEL else [])
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for what in kinds:
+            path = Path(tmp) / f"{what}.vtk"
+            cli.export(level, what, path)
+            out.append((what, hashlib.sha256(path.read_bytes()).hexdigest()))
+    return out
+
+
 def main(argv=None) -> int:
     levels = [int(a) for a in (sys.argv[1:] if argv is None else argv)]
     if not levels:
@@ -90,6 +105,8 @@ def main(argv=None) -> int:
             print(f"level {level:2d}  {name:29s} {h}")
     for name, h in study_hashes(max(levels)):
         print(f"study 1..{max(levels)}  {name:29s} {h}")
+    for name, h in export_hashes(max(levels)):
+        print(f"export {max(levels):2d}  {name:29s} {h}")
     return 0
 
 
