@@ -12,7 +12,8 @@ True errors against the exact solution use a higher-degree rule,
 degree 6 by default, on the subtriangles.  Lift errors are broken over
 patches: each patch cubic is integrated over its own 16 subtriangles,
 and the H1 seminorm uses the analytic cubic gradients.  The monomials
-are tabulated once per patch frame and applied to blocks of patches.
+are tabulated once per rule for each of the two patch frames, one per
+kind of patch triangle, and applied to blocks of patches.
 
 At a level with a lift, one pass over the patch rule gives all three
 true errors: the patches tile the subtriangles, so the nodal field's L2

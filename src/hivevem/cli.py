@@ -204,16 +204,12 @@ def export(
 
 
 def _lift_at_nodes(lifted: lift.LiftResult) -> np.ndarray:
-    """Lift values at every node, lowest patch index winning on seams,
-    evaluated over :func:`quadrature.blocks` of nodes."""
-    grid = lifted.grid
-    owner = np.full(grid.mesh.n_nodes, grid.n_patches)
-    np.minimum.at(owner, grid.site_nodes, np.arange(grid.n_patches)[:, None])
-    values = np.empty(grid.mesh.n_nodes)
-    for ids in quadrature.blocks(np.arange(grid.mesh.n_nodes), 1):
-        values[ids] = lift.evaluate_patches(
-            lifted, owner[ids], grid.mesh.node_xy[ids])[0]
-    return values
+    """Lift values at every node by :func:`lift.evaluate_lift`, whose
+    seam rule gives a node to the lowest patch index, evaluated over
+    :func:`quadrature.blocks` of nodes."""
+    xy = lifted.grid.mesh.node_xy
+    return np.concatenate(
+        [lift.evaluate_lift(lifted, block)[0] for block in quadrature.blocks(xy, 1)])
 
 
 def _build_parser() -> argparse.ArgumentParser:

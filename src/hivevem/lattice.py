@@ -49,6 +49,10 @@ MAX_LEVEL = 10
 #: The six unit lattice steps, counterclockwise starting from +x.
 HEX_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
+#: Lattice steps from cell (i, j) to the vertices of its unit triangles
+#: of kind 0 and kind 1, counterclockwise: the vertex order of ``tris``.
+UNIT_TRIANGLES = np.array([[(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])
+
 
 class MeshConstructionError(RuntimeError):
     """A structural invariant failed while building a mesh."""
@@ -113,9 +117,10 @@ class HoneycombMesh:
         freedom of the discrete system.
 
     :meth:`index` maps lattice coordinates to node indices and
-    :meth:`tri_index` lattice unit triangles to subtriangle indices.
+    :meth:`tri_index` lattice unit triangles to subtriangle indices,
+    through :attr:`tri_table`.  :attr:`tri_table`,
     :attr:`center_corners` and :attr:`cells` are derived on first read;
-    :func:`build_mesh` has checked both already.
+    :func:`build_mesh` has checked the last two already.
     """
 
     level: int
@@ -152,16 +157,19 @@ class HoneycombMesh:
         ``(i,j),(i+1,j),(i,j+1)``, or kind 1, ``(i,j+1),(i+1,j),(i+1,j+1)``,
         -1 for every triangle not inside the closed hexagon.
 
-        Arguments broadcast as in :meth:`index`.  The table is built on
-        the first call, from the order in which :func:`build_mesh` emits
-        ``tris``, and holds the cells ``-n <= i, j < n`` and a ring of -1.
+        Arguments broadcast as in :meth:`index`, and read :attr:`tri_table`.
         """
         m = self.n + 1
-        table = self._tri_lookup
+        table = self.tri_table
         return table[np.clip(i, -m, m - 1) + m, np.clip(j, -m, m - 1) + m, kind]
 
     @cached_property
-    def _tri_lookup(self) -> np.ndarray:
+    def tri_table(self) -> np.ndarray:
+        """Subtriangle indices by cell and kind, ``[i + n + 1, j + n + 1,
+        kind]``: the cells ``-n <= i, j < n`` and a ring of -1 around
+        them, with -1 for every triangle outside the closed hexagon.
+        Built on first read from the order in which :func:`build_mesh`
+        emits ``tris``."""
         # ``tris`` holds the kind-0 triangles, then the kind-1 ones, each
         # row-major over the cells; counting them in that order numbers them.
         ok = np.stack(_unit_triangles_inside(self._lookup[1:-1, 1:-1] >= 0))
@@ -207,13 +215,20 @@ class HoneycombMesh:
         return self.node_xy[self.tris]
 
 
-def _unit_triangles_inside(inside: np.ndarray):
+def _at_vertices(table: np.ndarray, kind: int) -> list[np.ndarray]:
+    """Views of ``table``, over a square of lattice points, at the three
+    vertices of the unit triangle of ``kind`` of every cell, in
+    :data:`UNIT_TRIANGLES` order; the cells are the square without its
+    last row and column."""
+    c = table.shape[0] - 1
+    return [table[di:di + c, dj:dj + c] for di, dj in UNIT_TRIANGLES[kind]]
+
+
+def _unit_triangles_inside(inside: np.ndarray) -> list[np.ndarray]:
     """Masks of the cells whose kind-0 and kind-1 unit triangles have all
-    three vertices ``inside``, a node mask over the square of lattice
-    points; the cells are the square without its last row and column."""
-    up = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:]
-    dn = inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
-    return up, dn
+    three vertices ``inside``, a node mask over a square of lattice
+    points."""
+    return [np.logical_and.reduce(_at_vertices(inside, k)) for k in (0, 1)]
 
 
 def build_mesh(level: int) -> HoneycombMesh:
@@ -262,18 +277,17 @@ def build_mesh(level: int) -> HoneycombMesh:
     cls = node_class(node_ij[:, 0], node_ij[:, 1])
     is_center = (cls == 0) & ~on_boundary
 
-    # Upward subtriangles (i,j),(i+1,j),(i,j+1) and downward ones
-    # (i,j+1),(i+1,j),(i+1,j+1), both orderings counterclockwise.
-    up_ok, dn_ok = _unit_triangles_inside(inside)
-    up = np.stack(
-        [lookup[:-1, :-1][up_ok], lookup[1:, :-1][up_ok], lookup[:-1, 1:][up_ok]],
-        axis=1,
-    )
-    dn = np.stack(
-        [lookup[:-1, 1:][dn_ok], lookup[1:, :-1][dn_ok], lookup[1:, 1:][dn_ok]],
-        axis=1,
-    )
-    tris = np.concatenate([up, dn], axis=0)
+    # The unit triangles of kind 0, then those of kind 1, row-major over
+    # the cells, with their vertices in ``UNIT_TRIANGLES`` order.  Both
+    # kinds stay referenced to the end: freed early, they lower this
+    # function's traced peak, yet on a 2-core x86 VM the level-10
+    # study's ru_maxrss rose from 486 to 491 MB, as the allocator placed
+    # the later arrays of assembly and solve anew.
+    kinds = [
+        np.stack([v[ok] for v in _at_vertices(lookup, k)], axis=1)
+        for k, ok in enumerate(_unit_triangles_inside(inside))
+    ]
+    tris = np.concatenate(kinds)
     if tris.shape[0] != 6 * n * n:
         raise MeshConstructionError(
             f"subtriangle count {tris.shape[0]} != {6 * n * n} at level {level}"

@@ -1,25 +1,25 @@
 """Patchwise cubic lift of the honeycomb solution.
 
 From level 3 on, the domain is tiled by equilateral patches whose edge
-is four hexagon edges ``L = 4s``: each of the six sextant triangles of
-the hexagon is subdivided uniformly into ``4**(level-3)`` patches of
-both orientations.  A patch contains 16 subtriangles and carries the 15
-lattice sites of its degree-4 principal lattice; exactly one of its
-three corners is of the hexagon-centre class.  The patches are the unit
-triangles of the coarse lattice of spacing L, so the grid is built by
-integer lattice arithmetic and a point is located in O(1) from its
-coarse lattice cell.
+is four hexagon edges ``L = 4s``: the patches are the subtriangles of
+the mesh two levels coarser, of both kinds, numbered as its ``tris``.
+A patch contains 16 subtriangles and carries the 15 lattice sites of
+its degree-4 principal lattice; exactly one of its three corners is of
+the hexagon-centre class.  The grid is built by integer lattice
+arithmetic from the coarse mesh, and a point is located in O(1) from
+its cell in the coarse mesh's :attr:`~hivevem.lattice.HoneycombMesh.tri_table`.
 
 On every patch a full bivariate cubic (10 coefficients) is fitted by
 least squares to solution data at a scheme-dependent subset of the 15
 sites.  Fits use a scaled local frame, origin at the patch centroid and
 coordinates divided by L, so design matrices stay well conditioned
 uniformly in the level.  In that frame the sites depend only on the
-patch's frame, one of twelve ordered pairs of lattice steps along its
-edges, so all patches with the same frame and site subset share one
-design matrix and are fitted together with one pseudo-inverse.  Every
-scheme's sites determine a cubic on every patch; a fit of rank below
-10 raises :class:`LiftRankError`.
+patch's frame, the kind of its coarse unit triangle, which fixes the
+two lattice steps along its edges from its corner 0.  So all patches of
+one frame and site subset share one design matrix and are fitted
+together with one pseudo-inverse.  Every scheme's sites determine a
+cubic on every patch; a fit of rank below 10 raises
+:class:`LiftRankError`.
 
 Data schemes
 ------------
@@ -45,7 +45,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import HEX_DIRECTIONS, SQRT3, HoneycombMesh, node_class, position
+from .lattice import (
+    SQRT3, UNIT_TRIANGLES, HoneycombMesh, build_mesh, node_class, position,
+)
 from .problem import ManufacturedProblem
 from .quadrature import blocks, rule, sample
 from .system import FieldP1
@@ -86,11 +88,9 @@ _SITE_ID = np.zeros((5, 5), dtype=int)
 _SITE_ID[tuple(_SITE_AB.T)] = np.arange(15)
 SUB_SITES = _SITE_ID[tuple(_SUB_AB.transpose(2, 0, 1))]
 
-#: Lattice steps along the two edges from a patch's origin corner:
-#: frame k < 6 is the aligned ("up") patch of sextant k, 6 + k the other.
-_D = HEX_DIRECTIONS * 2
-_FRAMES = np.array([(_D[k], _D[k + 1]) for k in range(6)]
-                   + [(_D[k + 2], _D[k + 1]) for k in range(6)])
+#: Lattice steps along the two edges from corner 0 of a patch, to its
+#: corners 1 and 2, by frame: the kind of the patch's coarse triangle.
+_FRAMES = UNIT_TRIANGLES[:, 1:] - UNIT_TRIANGLES[:, :1]
 
 #: Maps (x, y) to lattice coordinates (i, j) at unit spacing, and the
 #: coarse cells searched around the cell of a point.
@@ -119,7 +119,7 @@ def _frame_local(ab) -> np.ndarray:
     return position(np.einsum("...a,fad->f...d", ab - 4.0 / 3.0, _FRAMES), 0.25)
 
 
-#: Design matrices at all 15 sites, one per frame: (12, 15, 10).
+#: Design matrices at all 15 sites, one per frame: (2, 15, 10).
 _FRAME_DESIGN = monomial_basis(_frame_local(_SITE_AB))[..., 0, :]
 
 
@@ -137,13 +137,13 @@ class PatchGrid:
     mesh: HoneycombMesh
     edge: float                  # L = 4 s
     corners_ij: np.ndarray       # (P, 3, 2) lattice coordinates
-    frame: np.ndarray            # (P,) row of _FRAMES
+    frame: np.ndarray            # (P,) row of _FRAMES, the coarse kind
     site_nodes: np.ndarray       # (P, 15)
     site_is_center: np.ndarray   # (P, 15) interior-centre flags
     tri_indices: np.ndarray      # (P, 16)
     c0_corner_site: np.ndarray   # (P,) site id of the centre-class corner
     centroid: np.ndarray         # (P, 2)
-    cell_patches: np.ndarray     # patches by coarse cell and kind, else P
+    cell_patches: np.ndarray     # the coarse tri_table, -1 outside
     corner_xy: np.ndarray        # (P + 1, 3, 2), a NaN triangle last
 
     @property
@@ -190,28 +190,23 @@ class CubicFit:
 def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
     """Build the lift patch grid of a mesh of level >= 3.
 
-    Patches are emitted sextant by sextant, aligned ("up") rows first,
-    which fixes the tie-breaking order used by point location.
+    Patch p is subtriangle p of ``build_mesh(mesh.level - 2)``, whose
+    spacing is L, with its corners in the same order; the patch order
+    fixes the tie-breaking order used by point location.
     """
     if mesh.level < MIN_LIFT_LEVEL:
         raise UnsupportedLevelError(
             f"patch grid needs level >= {MIN_LIFT_LEVEL}, got {mesh.level}"
         )
-    m = 2 ** (mesh.level - MIN_LIFT_LEVEL)  # patches per sextant edge
-    # Sextant k, with steps e1, e2 of frame k, has aligned patches at
-    # origins 4(a e1 + b e2) and the others at 4((a + 1) e1 + b e2).
-    a, c = np.triu_indices(m)
-    ra, rc = np.triu_indices(m - 1)
-    ab = np.stack([np.r_[a, ra + 1], np.r_[c - a, rc - ra]], axis=1)
-    frame = (np.arange(6)[:, None] + 6 * (np.arange(m * m) >= a.size)).ravel()
-    origin = 4 * np.einsum("pa,kad->kpd", ab, _FRAMES[:6]).reshape(-1, 2)
-    n_patches = frame.size
+    coarse = build_mesh(mesh.level - 2)
+    corners = 4 * coarse.node_ij[coarse.tris]
+    # Corner 1 lies a step (4, 0) from corner 0 on kind 0, (4, -4) on kind 1.
+    frame = (corners[:, 0, 1] - corners[:, 1, 1]) // 4
 
     def lattice(local_ab, scale=1):
-        return scale * origin[:, None] + np.einsum(
+        return scale * corners[:, :1] + np.einsum(
             "sa,pad->psd", local_ab, _FRAMES[frame])
 
-    corners = lattice(np.array([(0, 0), (4, 0), (0, 4)]))
     sites = lattice(_SITE_AB)
     site_nodes = mesh.index(sites[..., 0], sites[..., 1])
     if np.any(site_nodes < 0):
@@ -230,16 +225,14 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
     if np.any(cls0.sum(axis=1) != 1):
         raise RuntimeError("patch without unique centre-class corner")
 
-    # Patches by coarse cell, with a border of cells that hold index P,
-    # the NaN triangle of ``corner_xy`` that contains no point.
-    cell_patches = np.full((2 * m + 2, 2 * m + 2, 2), n_patches)
-    ci, cj, kind = _unit_triangles((corners // 4).sum(axis=1))
-    cell_patches[ci + m + 1, cj + m + 1, kind] = np.arange(n_patches)
+    # The coarse table's -1 outside the domain picks the NaN triangle
+    # that ends ``corner_xy``, which contains no point.
     return PatchGrid(
         mesh, 4.0 * mesh.s, corners, frame, site_nodes,
         mesh.is_center[site_nodes], tri_indices,
         _CORNER_SITES[np.argmax(cls0, axis=1)],
-        mesh.node_xy[site_nodes[:, _CORNER_SITES]].mean(axis=1), cell_patches,
+        mesh.node_xy[site_nodes[:, _CORNER_SITES]].mean(axis=1),
+        coarse.tri_table,
         np.concatenate([position(corners, mesh.s), np.full((1, 3, 2), np.nan)]),
     )
 
@@ -336,7 +329,7 @@ def locate_patch(grid: PatchGrid, point):
     if not np.isfinite(pts).all():
         raise ValueError("cannot locate a non-finite point")
     # Coarse cell, clipped to the domain's cells and shifted past the
-    # border: positive, so truncation floors it.
+    # table's ring: positive, so truncation floors it.
     m = grid.cell_patches.shape[0] // 2 - 1
     cell = (np.clip(pts @ _TO_LATTICE / grid.edge, -m, m - 1) + m + 1).astype(int)
     cand = grid.cell_patches[cell[:, :1] + _NEAR_I, cell[:, 1:] + _NEAR_J]
@@ -376,9 +369,9 @@ def evaluate_lift(result: LiftResult, point):
 
 @lru_cache(maxsize=None)
 def _patch_rule(degree: int):
-    """Scaled local coordinates (12, 16 nq, 2) of the points of the
+    """Scaled local coordinates (2, 16 nq, 2) of the points of the
     degree-``degree`` rule on the 16 subtriangles of a patch, per frame,
-    and their :func:`monomial_basis` (12, 16 nq, 3, 10), read-only."""
+    and their :func:`monomial_basis` (2, 16 nq, 3, 10), read-only."""
     local = np.einsum("qk,ftkx->ftqx", rule(degree).points, _frame_local(_SUB_AB))
     local = local.reshape(len(_FRAMES), -1, 2)
     basis = monomial_basis(local)

@@ -183,7 +183,7 @@ def _solve_cg(A: SparseSpd, b, bnorm: float):
         rz = rz_new
 
     true_res = float(np.linalg.norm(b - A @ x)) / bnorm
-    if rnorm > TOL * bnorm:
+    if not rnorm <= TOL * bnorm:  # also when rnorm is NaN
         raise SolverError(
             f"CG did not converge in {maxit} iterations: "
             f"recurrence residual {rnorm / bnorm:.3e}, "

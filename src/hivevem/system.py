@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import HEX_DIRECTIONS, HoneycombMesh, position
+from .lattice import HEX_DIRECTIONS, UNIT_TRIANGLES, HoneycombMesh, position
 from .problem import ManufacturedProblem
 from .quadrature import blocks, rule, sample
 
@@ -223,11 +223,6 @@ def load_vector(
     return np.bincount(mesh.tris.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
 
 
-#: Lattice steps from cell (i, j) to the vertices of its unit triangles
-#: of kind 0 and kind 1, in the local order of ``mesh.tris``.
-_CELL_VERTICES = np.array([[(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])
-
-
 def tri_quadrature(mesh: HoneycombMesh, q):
     """Quadrature points of ``q`` on the subtriangles, block by block.
 
@@ -249,8 +244,8 @@ def tri_quadrature(mesh: HoneycombMesh, q):
     m, j = cell @ (2, 1), cell[:, 1]
     # Vertex keys by kind and cell key; the lattice point (a // 2, a % 2)
     # has 2i + j = a, and (0, b) has j = b.
-    a = np.arange(m.min(), m.max() + 1)[:, None] + (_CELL_VERTICES @ (2, 1))[:, None]
-    b = np.arange(j.min(), j.max() + 1)[:, None] + _CELL_VERTICES[:, None, :, 1]
+    a = np.arange(m.min(), m.max() + 1)[:, None] + (UNIT_TRIANGLES @ (2, 1))[:, None]
+    b = np.arange(j.min(), j.max() + 1)[:, None] + UNIT_TRIANGLES[:, None, :, 1]
     x = position(np.stack([a // 2, a % 2], axis=-1), mesh.s)[..., 0, None]
     y = position(np.stack([0 * b, b], axis=-1), mesh.s)[..., 1, None]
     bary = q.points.T

@@ -18,9 +18,10 @@ VTK_TRIANGLE = 5
 
 def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
     """Write one ``fmt`` line per row of the 2-D ``rows``, a block of
-    :data:`~hivevem.quadrature.BLOCK_POINTS` rows at a time."""
+    :data:`~hivevem.quadrature.BLOCK_POINTS` rows at a time, each block
+    formatted by one ``%``."""
     for block in quadrature.blocks(rows, 1):
-        fh.write("".join(fmt % tuple(r) for r in block.tolist()))
+        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_vtk(

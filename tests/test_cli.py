@@ -220,10 +220,12 @@ def test_export_writes_vtk(tmp_path, what):
 
 @pytest.mark.parametrize("what, sha256", [
     ("mesh", "abc79dc90bafeb979e7dd4c72ecfd1809daf96914c4e3996b37ca7d3c7bdf43f"),
-    ("lift", "fcc36b9548a790ce72064b46e3c12d544c18cceec246b8a4c828956f7e7aa54b"),
+    ("lift", "0800c9df53bab32d5d9bc93aaf8baa24dcfdb921059a41d0507b1de1ddd52ddf"),
 ])
 def test_export_bytes_are_pinned(tmp_path, what, sha256):
-    """Level-3 files hash as those of the unblocked writer did."""
+    """Level-3 files hash as pinned: the mesh as the unblocked writer
+    wrote it, the lift with its seam nodes on the lowest index of the
+    coarse mesh's patch order."""
     out = tmp_path / f"{what}.vtk"
     export(3, what, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
@@ -386,16 +388,19 @@ def test_lift_at_nodes_matches_per_patch_definition(
     solved_cache, hex_sine, patch_cubic
 ):
     """Each node takes the fit of the lowest-index patch that lists it
-    as a site, evaluated here patch by patch."""
-    mesh, u_h, _, _ = solved_cache(4)
-    lifted = lift.lift_solution(u_h, hex_sine, lift.build_patch_grid(mesh))
-    grid = lifted.grid
-    owner = np.full(mesh.n_nodes, -1)
-    for p in reversed(range(grid.n_patches)):
-        owner[grid.site_nodes[p]] = p
-    want = np.empty(mesh.n_nodes)
-    for p in range(grid.n_patches):
-        sel = np.flatnonzero(owner == p)
-        want[sel] = patch_cubic(lifted, p, mesh.node_xy[sel])[0]
-    assert np.all(owner >= 0)
-    assert np.allclose(cli._lift_at_nodes(lifted), want, rtol=1e-13, atol=1e-15)
+    as a site: at levels 3-5, the values of that owner table, evaluated
+    through ``evaluate_patches``, bit for bit, and patch by patch here."""
+    for level in (3, 4, 5):
+        mesh, u_h, _, _ = solved_cache(level)
+        lifted = lift.lift_solution(u_h, hex_sine, lift.build_patch_grid(mesh))
+        grid = lifted.grid
+        owner = np.full(mesh.n_nodes, grid.n_patches)
+        np.minimum.at(owner, grid.site_nodes, np.arange(grid.n_patches)[:, None])
+        assert np.all(owner < grid.n_patches)
+        got = cli._lift_at_nodes(lifted)
+        assert np.array_equal(
+            got, lift.evaluate_patches(lifted, owner, mesh.node_xy)[0])
+        for p in range(grid.n_patches):
+            sel = np.flatnonzero(owner == p)
+            want = patch_cubic(lifted, p, mesh.node_xy[sel])[0]
+            assert np.allclose(got[sel], want, rtol=1e-13, atol=1e-15)

@@ -220,7 +220,7 @@ def test_tri_index_inverts_tris_and_is_minus_one_outside(level):
     when its three vertices are nodes.  The table is built on first
     call only."""
     mesh = build_mesh(level)
-    assert "_tri_lookup" not in vars(mesh)
+    assert "tri_table" not in vars(mesh)
     ij = mesh.node_ij[mesh.tris]
     cell = ij.min(axis=1)
     kind = (ij == cell[:, None] + 1).all(axis=-1).any(axis=1).astype(int)

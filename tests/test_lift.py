@@ -162,7 +162,7 @@ def test_patch_quadrature_computes_the_basis_once_per_rule():
         {basis.ctypes.data for _, _, basis in patch_quadrature(grid, 6)}
         for grid in grids
     ]
-    assert shared[0] == shared[1] and len(shared[0]) == 12
+    assert shared[0] == shared[1] and len(shared[0]) == 2
     grid = grids[1]
     for ids, xy, basis in patch_quadrature(grid, 6):
         local = (xy - grid.centroid[ids].T[..., None]) / grid.edge
@@ -412,7 +412,7 @@ def patch_points(draw, grid):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), level=st.sampled_from([3, 4, 5]))
+@given(data=st.data(), level=st.sampled_from([3, 4, 5, 6]))
 def test_locate_matches_brute_force(data, level):
     grid = grid_at(level)
     point = data.draw(patch_points(grid))
@@ -421,7 +421,7 @@ def test_locate_matches_brute_force(data, level):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    level=st.sampled_from([3, 4, 5]),
+    level=st.sampled_from([3, 4, 5, 6]),
     side=st.integers(0, 5),
     t=st.floats(0.0, 1.0),
 )

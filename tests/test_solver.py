@@ -66,6 +66,16 @@ def test_cg_iteration_budget_raises(
         solve(A, b, SolverConfig(method="cg"))
 
 
+def test_cg_with_a_nan_residual_raises(mesh_cache, hex_sine, monkeypatch):
+    """A NaN residual never passes the stop test: a preconditioner that
+    returns NaN makes the solve raise instead of returning NaN."""
+    monkeypatch.setattr(
+        solver, "_multigrid", lambda A: lambda r: np.full_like(r, np.nan))
+    A, b, _ = assemble(mesh_cache(4), hex_sine)
+    with pytest.raises(SolverError, match="recurrence residual nan"):
+        solve(A, b, SolverConfig(method="cg"))
+
+
 def test_zero_rhs_short_circuits():
     A = random_spd(5)
     x, stats = solve(A, np.zeros(5), SolverConfig(method="cg"))
