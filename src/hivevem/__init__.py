@@ -39,7 +39,7 @@ from .problem import (
     jet_eval,
     laplacian,
 )
-from .quadrature import QuadratureRule, integrate, monomial_integral, rule
+from .quadrature import QuadratureRule, monomial_integral, rule
 from .solver import SolveStats, SolverConfig, SolverError, solve
 from .system import (
     ELEMENT_STIFFNESS,

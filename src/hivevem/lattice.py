@@ -41,9 +41,10 @@ SQRT3 = math.sqrt(3.0)
 
 #: Largest refinement level accepted by :func:`build_mesh`.  Memory grows
 #: about fourfold per level.  On a 2-core x86 VM, ``study --min-level 10
-#: --max-level 10 --lift`` peaks at 486 MB (``ru_maxrss``) in 10.4 s and
-#: ``export --level 10 --what lift`` at 486 MB in 15.3 s, so level 11
-#: would need about 2 GB.
+#: --max-level 10 --lift`` peaks at 428 MB (``ru_maxrss``) in about 10 s
+#: and ``export --level 10 --what lift`` at 428 MB in about 13 s, so
+#: level 11 would need about 2 GB.  Both solve with CG; the direct
+#: solver needs about 2 GB at level 10.
 MAX_LEVEL = 10
 
 #: The six unit lattice steps, counterclockwise starting from +x.
@@ -116,7 +117,8 @@ class HoneycombMesh:
         neither on the boundary nor a centre.  They index the degrees of
         freedom of the discrete system.
 
-    :meth:`index` maps lattice coordinates to node indices and
+    :meth:`index` maps lattice coordinates to node indices,
+    :meth:`neighbours` unit steps from every node to node indices, and
     :meth:`tri_index` lattice unit triangles to subtriangle indices,
     through :attr:`tri_table`.  :attr:`tri_table`,
     :attr:`center_corners` and :attr:`cells` are derived on first read;
@@ -151,6 +153,18 @@ class HoneycombMesh:
         """
         m = self.n + 1
         return self._lookup[np.clip(i, -m, m) + m, np.clip(j, -m, m) + m]
+
+    def neighbours(self, steps) -> np.ndarray:
+        """Node indices at the lattice ``steps`` (k, 2) from every node,
+        shape (N, k), -1 for every point outside the closed hexagon.
+
+        Each step's components lie in -1..1, so the point stays on the
+        table or its ring of -1, and a flat offset into the table finds
+        it without clipping.
+        """
+        width = self._lookup.shape[1]
+        at = (self.node_ij + self.n + 1) @ (width, 1)
+        return self._lookup.ravel()[at[:, None] + np.asarray(steps) @ (width, 1)]
 
     def tri_index(self, i, j, kind):
         """Subtriangle indices of the lattice unit triangles of kind 0,
@@ -209,10 +223,6 @@ class HoneycombMesh:
     def tri_area(self) -> float:
         """Common area of the equilateral subtriangles."""
         return 0.25 * SQRT3 * self.s * self.s
-
-    def tri_xy(self) -> np.ndarray:
-        """Vertex coordinates of every subtriangle, shape (T, 3, 2)."""
-        return self.node_xy[self.tris]
 
 
 def _at_vertices(table: np.ndarray, kind: int) -> list[np.ndarray]:

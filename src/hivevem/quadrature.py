@@ -1,7 +1,7 @@
 """Symmetric Gauss quadrature on triangles.
 
-Rules are stored in barycentric form with weights that sum to one;
-:func:`integrate` multiplies by the actual triangle area.  The degrees
+Rules are stored in barycentric form with weights that sum to one,
+so a sum over the points is multiplied by the triangle's area.  The degrees
 provided (2, 4, 6, 8) cover load assembly and error-norm evaluation.
 
 The tabulated coefficients are the classical symmetric rules with 3, 6,
@@ -146,18 +146,3 @@ def sample(fn, xy: np.ndarray) -> np.ndarray:
     for ids in blocks(np.arange(len(xy)), 1):
         out[ids] = fn(*xy[ids].T)
     return out
-
-
-def triangle_area(tri: np.ndarray) -> float:
-    """Unsigned area from the three vertex coordinates, shape (3, 2)."""
-    u = tri[1] - tri[0]
-    v = tri[2] - tri[0]
-    return 0.5 * abs(u[0] * v[1] - u[1] * v[0])
-
-
-def integrate(tri: np.ndarray, g, q: QuadratureRule) -> float:
-    """Integrate ``g(x, y)`` over one triangle given by its vertices."""
-    tri = np.asarray(tri, dtype=float)
-    pts = q.points @ tri
-    vals = g(pts[:, 0], pts[:, 1])
-    return triangle_area(tri) * float(np.dot(q.weights, vals))

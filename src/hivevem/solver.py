@@ -7,9 +7,11 @@ for a fixed configuration.  The direct solve is the reference that CG
 is checked against.
 
 CG is preconditioned by a multigrid V-cycle on the nested lattice
-hierarchy with Galerkin coarse operators (Briggs, Henson and McCormick,
-*A Multigrid Tutorial*, SIAM 2000).  Its iteration count stays flat as
-the mesh is refined, where Jacobi's doubles with every level.
+hierarchy, whose coarse operators are re-discretised: each level's is
+built from its own mesh as the fine one is (Briggs, Henson and
+McCormick, *A Multigrid Tutorial*, SIAM 2000).  Its iteration count
+stays flat as the mesh is refined, where Jacobi's doubles with every
+level.
 
 A note on tolerances.  Both methods work to one fixed relative
 tolerance, :data:`TOL`: CG stops when the recurrence residual satisfies
@@ -21,7 +23,7 @@ levels.  With ``1e-6``, a study of levels 6 to 8 printed superclose H1
 orders 1.75 and 1.16 at levels 7 and 8, where ``1e-14`` gives 4.00 and
 4.00.  Neither is the CG budget a setting: ``max(2n, 200)`` covers the
 finite-termination bound of CG, and the multigrid-preconditioned
-iteration needs about 11 steps at every level, so a smaller budget
+iteration needs 10 to 12 steps at every level, so a smaller budget
 could only fail a run.
 
 At fine levels the *recomputed* residual ``b - A x`` cannot drop to
@@ -44,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import build_mesh
-from .system import SparseSpd, refinement_transfer
+from .system import SparseSpd, operator, refinement_transfer
 
 METHODS = ("cg", "chol")
 
@@ -109,26 +111,40 @@ def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
 def _multigrid(A: SparseSpd):
     """Symmetric V-cycle on the nested lattice hierarchy of ``A``.
 
-    The transfers come from ``A.mesh`` down to level
-    ``MG_COARSEST_LEVEL`` (:func:`system.refinement_transfer`), the
-    coarse operators are the Galerkin products ``P^T A P``, and the
-    coarsest one is factorised.  Each level smooths with ``MG_SWEEPS``
+    The levels are those of :func:`_hierarchy`, and the coarsest
+    operator is factorised.  Each level smooths with ``MG_SWEEPS``
     damped Jacobi sweeps before and after its coarse correction; equal
     counts of a symmetric smoother make the cycle a symmetric positive
     definite operator, as CG requires.  A matrix without a mesh, or
     with a mesh no finer than the coarsest level, has no coarse levels:
     its cycle is the exact solve.
     """
+    levels, op = _hierarchy(A)
+    coarsest = _factorise(op)
+    return lambda r: _vcycle(levels, coarsest, r)
+
+
+def _hierarchy(A: SparseSpd):
+    """Levels of the V-cycle, finest first, and the coarsest operator.
+
+    Each level below ``A.mesh``, down to ``MG_COARSEST_LEVEL``, has the
+    operator that :func:`system.operator` builds on its own mesh, as
+    :func:`system.assemble` builds ``A``, rather than the Galerkin
+    product ``P^T A P``: about 13 nonzeros per row, as on the fine
+    level, instead of about 36.  The transfer to the next finer level
+    (:func:`system.refinement_transfer`) reuses that level's
+    prolongation.  Each entry of ``levels`` is ``(op, w, P)``: a level's
+    operator, its damped inverse diagonal and the transfer from the
+    level below.
+    """
     levels, op, mesh = [], A.to_csr(), A.mesh
     while mesh is not None and mesh.level > MG_COARSEST_LEVEL:
         coarse = build_mesh(mesh.level - 1)
-        P = refinement_transfer(coarse, mesh)
+        coarse_op, C = operator(coarse)
+        P = refinement_transfer(coarse, mesh, C)
         levels.append((op, MG_OMEGA / op.diagonal(), P))
-        # Row storage of P^T for the product only: the cycle coarsens
-        # residuals with the view P.T, so the hierarchy keeps one copy of P.
-        op, mesh = P.T.tocsr() @ (op @ P), coarse
-    coarsest = _factorise(op)
-    return lambda r: _vcycle(levels, coarsest, r)
+        op, mesh = coarse_op, coarse
+    return levels, op
 
 
 def _vcycle(levels, coarsest, r, k=0):

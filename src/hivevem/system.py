@@ -8,18 +8,21 @@ centre condition is the energy-minimising (discrete harmonic) extension
 of the corner data on the equilateral fan, which is what makes the
 scheme stabiliser-free: no extra penalty term ever enters.
 
-Assembly computes the P1 load vector l over all lattice nodes, then
-builds the full P1 stiffness matrix K directly in compressed rows from
-the 7-point stencil of the lattice: every equilateral subtriangle shares
-one element stiffness, so each row holds the node and those of its six
-lattice neighbours that lie in the domain.  It condenses both through
-the prolongation C that expresses every node value in terms of the
-values at the free nodes ``mesh.free``, the degrees of freedom:
+Assembly computes the P1 load vector l over all lattice nodes.
+:func:`operator` builds the full P1 stiffness matrix K directly in
+compressed rows from the 7-point stencil of the lattice: every
+equilateral subtriangle shares one element stiffness, so each row holds
+the node and those of its six lattice neighbours that lie in the domain.
+It condenses K through the prolongation C that expresses every node
+value in terms of the values at the free nodes ``mesh.free``, the
+degrees of freedom, and the load goes through the same C:
 
     A = C^T K C,     b = C^T l.
 
 A is symmetric positive definite because C has full column rank.  The
-load rows of the eliminated centres are returned next to A and b, and
+operator depends on the mesh alone, so the multigrid preconditioner of
+:mod:`~hivevem.solver` builds every coarse level with it too.  The load
+rows of the eliminated centres are returned next to A and b, and
 :func:`recover_centers` undoes the elimination with them.
 
 The quadrature points of the subtriangles follow the lattice too.  A
@@ -91,13 +94,17 @@ class SparseSpd:
 
     Thin wrapper over a scipy CSR matrix that fixes the contract:
     square, column indices sorted within each row, and numerically
-    symmetric.  Positive definiteness follows from the construction
-    (congruence of the P1 stiffness with a full-rank prolongation) and
-    is exercised by the tests rather than re-proved here.
+    symmetric.  A CSR matrix, such as the product of :func:`operator`,
+    is taken without a copy and put in canonical form in place.
+    Positive definiteness follows from the construction (congruence of
+    the P1 stiffness with a full-rank prolongation) and is exercised by
+    the tests rather than re-proved here.
 
     ``mesh`` is the lattice whose free nodes ``mesh.free`` index the rows
     when the matrix comes from :func:`assemble`, else ``None``; the
-    multigrid preconditioner coarsens through it.
+    multigrid preconditioner builds its coarse levels below it.  Those
+    come from :func:`operator` as the fine matrix does and are not
+    wrapped, so the symmetry check runs on the fine level only.
     """
 
     def __init__(
@@ -106,8 +113,8 @@ class SparseSpd:
         csr = sp.csr_matrix(matrix)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got {csr.shape}")
+        # Canonical form: summing duplicates sorts the indices first.
         csr.sum_duplicates()
-        csr.sort_indices()
         if csr.nnz:
             scale = float(np.max(np.abs(csr.data)))
             # On a symmetric pattern, the transpose's data lines up
@@ -147,14 +154,6 @@ class FieldP1:
     mesh: HoneycombMesh
     values: np.ndarray
 
-    def constraint_gap(self) -> float:
-        """Largest violation of the centre-mean and boundary conditions."""
-        mesh = self.mesh
-        avg = self.values[mesh.center_corners].mean(axis=1)
-        gap = float(np.max(np.abs(self.values[mesh.centers] - avg), initial=0.0))
-        bdry = float(np.max(np.abs(self.values[mesh.on_boundary])))
-        return max(gap, bdry)
-
 
 def prolongation(mesh: HoneycombMesh) -> sp.csr_matrix:
     """Node values from free dofs: identity rows for free vertices,
@@ -171,11 +170,12 @@ def prolongation(mesh: HoneycombMesh) -> sp.csr_matrix:
 
 
 def refinement_transfer(
-    coarse: HoneycombMesh, fine: HoneycombMesh
+    coarse: HoneycombMesh, fine: HoneycombMesh, C: sp.csr_matrix
 ) -> sp.csr_matrix:
     """Free dofs of ``fine`` from free dofs of ``coarse``, one level up.
 
-    ``P = R I C``: ``C`` is the coarse :func:`prolongation`, ``I`` the
+    ``P = R I C``: ``C`` is the :func:`prolongation` of ``coarse``, which
+    :func:`operator` has built with the coarse operator, ``I`` the
     P1 injection of the red refinement (fine node ``(a, b)`` takes the
     mean of the coarse nodes at the ends of the coarse edge through it,
     or the coarse node itself when ``a`` and ``b`` are even), and ``R``
@@ -199,7 +199,7 @@ def refinement_transfer(
         (np.full(rows.size, 0.5), (rows, cols)),
         shape=(ij.shape[0], coarse.n_nodes),
     )
-    return inject @ prolongation(coarse)
+    return inject @ C
 
 
 def load_vector(
@@ -280,10 +280,10 @@ def stiffness(mesh: HoneycombMesh) -> sp.csr_matrix:
     adds ``ELEMENT_STIFFNESS[0, 0]`` once per subtriangle at p.  This is
     the sum of the element matrices bit for bit, in any order: an edge
     has at most two terms, and the three diagonal entries of the element
-    matrix are one double.
+    matrix are one double.  The columns are the stencil's
+    :meth:`~hivevem.lattice.HoneycombMesh.neighbours`.
     """
-    i, j = mesh.node_ij.T
-    cols = mesh.index(i[:, None] + _STENCIL[:, 0], j[:, None] + _STENCIL[:, 1])
+    cols = mesh.neighbours(_STENCIL)
     near = cols[:, _HEX_COLUMNS] >= 0
     tri = near & np.roll(near, -1, axis=1)
     r = np.array([0, 1, 1, 2, 2, 0])
@@ -300,6 +300,19 @@ def stiffness(mesh: HoneycombMesh) -> sp.csr_matrix:
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(mesh.n_nodes,) * 2)
 
 
+def operator(mesh: HoneycombMesh):
+    """The condensed operator of ``mesh`` and the prolongation it
+    condenses through: ``(C^T K C, C)``, the first in CSR.
+
+    The load plays no part, so the multigrid hierarchy builds each of
+    its coarse levels here as :func:`assemble` builds the fine one.
+    The row storage of ``C^T`` makes the product CSR; sorted, it equals
+    ``(C^T K) C`` bit for bit at every level.
+    """
+    C = prolongation(mesh)
+    return C.T.tocsr() @ (stiffness(mesh) @ C), C
+
+
 def assemble(mesh: HoneycombMesh, problem: ManufacturedProblem):
     """Assemble the condensed SPD system.
 
@@ -311,10 +324,8 @@ def assemble(mesh: HoneycombMesh, problem: ManufacturedProblem):
     as such; the solution field is then identically zero.
     """
     load = load_vector(mesh, problem)
-    C = prolongation(mesh)
-    A = SparseSpd(C.T @ stiffness(mesh) @ C, mesh)
-    b = C.T @ load
-    return A, b, load[mesh.centers]
+    A, C = operator(mesh)
+    return SparseSpd(A, mesh), C.T @ load, load[mesh.centers]
 
 
 def expand(x: np.ndarray, mesh: HoneycombMesh) -> FieldP1:

@@ -20,11 +20,12 @@ from hivevem.cli import StudyConfig, run_study
 from hivevem.lattice import CellKind, build_mesh
 from hivevem.lift import build_patch_grid, evaluate_lift, lift_solution
 from hivevem.problem import _from_expression, get_problem, zero
-from hivevem.quadrature import SUPPORTED_DEGREES, integrate, rule, triangle_area
+from hivevem.quadrature import SUPPORTED_DEGREES, rule
 from hivevem.problem import jet_eval, laplacian
 from hivevem.solver import SolverConfig, solve
 from hivevem.system import assemble, expand, interpolate
 from hivevem.analysis import norm_h1_broken_true, norm_l2_true
+from triangles import integrate, triangle_area
 
 SQRT3 = math.sqrt(3.0)
 
@@ -73,7 +74,7 @@ def cubic_floor(grid, problem):
     the patch edge 4s.
     """
     q = rule(8)
-    tri = grid.mesh.tri_xy()[grid.tri_indices]          # (P, 16, 3, 2)
+    tri = grid.mesh.node_xy[grid.mesh.tris[grid.tri_indices]]      # (P, 16, 3, 2)
     d1 = tri[..., 1, :] - tri[..., 0, :]
     d2 = tri[..., 2, :] - tri[..., 0, :]
     area = 0.5 * np.abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
@@ -110,7 +111,7 @@ def test_criterion_1_mesh_integrity():
     checks = []
     for level in range(1, 9):
         mesh = build_mesh(level)
-        xy = mesh.tri_xy()
+        xy = mesh.node_xy[mesh.tris]
         d1 = xy[:, 1] - xy[:, 0]
         d2 = xy[:, 2] - xy[:, 0]
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])

@@ -87,7 +87,7 @@ def test_superclose_h1_matches_the_p1_gradients(level, solved_cache, hex_sine):
     area * |grad|^2 of the P1 gradients, to round-off."""
     mesh, u_h, _, _ = solved_cache(level)
     u_i = interpolate(hex_sine, mesh)
-    grads, area = p1_gradients(mesh.tri_xy())
+    grads, area = p1_gradients(mesh.node_xy[mesh.tris])
     g = np.einsum("tk,tkx->tx", (u_i.values - u_h.values)[mesh.tris], grads)
     want = math.sqrt(np.sum(area * np.sum(g * g, axis=1)))
     assert norms_superclose(u_h, u_i)[1] == pytest.approx(want, rel=1e-14, abs=0)
@@ -169,7 +169,7 @@ def test_blocked_error_norms_match_whole_mesh_sums(
     default blocks, to summation round-off."""
     mesh, u_h, _, _ = solved_cache(5)
     q = rule(6)
-    pts = np.einsum("qk,tkx->tqx", q.points, mesh.tri_xy())
+    pts = np.einsum("qk,tkx->tqx", q.points, mesh.node_xy[mesh.tris])
     err = hex_sine.u(pts[..., 0], pts[..., 1]) - u_h.values[mesh.tris] @ q.points.T
     want = math.sqrt(mesh.tri_area * np.einsum("tq,q->", err ** 2, q.weights))
     lifted = lift_solution(u_h, hex_sine, build_patch_grid(mesh))

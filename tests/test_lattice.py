@@ -60,7 +60,7 @@ def test_boundary_flag_matches_support_function(level, mesh_cache):
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_total_area_is_exact(level, mesh_cache):
     mesh = mesh_cache(level)
-    xy = mesh.tri_xy()
+    xy = mesh.node_xy[mesh.tris]
     d1 = xy[:, 1] - xy[:, 0]
     d2 = xy[:, 2] - xy[:, 0]
     signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -72,7 +72,7 @@ def test_total_area_is_exact(level, mesh_cache):
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_subtriangles_are_equilateral(level, mesh_cache):
     mesh = mesh_cache(level)
-    xy = mesh.tri_xy()
+    xy = mesh.node_xy[mesh.tris]
     for a, b in ((0, 1), (1, 2), (2, 0)):
         lengths = np.linalg.norm(xy[:, a] - xy[:, b], axis=1)
         assert np.allclose(lengths, mesh.s, rtol=1e-13, atol=0)
@@ -210,6 +210,19 @@ def test_index_is_minus_one_outside_the_hexagon(level, mesh_cache):
     assert got.ravel().tolist() == [
         table.get(p, -1) for p in zip(i.ravel().tolist(), j.ravel().tolist())
     ]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_neighbours_are_the_index_of_every_unit_step(level, mesh_cache):
+    """Every step with components in -1..1, boundary nodes included,
+    finds what :meth:`index` finds, in its dtype."""
+    mesh = mesh_cache(level)
+    steps = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    got = mesh.neighbours(steps)
+    i, j = mesh.node_ij.T
+    want = mesh.index(i[:, None] + steps[:, 0], j[:, None] + steps[:, 1])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.count_nonzero(got < 0) > 0
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])

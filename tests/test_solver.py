@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hivevem import solver
 from hivevem.problem import _from_expression
 from hivevem.solver import SolverConfig, SolverError, solve
-from hivevem.system import SparseSpd, assemble
+from hivevem.system import SparseSpd, assemble, operator
 
 
 def random_spd(n, seed=0):
@@ -119,8 +119,25 @@ def test_multigrid_iterations_are_flat(mesh_cache, hex_sine):
         A, b, _ = assemble(mesh_cache(level), hex_sine)
         _, stats = solve(A, b, SolverConfig())
         counts.append(stats.iterations)
-    assert max(counts) <= 15, counts
+    assert max(counts) <= 12, counts
     assert max(counts) - min(counts) <= 3, counts
+
+
+def test_multigrid_coarse_operators_are_the_assembled_ones(mesh_cache, hex_sine):
+    """Below the fine level, each operator of the hierarchy is the one
+    ``system.operator`` builds on that level's mesh, bit for bit, and
+    the transfers map between the levels' free nodes."""
+    A, _, _ = assemble(mesh_cache(6), hex_sine)
+    levels, coarsest = solver._hierarchy(A)
+    assert levels[0][0] is A.to_csr()
+    ops = [op for op, _, _ in levels[1:]] + [coarsest]
+    for level, got in zip((5, 4, 3), ops, strict=True):
+        want, _ = operator(mesh_cache(level))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for level, (_, _, P) in zip((6, 5, 4), levels, strict=True):
+        assert P.shape == (mesh_cache(level).free.size,
+                           mesh_cache(level - 1).free.size)
 
 
 def test_multigrid_hierarchy_dies_with_the_solve(mesh_cache, hex_sine):
