@@ -42,7 +42,7 @@ SQRT3 = math.sqrt(3.0)
 #: Largest refinement level accepted by :func:`build_mesh`.  Memory grows
 #: about fourfold per level.  On a 2-core x86 VM, ``study --min-level 10
 #: --max-level 10 --lift`` peaks at 428 MB (``ru_maxrss``) in about 10 s
-#: and ``export --level 10 --what lift`` at 428 MB in about 13 s, so
+#: and ``export --level 10 --what lift`` at 428 MB in about 12 s, so
 #: level 11 would need about 2 GB.  Both solve with CG; the direct
 #: solver needs about 2 GB at level 10.
 MAX_LEVEL = 10

@@ -6,8 +6,13 @@ the mesh two levels coarser, of both kinds, numbered as its ``tris``.
 A patch contains 16 subtriangles and carries the 15 lattice sites of
 its degree-4 principal lattice; exactly one of its three corners is of
 the hexagon-centre class.  The grid is built by integer lattice
-arithmetic from the coarse mesh, and a point is located in O(1) from
-its cell in the coarse mesh's :attr:`~hivevem.lattice.HoneycombMesh.tri_table`.
+arithmetic from the coarse mesh.  A point is located in the frame of
+the coarse lattice, where every patch is a unit triangle: its lattice
+coordinates give its cell, the coarse mesh's
+:attr:`~hivevem.lattice.HoneycombMesh.tri_table` gives the 18 patches
+of the 3x3 cells around it, and one constant table gives their
+barycentric coordinates as affine functions of the coordinates, the
+same at every level.
 
 On every patch a full bivariate cubic (10 coefficients) is fitted by
 least squares to solution data at a scheme-dependent subset of the 15
@@ -97,6 +102,17 @@ _FRAMES = UNIT_TRIANGLES[:, 1:] - UNIT_TRIANGLES[:, :1]
 _TO_LATTICE = np.array([[1.0, 0.0], [-1.0 / SQRT3, 2.0 / SQRT3]])
 _NEAR_I, _NEAR_J = np.mgrid[-1:2, -1:2].reshape(2, -1)
 
+#: Barycentric coordinates of the 18 unit triangles of the 3x3 cells
+#: around a cell, both kinds, as affine functions of the lattice
+#: coordinates (u, v) measured from that cell: ``[u, v, 1] @ _BARY``
+#: gives them in (cell, kind, vertex) order.  Each block inverts the
+#: triangle's vertex rows ``[i, j, 1]``; they are unimodular, so the
+#: entries are integers and the linear ones lie in {-1, 0, 1}.
+_BARY = np.rint(np.linalg.inv(np.concatenate([
+    np.stack([_NEAR_I, _NEAR_J], axis=-1)[:, None, None] + UNIT_TRIANGLES,
+    np.ones((9, 2, 3, 1)),
+], axis=-1))).transpose(2, 0, 1, 3).reshape(3, -1)
+
 
 class UnsupportedLevelError(ValueError):
     """Patch grids only exist from level 3 on."""
@@ -144,7 +160,6 @@ class PatchGrid:
     c0_corner_site: np.ndarray   # (P,) site id of the centre-class corner
     centroid: np.ndarray         # (P, 2)
     cell_patches: np.ndarray     # the coarse tri_table, -1 outside
-    corner_xy: np.ndarray        # (P + 1, 3, 2), a NaN triangle last
 
     @property
     def n_patches(self) -> int:
@@ -204,8 +219,8 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
     frame = (corners[:, 0, 1] - corners[:, 1, 1]) // 4
 
     def lattice(local_ab, scale=1):
-        return scale * corners[:, :1] + np.einsum(
-            "sa,pad->psd", local_ab, _FRAMES[frame])
+        offsets = np.einsum("sa,fad->fsd", local_ab, _FRAMES)
+        return scale * corners[:, :1] + offsets[frame]
 
     sites = lattice(_SITE_AB)
     site_nodes = mesh.index(sites[..., 0], sites[..., 1])
@@ -225,15 +240,12 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
     if np.any(cls0.sum(axis=1) != 1):
         raise RuntimeError("patch without unique centre-class corner")
 
-    # The coarse table's -1 outside the domain picks the NaN triangle
-    # that ends ``corner_xy``, which contains no point.
     return PatchGrid(
         mesh, 4.0 * mesh.s, corners, frame, site_nodes,
         mesh.is_center[site_nodes], tri_indices,
         _CORNER_SITES[np.argmax(cls0, axis=1)],
         mesh.node_xy[site_nodes[:, _CORNER_SITES]].mean(axis=1),
         coarse.tri_table,
-        np.concatenate([position(corners, mesh.s), np.full((1, 3, 2), np.nan)]),
     )
 
 
@@ -320,27 +332,33 @@ def locate_patch(grid: PatchGrid, point):
     """Index of the patch containing a point; lowest index on ties.
 
     Takes one point, giving an ``int``, or a ``(k, 2)`` array, giving an
-    index array.  A point is in a patch when none of its barycentric
-    coordinates is below ``-1e-12``; only the patches of the 3x3 coarse
-    cells around the point's own cell can be.
+    index array; a point outside the domain or not finite raises
+    ``ValueError``.  A point is in a patch when none of its barycentric
+    coordinates is below ``-1e-12``.  Location works in the frame of the
+    coarse lattice, whose unit triangles are the patches: the point's
+    lattice coordinates ``uv`` fix its cell, only the 18 patches of the
+    3x3 cells around it can hold it, and their barycentric coordinates
+    are affine in ``uv``, with the level-independent coefficients of
+    :data:`_BARY` shifted by the cell.
     """
     xy = np.asarray(point, dtype=float)
     pts = xy.reshape(-1, 2)
     if not np.isfinite(pts).all():
         raise ValueError("cannot locate a non-finite point")
-    # Coarse cell, clipped to the domain's cells and shifted past the
-    # table's ring: positive, so truncation floors it.
+    # Clip the cell, not uv: a point on the domain's edge keeps its own
+    # coordinates, measured from the last cell.
     m = grid.cell_patches.shape[0] // 2 - 1
-    cell = (np.clip(pts @ _TO_LATTICE / grid.edge, -m, m - 1) + m + 1).astype(int)
-    cand = grid.cell_patches[cell[:, :1] + _NEAR_I, cell[:, 1:] + _NEAR_J]
+    uv = pts @ _TO_LATTICE / grid.edge
+    cell = np.minimum(np.maximum(np.floor(uv), -m), m - 1)
+    ij = cell.astype(int) + m + 1
+    cand = grid.cell_patches[ij[:, :1] + _NEAR_I, ij[:, 1:] + _NEAR_J]
     cand = cand.reshape(len(pts), -1)
-    a, b, c = np.moveaxis(grid.corner_xy[cand], -2, 0)
-    e1, e2, d = b - a, c - a, pts[:, None] - a
-    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
-    l1 = (d[..., 0] * e2[..., 1] - d[..., 1] * e2[..., 0]) / det
-    l2 = (e1[..., 0] * d[..., 1] - e1[..., 1] * d[..., 0]) / det
-    inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (1.0 - l1 - l2 >= -1e-12)
-    owner = np.where(inside, cand, grid.n_patches).min(axis=1)
+    # (uv - cell) @ _BARY[:2] + _BARY[2], with the cell folded into the
+    # integer constants: each coordinate is then a rounded sum of two
+    # exact terms plus an integer, the same bits in any cell or batch.
+    bary = uv @ _BARY[:2] + (_BARY[2] - cell @ _BARY[:2])
+    inside = (bary.reshape(len(pts), -1, 3) >= -1e-12).all(axis=-1)
+    owner = np.where(inside & (cand >= 0), cand, grid.n_patches).min(axis=1)
     if (owner == grid.n_patches).any():
         bad = pts[np.argmax(owner == grid.n_patches)]
         raise ValueError(f"point {tuple(bad)} lies outside the domain")
@@ -358,12 +376,14 @@ def evaluate_patches(result: LiftResult, patches, xy: np.ndarray):
 
 def evaluate_lift(result: LiftResult, point):
     """Lift value and gradient at one point, ``(value, (gx, gy))``, or
-    at each row of a ``(k, 2)`` array, ``(values, gradients)``."""
+    at each row of a ``(k, 2)`` array, ``(values, gradients)``.  A
+    single point's gradient is an array of its own, not a view that
+    would keep the ``(1, 2)`` result alive while the caller holds it."""
     xy = np.asarray(point, dtype=float)
     pts = xy.reshape(-1, 2)
     values, grads = evaluate_patches(result, locate_patch(result.grid, pts), pts)
     if xy.ndim == 1:
-        return float(values[0]), grads[0]
+        return float(values[0]), grads[0].copy()
     return values, grads
 
 

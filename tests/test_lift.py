@@ -376,13 +376,35 @@ def test_locate_rejects_outside_points(grid3):
         locate_patch(grid3, np.array([2.0, 0.0]))
 
 
+#: (x, y) to lattice coordinates at unit spacing, as ``locate_patch`` takes them.
+TO_LATTICE = np.array([[1.0, 0.0], [-1.0 / math.sqrt(3.0), 2.0 / math.sqrt(3.0)]])
+
+
 def brute_force_owner(grid, point, tol=1e-12):
     """Lowest index of a patch containing the point, scanning them all.
 
-    Barycentric coordinates by Cramer's rule, the arithmetic of
-    ``locate_patch``: points within rounding of the tolerance edge are
-    drawn, and another formula can decide them the other way.
+    Barycentric coordinates in the coarse lattice frame, where patch p
+    is the unit triangle ``corners_ij[p] / 4``: affine in the point's
+    lattice coordinates, with the integer coefficients that invert the
+    corner rows ``[i, j, 1]``.  That is the arithmetic of
+    ``locate_patch``: its linear parts are sums of two exact terms, so
+    any summation order rounds them alike.  Points within rounding of
+    the tolerance edge are drawn, and another formula, such as
+    Cramer's rule in x and y, can decide them the other way.
     """
+    uv = point @ TO_LATTICE / grid.edge
+    for p in range(grid.n_patches):
+        rows = np.column_stack([grid.corners_ij[p] // 4, np.ones(3)])
+        bary = np.rint(np.linalg.inv(rows))
+        if np.min(uv @ bary[:2] + bary[2]) >= -tol:
+            return p
+    return -1
+
+
+def xy_cramer_owner(grid, point, tol=1e-12):
+    """Lowest index of a patch containing the point, scanning them all,
+    with barycentric coordinates by Cramer's rule in x and y: the
+    arithmetic of the benchmark's evaluation check."""
     for p in range(grid.n_patches):
         a, b, c = position(grid.corners_ij[p], grid.mesh.s)
         e1, e2, d = b - a, c - a, point - a
@@ -417,6 +439,50 @@ def test_locate_matches_brute_force(data, level):
     grid = grid_at(level)
     point = data.draw(patch_points(grid))
     assert locate_patch(grid, point) == brute_force_owner(grid, point)
+
+
+@st.composite
+def clear_points(draw, grid):
+    """A point at least 1e-9 inside a random patch, on one of its edges
+    at least 1e-9 of its length from either end, or at a corner.  Every
+    patch then holds the point or misses it by at least 1e-9 in
+    barycentric terms, far beyond rounding in either arithmetic."""
+    p = draw(st.integers(0, grid.n_patches - 1))
+    tri = position(grid.corners_ij[p], grid.mesh.s)
+    kind = draw(st.sampled_from(["inside", "edge", "corner"]))
+    k = draw(st.integers(0, 2))
+    if kind == "corner":
+        return tri[k]
+    if kind == "edge":
+        t = draw(st.floats(1e-9, 1.0 - 1e-9))
+        return (1.0 - t) * tri[k] + t * tri[(k + 1) % 3]
+    t, r = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    lam = 1e-9 + (1.0 - 3e-9) * np.array([1.0 - t, t * (1.0 - r), t * r])
+    return lam @ tri
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), level=st.sampled_from([3, 4, 5, 6]))
+def test_locate_matches_xy_cramer_on_clear_points(data, level):
+    """Away from the tolerance edge, location in the lattice frame
+    agrees with Cramer's rule in x and y, with which the benchmark
+    checks its evaluations."""
+    grid = grid_at(level)
+    point = data.draw(clear_points(grid))
+    assert locate_patch(grid, point) == xy_cramer_owner(grid, point)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6, 7, 8])
+def test_nodes_are_located_in_their_lowest_site_patch(level, mesh_cache):
+    """A node lies in exactly the patches that carry it as a site, so
+    its patch is the lowest of them, an exact integer table.  Boundary
+    nodes are included, some on the far edge of the last cell."""
+    mesh = mesh_cache(level)
+    grid = build_patch_grid(mesh)
+    owner = np.full(mesh.n_nodes, grid.n_patches)
+    patches = np.broadcast_to(np.arange(grid.n_patches)[:, None], grid.site_nodes.shape)
+    np.minimum.at(owner, grid.site_nodes, patches)
+    assert np.array_equal(locate_patch(grid, mesh.node_xy), owner)
 
 
 @settings(max_examples=100, deadline=None)
@@ -459,6 +525,7 @@ def test_batched_evaluation_equals_single_points(data, level):
     for k, p in enumerate(pts):
         value, grad = evaluate_lift(lifted, p)
         assert isinstance(value, float) and grad.shape == (2,)
+        assert grad.flags.owndata
         assert value == values[k]
         assert np.array_equal(grad, grads[k])
 
