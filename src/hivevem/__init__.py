@@ -15,8 +15,6 @@ from .analysis import (
     orders,
 )
 from .lattice import (
-    Cell,
-    CellKind,
     HoneycombMesh,
     MeshConstructionError,
     build_mesh,

@@ -12,27 +12,36 @@ of lattice nodes with ``max(|i|, |j|, |i+j|) <= n`` and the boundary is
 the equality case, so membership tests are pure integer arithmetic.
 
 Every unit lattice triangle has exactly one vertex in the residue class
-``(i - j) % 3 == 0`` (the class of the origin).  Grouping subtriangles
-by that vertex recovers the honeycomb cells:
+``(i - j) % 3 == 0`` (the class of the origin), its anchor.  Grouping
+subtriangles by their anchor gives the honeycomb cells, which the mesh
+describes through ``is_center``, ``on_boundary`` and ``center_corners``
+rather than as a list:
 
 * an interior class-0 node collects its six incident subtriangles and
   becomes the centre of a regular hexagon cell;
 * a class-0 node on a straight boundary edge collects three and becomes
   the midpoint vertex of a pentagon cell (half a hexagon);
-* corner-triangle cells, which the taxonomy reserves for group anchors
+* corner-triangle cells, which the taxonomy reserves for anchors
   falling outside the closed domain, cannot arise here: the anchor is a
   vertex of its member subtriangles and the domain is convex with
-  boundary along lattice lines.  The kind is kept for completeness.
+  boundary along lattice lines.
 
 The domain corners themselves are never class-0 nodes because
-``2**(level-1) % 3`` alternates between 1 and 2.
+``2**(level-1) % 3`` alternates between 1 and 2.  :func:`build_mesh`
+checks the anchors: one per subtriangle, six per centre and three per
+boundary class-0 node.
+
+The nodes are numbered row-major in i, then j, through a table over
+the square ``|i|, |j| <= n + 1``: the nodes and a ring of -1 around
+them.  Lattice steps are then fixed flat offsets into the table, so the
+subtriangles, the corners of the centres and the neighbours of the
+nodes are gathers at a node's or a cell's offset plus the steps'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -57,25 +66,6 @@ UNIT_TRIANGLES = np.array([[(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])
 
 class MeshConstructionError(RuntimeError):
     """A structural invariant failed while building a mesh."""
-
-
-class CellKind(Enum):
-    HEXAGON = "hexagon"
-    PENTAGON = "pentagon"
-    CORNER_TRIANGLE = "corner-triangle"
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One honeycomb cell: an anchor node and its member subtriangles.
-
-    The anchor is the shared class-0 node: the centre of a hexagon or
-    the boundary midpoint vertex of a pentagon.
-    """
-
-    kind: CellKind
-    anchor: int
-    members: np.ndarray
 
 
 def node_class(i, j):
@@ -120,9 +110,9 @@ class HoneycombMesh:
     :meth:`index` maps lattice coordinates to node indices,
     :meth:`neighbours` unit steps from every node to node indices, and
     :meth:`tri_index` lattice unit triangles to subtriangle indices,
-    through :attr:`tri_table`.  :attr:`tri_table`,
-    :attr:`center_corners` and :attr:`cells` are derived on first read;
-    :func:`build_mesh` has checked the last two already.
+    through :attr:`tri_table`.  :attr:`tri_table` and
+    :attr:`center_corners` are derived on first read; :func:`build_mesh`
+    has checked the corners already.
     """
 
     level: int
@@ -152,7 +142,13 @@ class HoneycombMesh:
         every point beyond the square onto the ring.
         """
         m = self.n + 1
-        return self._lookup[np.clip(i, -m, m) + m, np.clip(j, -m, m) + m]
+        return self._lookup.ravel()[self._flat(np.clip(i, -m, m), np.clip(j, -m, m))]
+
+    def _flat(self, i, j):
+        """Flat offsets into the table of the lattice points ``(i, j)``
+        on it."""
+        width = self._lookup.shape[1]
+        return i * width + j + (self.n + 1) * (width + 1)
 
     def neighbours(self, steps) -> np.ndarray:
         """Node indices at the lattice ``steps`` (k, 2) from every node,
@@ -162,8 +158,13 @@ class HoneycombMesh:
         table or its ring of -1, and a flat offset into the table finds
         it without clipping.
         """
+        return self._steps_from(self.node_ij, steps)
+
+    def _steps_from(self, ij, steps) -> np.ndarray:
+        """Node indices at the lattice ``steps`` (k, 2) from the nodes
+        at ``ij`` (m, 2), shape (m, k), by flat offsets into the table."""
+        at = self._flat(ij[:, 0], ij[:, 1])
         width = self._lookup.shape[1]
-        at = (self.node_ij + self.n + 1) @ (width, 1)
         return self._lookup.ravel()[at[:, None] + np.asarray(steps) @ (width, 1)]
 
     def tri_index(self, i, j, kind):
@@ -186,34 +187,19 @@ class HoneycombMesh:
         emits ``tris``."""
         # ``tris`` holds the kind-0 triangles, then the kind-1 ones, each
         # row-major over the cells; counting them in that order numbers them.
-        ok = np.stack(_unit_triangles_inside(self._lookup[1:-1, 1:-1] >= 0))
-        table = np.where(ok, np.cumsum(ok).reshape(ok.shape) - 1, -1)
-        return np.pad(table.transpose(1, 2, 0), ((1, 1), (1, 1), (0, 0)),
-                      constant_values=-1)
+        width = self._lookup.shape[1]
+        _, cells = _unit_triangles(self._lookup.ravel() >= 0, width)
+        table = np.full((width * width, 2), -1)
+        table[cells[0], 0] = np.arange(cells[0].size)
+        table[cells[1], 1] = np.arange(cells[0].size, cells[0].size + cells[1].size)
+        return table.reshape(width, width, 2)[:-1, :-1].copy()
 
     @cached_property
     def center_corners(self) -> np.ndarray:
         """For every interior centre, its six surrounding corner nodes in
         counterclockwise order, shape (C, 6); rows align with ``centers``."""
-        ij = self.node_ij[self.centers, :, None] + np.array(HEX_DIRECTIONS).T
-        return self.index(ij[:, 0], ij[:, 1])
-
-    @cached_property
-    def cells(self) -> list[Cell]:
-        """Honeycomb cells ordered by anchor node index, members
-        ascending within a cell; grouped on first read."""
-        anchors = self.tris[node_class(*self.node_ij.T)[self.tris] == 0]
-        # A stable sort keeps each cell's members in ascending order.
-        order = np.argsort(anchors, kind="stable")
-        cell_anchors, starts = np.unique(anchors[order], return_index=True)
-        return [
-            Cell(
-                CellKind.PENTAGON if self.on_boundary[a] else CellKind.HEXAGON,
-                int(a),
-                members,
-            )
-            for a, members in zip(cell_anchors, np.split(order, starts[1:]))
-        ]
+        return self._steps_from(np.take(self.node_ij, self.centers, axis=0),
+                                HEX_DIRECTIONS)
 
     @property
     def n_tris(self) -> int:
@@ -225,20 +211,18 @@ class HoneycombMesh:
         return 0.25 * SQRT3 * self.s * self.s
 
 
-def _at_vertices(table: np.ndarray, kind: int) -> list[np.ndarray]:
-    """Views of ``table``, over a square of lattice points, at the three
-    vertices of the unit triangle of ``kind`` of every cell, in
-    :data:`UNIT_TRIANGLES` order; the cells are the square without its
-    last row and column."""
-    c = table.shape[0] - 1
-    return [table[di:di + c, dj:dj + c] for di, dj in UNIT_TRIANGLES[kind]]
-
-
-def _unit_triangles_inside(inside: np.ndarray) -> list[np.ndarray]:
-    """Masks of the cells whose kind-0 and kind-1 unit triangles have all
-    three vertices ``inside``, a node mask over a square of lattice
-    points."""
-    return [np.logical_and.reduce(_at_vertices(inside, k)) for k in (0, 1)]
+def _unit_triangles(inside: np.ndarray, width: int):
+    """Flat offsets of the vertices of the unit triangles of kind 0 and
+    kind 1 from their cell, (2, 3) in :data:`UNIT_TRIANGLES` order, into
+    a node table of the given width, and the offsets of the cells whose
+    triangle of each kind has all three vertices ``inside``, a flat node
+    mask of the table, ascending.  The table's ring lies outside, so a
+    triangle that wraps round a row or leaves the table is not inside.
+    """
+    steps = UNIT_TRIANGLES @ (width, 1)
+    span = inside.size - width - 1
+    return steps, [np.flatnonzero(np.logical_and.reduce([inside[o:o + span] for o in off]))
+                   for off in steps]
 
 
 def build_mesh(level: int) -> HoneycombMesh:
@@ -264,52 +248,50 @@ def build_mesh(level: int) -> HoneycombMesh:
 
     n = 2 ** (level - 1)
     s = 1.0 / n
-    size = 2 * n + 1
+    # The node table spans |i|, |j| <= n + 1: the nodes and a ring of -1.
+    width = 2 * n + 3
 
-    rng = np.arange(-n, n + 1)
+    rng = np.arange(-n - 1, n + 2)
     I, J = np.meshgrid(rng, rng, indexing="ij")
-    norm = np.maximum(np.maximum(np.abs(I), np.abs(J)), np.abs(I + J))
+    norm = np.maximum(np.maximum(np.abs(I), np.abs(J)), np.abs(I + J)).ravel()
     inside = norm <= n
-
-    lookup = -np.ones((size, size), dtype=np.int64)
-    n_nodes = int(inside.sum())
-    lookup[inside] = np.arange(n_nodes)
-
-    node_ij = np.stack([I[inside], J[inside]], axis=1)
+    at = np.flatnonzero(inside)  # the nodes' flat offsets, row-major
+    n_nodes = at.size
     expected_nodes = 3 * n * n + 3 * n + 1
     if n_nodes != expected_nodes:
         raise MeshConstructionError(
             f"node count {n_nodes} != {expected_nodes} at level {level}"
         )
+    lookup = np.full(width * width, -1)
+    lookup[at] = np.arange(n_nodes)
 
+    node_ij = np.stack([I.ravel()[at], J.ravel()[at]], axis=1)
     node_xy = position(node_ij, s)
-    on_boundary = norm[inside] == n
+    on_boundary = norm[at] == n
     cls = node_class(node_ij[:, 0], node_ij[:, 1])
     is_center = (cls == 0) & ~on_boundary
 
     # The unit triangles of kind 0, then those of kind 1, row-major over
-    # the cells, with their vertices in ``UNIT_TRIANGLES`` order.  Both
-    # kinds stay referenced to the end: freed early, they lower this
-    # function's traced peak, yet on a 2-core x86 VM the level-10
-    # study's ru_maxrss rose from 486 to 491 MB, as the allocator placed
-    # the later arrays of assembly and solve anew.
-    kinds = [
-        np.stack([v[ok] for v in _at_vertices(lookup, k)], axis=1)
-        for k, ok in enumerate(_unit_triangles_inside(inside))
-    ]
-    tris = np.concatenate(kinds)
+    # the cells, with their vertices in ``UNIT_TRIANGLES`` order: at a
+    # cell's flat offset plus ``steps``.
+    steps, cells = _unit_triangles(inside, width)
+    columns = [lookup[np.concatenate([c + o for c, o in zip(cells, off)])]
+               for off in steps.T]
+    tris = np.stack(columns, axis=1)
     if tris.shape[0] != 6 * n * n:
         raise MeshConstructionError(
             f"subtriangle count {tris.shape[0]} != {6 * n * n} at level {level}"
         )
 
     # Each subtriangle must own exactly one class-0 vertex: its anchor.
-    tri_cls0 = cls[tris] == 0
-    if not np.all(tri_cls0.sum(axis=1) == 1):
+    class0 = cls == 0
+    by_vertex = [class0[v] for v in columns]
+    if not np.all(by_vertex[0].view(np.int8) + by_vertex[1] + by_vertex[2] == 1):
         raise MeshConstructionError("subtriangle without unique class-0 vertex")
+    anchor = np.where(by_vertex[0], columns[0], np.where(by_vertex[1], *columns[1:]))
     # Interior class-0 nodes anchor 6 subtriangles, boundary ones 3.
-    count = np.bincount(tris[tri_cls0], minlength=n_nodes)
-    want = np.where(cls == 0, np.where(on_boundary, 3, 6), 0)
+    count = np.bincount(anchor, minlength=n_nodes)
+    want = np.where(class0, np.where(on_boundary, 3, 6), 0)
     bad = np.flatnonzero(count != want)
     if bad.size:
         node = int(bad[0])
@@ -331,7 +313,7 @@ def build_mesh(level: int) -> HoneycombMesh:
         centers=np.flatnonzero(is_center),
         nh_nodes=np.flatnonzero(~is_center),
         free=np.flatnonzero(~is_center & ~on_boundary),
-        _lookup=np.pad(lookup.astype(np.int32), 1, constant_values=-1),
+        _lookup=lookup.astype(np.int32).reshape(width, width),
     )
     # Six corners around every interior centre, all of which must exist.
     if np.any(mesh.center_corners < 0):

@@ -352,12 +352,12 @@ def locate_patch(grid: PatchGrid, point):
     cell = np.minimum(np.maximum(np.floor(uv), -m), m - 1)
     ij = cell.astype(int) + m + 1
     cand = grid.cell_patches[ij[:, :1] + _NEAR_I, ij[:, 1:] + _NEAR_J]
-    cand = cand.reshape(len(pts), -1)
+    cand = cand.reshape(len(pts), 18)  # also when there are no points
     # (uv - cell) @ _BARY[:2] + _BARY[2], with the cell folded into the
     # integer constants: each coordinate is then a rounded sum of two
     # exact terms plus an integer, the same bits in any cell or batch.
     bary = uv @ _BARY[:2] + (_BARY[2] - cell @ _BARY[:2])
-    inside = (bary.reshape(len(pts), -1, 3) >= -1e-12).all(axis=-1)
+    inside = (bary.reshape(cand.shape + (3,)) >= -1e-12).all(axis=-1)
     owner = np.where(inside & (cand >= 0), cand, grid.n_patches).min(axis=1)
     if (owner == grid.n_patches).any():
         bad = pts[np.argmax(owner == grid.n_patches)]

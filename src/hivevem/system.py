@@ -12,9 +12,10 @@ Assembly computes the P1 load vector l over all lattice nodes.
 :func:`operator` builds the full P1 stiffness matrix K directly in
 compressed rows from the 7-point stencil of the lattice: every
 equilateral subtriangle shares one element stiffness, so each row holds
-the node and those of its six lattice neighbours that lie in the domain.
-It condenses K through the prolongation C that expresses every node
-value in terms of the values at the free nodes ``mesh.free``, the
+the node and those of its six lattice neighbours that lie in the domain,
+and its values depend only on which of them do, one of a table of 128
+rows.  It condenses K through the prolongation C that expresses every
+node value in terms of the values at the free nodes ``mesh.free``, the
 degrees of freedom, and the load goes through the same C:
 
     A = C^T K C,     b = C^T l.
@@ -24,6 +25,14 @@ operator depends on the mesh alone, so the multigrid preconditioner of
 :mod:`~hivevem.solver` builds every coarse level with it too.  The load
 rows of the eliminated centres are returned next to A and b, and
 :func:`recover_centers` undoes the elimination with them.
+
+C and the injection of :func:`refinement_transfer` are built in
+compressed rows too, with no COO list to sort: row sizes, then the
+columns in ascending order, in the int32 layout that scipy gives a
+canonical matrix.  The products that form A and the coarse operators
+leave their columns unsorted, in an order, and with sums, that follow
+the layout of their factors, so that layout fixes the bits of every
+V-cycle.
 
 The quadrature points of the subtriangles follow the lattice too.  A
 unit triangle of kind k in cell (i, j) has its vertices at fixed
@@ -157,16 +166,25 @@ class FieldP1:
 
 def prolongation(mesh: HoneycombMesh) -> sp.csr_matrix:
     """Node values from free dofs: identity rows for free vertices,
-    1/6 corner averages for centres, zero rows for boundary nodes."""
+    1/6 corner averages for centres, zero rows for boundary nodes.
+
+    Built in compressed rows, with the sorted int32 layout of a
+    canonical scipy matrix: a centre's columns are the dofs of its free
+    corners, taken in ascending node order, which is that of the dofs.
+    """
     n_free = mesh.free.size
-    dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    dof = np.full(mesh.n_nodes, -1, dtype=np.int32)
     dof[mesh.free] = np.arange(n_free)
-    corner_dofs = dof[mesh.center_corners].ravel()
-    keep = corner_dofs >= 0
-    rows = np.r_[mesh.free, np.repeat(mesh.centers, 6)[keep]]
-    cols = np.r_[np.arange(n_free), corner_dofs[keep]]
-    vals = np.r_[np.ones(n_free), np.full(int(keep.sum()), 1.0 / 6.0)]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, n_free))
+    corners = dof[mesh.center_corners[:, _ASCENDING_CORNERS]]
+    count = (dof >= 0).astype(np.int32)
+    count[mesh.centers] = np.count_nonzero(corners >= 0, axis=1)
+    # A free node's row holds its dof; a centre's, marked, its corners'.
+    of_center = np.repeat(mesh.is_center, count)
+    indices = np.repeat(dof, count)
+    indices[of_center] = corners[corners >= 0]
+    data = np.where(of_center, 1.0 / 6.0, 1.0)
+    indptr = np.r_[0, np.cumsum(count)].astype(np.int32)
+    return sp.csr_matrix((data, indices, indptr), shape=(mesh.n_nodes, n_free))
 
 
 def refinement_transfer(
@@ -181,24 +199,27 @@ def refinement_transfer(
     or the coarse node itself when ``a`` and ``b`` are even), and ``R``
     keeps the rows of the fine free dofs.  The two honeycomb spaces are
     not nested, because the centre constraints differ between levels,
-    so the transfer goes through the full P1 space.
+    so the transfer goes through the full P1 space.  ``R I`` is built in
+    compressed rows, in the sorted int32 layout of a canonical scipy
+    matrix: two entries 0.5, lower end first, or one entry 1.
     """
     if fine.level != coarse.level + 1:
         raise ValueError(
             f"levels {coarse.level} and {fine.level} are not one refinement apart"
         )
-    ij = fine.node_ij[fine.free]
-    odd = ij & 1
+    i, j = np.take(fine.node_ij, fine.free, axis=0).T
     # Half the coarse edge through each fine node: none on coarse nodes,
-    # else the lattice step (1, 0), (0, 1) or (1, -1).
-    step = np.stack([odd[:, 0], odd[:, 1] * (1 - 2 * odd[:, 0])], axis=1)
-    ends = np.concatenate([ij - step, ij + step]) // 2
-    cols = coarse.index(ends[:, 0], ends[:, 1])
-    rows = np.tile(np.arange(ij.shape[0]), 2)
-    inject = sp.csr_matrix(
-        (np.full(rows.size, 0.5), (rows, cols)),
-        shape=(ij.shape[0], coarse.n_nodes),
-    )
+    # else the lattice step (1, 0), (0, 1) or (1, -1), which runs from
+    # the lower node index to the higher.
+    si = i & 1
+    sj = (j & 1) * (1 - 2 * si)
+    size = 2 - ((si | sj) == 0)
+    indptr = np.r_[0, np.cumsum(size)].astype(np.int32)
+    # On a coarse node both ends are the node, so its one entry may take hi.
+    indices = np.repeat(coarse.index((i - si) >> 1, (j - sj) >> 1), size)
+    indices[indptr[1:] - 1] = coarse.index((i + si) >> 1, (j + sj) >> 1)
+    inject = sp.csr_matrix((np.repeat(1.0 / size, size), indices, indptr),
+                           shape=(i.size, coarse.n_nodes))
     return inject @ C
 
 
@@ -219,7 +240,7 @@ def load_vector(
     # The blocks of ``contrib`` are those of ``mesh.tris`` in tri_quadrature.
     for (_, xy), out in zip(tri_quadrature(mesh, q), blocks(contrib, q.n_points)):
         fvals = np.asarray(problem.f(*xy)).reshape(-1, q.n_points)
-        out[:] = mesh.tri_area * np.einsum("tq,q,qk->tk", fvals, q.weights, q.points)
+        out[:] = mesh.tri_area * np.einsum("tq,qk->tk", fvals * q.weights, q.points)
     return np.bincount(mesh.tris.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
 
 
@@ -239,9 +260,11 @@ def tri_quadrature(mesh: HoneycombMesh, q):
     same :func:`~hivevem.lattice.position` coordinates as
     ``mesh.node_xy``, and each block takes its rows.
     """
-    cell = mesh.node_ij[mesh.tris[:, 1]] - (1, 0)
-    kind = mesh.node_ij[mesh.tris[:, 0], 1] - cell[:, 1]
-    m, j = cell @ (2, 1), cell[:, 1]
+    # Vertex 1 of the triangle of kind k in cell (i, j) is (i + 1, j),
+    # and vertex 0 is (i, j + k): the cell keys of the triangles whose
+    # vertex 1 is a node, per node.
+    i, j = mesh.node_ij.T
+    m = 2 * i + j - 2
     # Vertex keys by kind and cell key; the lattice point (a // 2, a % 2)
     # has 2i + j = a, and (0, b) has j = b.
     a = np.arange(m.min(), m.max() + 1)[:, None] + (UNIT_TRIANGLES @ (2, 1))[:, None]
@@ -251,7 +274,9 @@ def tri_quadrature(mesh: HoneycombMesh, q):
     bary = q.points.T
     tables = [(v[..., 0, :] * bary[0] + v[..., 1, :] * bary[1] + v[..., 2, :] * bary[2]
                ).reshape(-1, q.n_points) for v in (x, y)]
-    rows = (kind * a.shape[1] + m - m.min(), kind * b.shape[1] + j - j.min())
+    v0, v1 = mesh.tris[:, 0], mesh.tris[:, 1]
+    kind = j[v0] - j[v1]
+    rows = (kind * a.shape[1] + (m - m.min())[v1], kind * b.shape[1] + (j - j.min())[v1])
     for tris, *block_rows in zip(*(blocks(r, q.n_points) for r in (mesh.tris, *rows))):
         xy = np.empty((2, tris.shape[0], q.n_points))
         # The rows lie in the tables by construction; "clip" writes to
@@ -266,38 +291,60 @@ def tri_quadrature(mesh: HoneycombMesh, q):
 _STENCIL = np.array([(-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0)])
 #: Columns of the steps of ``HEX_DIRECTIONS`` in ``_STENCIL``.
 _HEX_COLUMNS = [6, 4, 1, 0, 2, 5]
+#: Columns of ``center_corners`` in ascending node order.
+_ASCENDING_CORNERS = np.argsort(_HEX_COLUMNS)
 
 
-def stiffness(mesh: HoneycombMesh) -> sp.csr_matrix:
-    """P1 stiffness K over all lattice nodes, in CSR, from the 7-point
-    lattice stencil.
+def _stencil_rows():
+    """The seven values of a row of K, (128, 7), and its number of
+    entries, for every pattern of stencil nodes in the domain, indexed
+    by the pattern's code: bit c set when the node at ``_STENCIL[c]``
+    exists.
 
     Around node p, subtriangle k has the vertices p, p + e_k and
     p + e_(k+1) (steps of ``HEX_DIRECTIONS``), at the local positions
     r, r + 1 and r + 2 (mod 3) of ``mesh.tris``, with r = 0, 1, 1, 2, 2, 0.
     The edge entry K[p, p + e_k] adds the element entries of
     subtriangles k and k - 1 that lie in the domain, and the diagonal
-    adds ``ELEMENT_STIFFNESS[0, 0]`` once per subtriangle at p.  This is
-    the sum of the element matrices bit for bit, in any order: an edge
-    has at most two terms, and the three diagonal entries of the element
-    matrix are one double.  The columns are the stencil's
-    :meth:`~hivevem.lattice.HoneycombMesh.neighbours`.
+    adds ``ELEMENT_STIFFNESS[0, 0]`` once per subtriangle at p.
     """
-    cols = mesh.neighbours(_STENCIL)
-    near = cols[:, _HEX_COLUMNS] >= 0
+    present = (np.arange(128)[:, None] >> np.arange(7)) & 1 == 1
+    near = present[:, _HEX_COLUMNS]
     tri = near & np.roll(near, -1, axis=1)
     r = np.array([0, 1, 1, 2, 2, 0])
     ke = ELEMENT_STIFFNESS
-    vals = np.zeros(cols.shape)
+    rows = np.zeros((128, 7))
     # Edge k: p + e_k is at r + 1 in subtriangle k, at r + 2 in k - 1.
-    vals[:, _HEX_COLUMNS] = np.where(tri, ke[r, (r + 1) % 3], 0.0)
-    vals[:, _HEX_COLUMNS] += np.where(
+    rows[:, _HEX_COLUMNS] = np.where(tri, ke[r, (r + 1) % 3], 0.0) + np.where(
         np.roll(tri, 1, axis=1), np.roll(ke[r, (r + 2) % 3], 1), 0.0)
     # 0, d, d + d, ...: the terms added one after another.
-    vals[:, 3] = np.cumsum(np.r_[0.0, np.full(6, ke[0, 0])])[tri.sum(axis=1)]
+    rows[:, 3] = np.cumsum(np.r_[0.0, np.full(6, ke[0, 0])])[tri.sum(axis=1)]
+    rows.setflags(write=False)
+    return rows, present.sum(axis=1).astype(np.int32)
+
+
+#: Row values of K by stencil pattern, and the entries of each pattern.
+_STENCIL_ROWS, _STENCIL_SIZES = _stencil_rows()
+
+
+def stiffness(mesh: HoneycombMesh) -> sp.csr_matrix:
+    """P1 stiffness K over all lattice nodes, in CSR, from the 7-point
+    lattice stencil.
+
+    Each row takes its values from :data:`_STENCIL_ROWS` by the pattern
+    of its stencil nodes that lie in the domain.  This is the sum of the
+    element matrices bit for bit, in any order: an edge has at most two
+    terms, and the three diagonal entries of the element matrix are one
+    double.  The columns are the stencil's
+    :meth:`~hivevem.lattice.HoneycombMesh.neighbours`, and the rows keep
+    the entries of the nodes that exist.
+    """
+    cols = mesh.neighbours(_STENCIL)
     keep = cols >= 0
-    indptr = np.r_[0, np.cumsum(keep.sum(axis=1))].astype(np.int32)
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(mesh.n_nodes,) * 2)
+    code = keep.view(np.uint8) @ (1 << np.arange(7, dtype=np.uint8))
+    vals = np.take(_STENCIL_ROWS, code, axis=0)[keep]
+    indptr = np.r_[0, np.cumsum(_STENCIL_SIZES[code])].astype(np.int32)
+    return sp.csr_matrix((vals, cols[keep], indptr), shape=(mesh.n_nodes,) * 2)
 
 
 def operator(mesh: HoneycombMesh):

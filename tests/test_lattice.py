@@ -13,13 +13,13 @@ from hypothesis import given, strategies as st
 
 from hivevem import lattice
 from hivevem.lattice import (
-    CellKind,
     MAX_LEVEL,
     MeshConstructionError,
     build_mesh,
     node_class,
     position,
 )
+from cells import census, group_cells
 
 SQRT3 = math.sqrt(3.0)
 
@@ -45,6 +45,57 @@ def test_counting_formulas(level, mesh_cache):
     assert mesh.n_nodes == 3 * n * n + 3 * n + 1
     assert mesh.n_tris == 6 * n * n
     assert np.count_nonzero(mesh.on_boundary) == 6 * n
+
+
+def mask_built_mesh(level):
+    """The arrays of the level's mesh built with boolean masks over the
+    square ``|i|, |j| <= n``, and its centres' corners read with clipped
+    indices into the padded table: the oracle of the flat offsets that
+    :func:`build_mesh` and ``center_corners`` gather with."""
+    n = 2 ** (level - 1)
+    size = 2 * n + 1
+    rng = np.arange(-n, n + 1)
+    I, J = np.meshgrid(rng, rng, indexing="ij")
+    norm = np.maximum(np.maximum(np.abs(I), np.abs(J)), np.abs(I + J))
+    inside = norm <= n
+    lookup = -np.ones((size, size), dtype=np.int64)
+    lookup[inside] = np.arange(int(inside.sum()))
+    node_ij = np.stack([I[inside], J[inside]], axis=1)
+    on_boundary = norm[inside] == n
+    is_center = (node_class(node_ij[:, 0], node_ij[:, 1]) == 0) & ~on_boundary
+    tris = []
+    for steps in lattice.UNIT_TRIANGLES:
+        at = [lookup[di:di + size - 1, dj:dj + size - 1] for di, dj in steps]
+        ok = np.logical_and.reduce([v >= 0 for v in at])
+        tris.append(np.stack([v[ok] for v in at], axis=1))
+    centers = np.flatnonzero(is_center)
+    padded = np.pad(lookup.astype(np.int32), 1, constant_values=-1)
+    ij = node_ij[centers, :, None] + np.array(lattice.HEX_DIRECTIONS).T
+    m = n + 1
+    return {
+        "node_ij": node_ij,
+        "node_xy": position(node_ij, 1.0 / n),
+        "on_boundary": on_boundary,
+        "is_center": is_center,
+        "tris": np.concatenate(tris),
+        "centers": centers,
+        "nh_nodes": np.flatnonzero(~is_center),
+        "free": np.flatnonzero(~is_center & ~on_boundary),
+        "center_corners": padded[np.clip(ij[:, 0], -m, m) + m,
+                                 np.clip(ij[:, 1], -m, m) + m],
+        "_lookup": padded,
+    }
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_flat_offsets_build_the_mask_built_mesh(level):
+    """Every array of the mesh equals the mask-built one in dtype,
+    shape and bytes."""
+    mesh = build_mesh(level)
+    for name, want in mask_built_mesh(level).items():
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -84,27 +135,30 @@ def test_subtriangles_are_equilateral(level, mesh_cache):
 )
 def test_cell_census(level, hexes, pents, corners, mesh_cache):
     mesh = mesh_cache(level)
-    kinds = [c.kind for c in mesh.cells]
-    assert kinds.count(CellKind.HEXAGON) == hexes
-    assert kinds.count(CellKind.PENTAGON) == pents
-    assert kinds.count(CellKind.CORNER_TRIANGLE) == corners
+    assert census(mesh) == (hexes, pents, corners)
     # cells partition the subtriangles
-    members = np.concatenate([c.members for c in mesh.cells])
+    members = np.concatenate(group_cells(mesh)[1])
     assert np.array_equal(np.sort(members), np.arange(mesh.n_tris))
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_cells_match_a_per_anchor_scan(level, mesh_cache):
-    """The lazily built list equals cells collected anchor by anchor:
-    ascending anchors, ascending members."""
+    """Cells collected anchor by anchor, ascending: a hexagon is the fan
+    of six subtriangles around an interior centre, whose other vertices
+    are its ``center_corners``, and a pentagon the three subtriangles at
+    a boundary class-0 node."""
     mesh = mesh_cache(level)
-    ij = mesh.node_ij[mesh.tris]
-    anchors = mesh.tris[node_class(ij[..., 0], ij[..., 1]) == 0]
-    want = []
-    for a in sorted(set(anchors.tolist())):
-        kind = CellKind.PENTAGON if mesh.on_boundary[a] else CellKind.HEXAGON
-        want.append((kind, a, np.flatnonzero(anchors == a).tolist()))
-    assert [(c.kind, c.anchor, c.members.tolist()) for c in mesh.cells] == want
+    anchors, members = group_cells(mesh)
+    corners = dict(zip(mesh.centers.tolist(), mesh.center_corners.tolist()))
+    for a, cell in zip(anchors.tolist(), members):
+        assert np.array_equal(cell, np.flatnonzero((mesh.tris == a).any(axis=1)))
+        others = set(mesh.tris[cell].ravel().tolist()) - {a}
+        if mesh.on_boundary[a]:
+            assert cell.size == 3 and len(others) == 4
+        else:
+            assert cell.size == 6 and others == set(corners[a])
+    assert np.array_equal(anchors, np.sort(np.r_[mesh.centers, np.flatnonzero(
+        mesh.on_boundary & (node_class(*mesh.node_ij.T) == 0))]))
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
@@ -155,8 +209,7 @@ def test_center_classification(level, mesh_cache):
         np.sort(mesh.nh_nodes), np.flatnonzero(~mesh.is_center)
     )
     midpoints = (cls == 0) & mesh.on_boundary
-    pents = sum(1 for c in mesh.cells if c.kind is CellKind.PENTAGON)
-    assert np.count_nonzero(midpoints) == pents
+    assert np.count_nonzero(midpoints) == census(mesh)[1]
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])

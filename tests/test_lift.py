@@ -512,6 +512,20 @@ def test_locate_rejects_non_finite_points(grid3, point):
         locate_patch(grid3, np.array([[0.1, 0.1], point]))
 
 
+@pytest.mark.parametrize("level", [3, 4])
+def test_empty_batches_give_empty_results(level):
+    """A (0, 2) batch locates to an empty index array and evaluates to
+    empty values (0,) and gradients (0, 2)."""
+    grid = grid_at(level)
+    lifted = lift_solution(interpolate(cubic_problem(), grid.mesh),
+                           cubic_problem(), grid)
+    owners = locate_patch(grid, np.empty((0, 2)))
+    assert owners.shape == (0,) and owners.dtype.kind == "i"
+    values, grads = evaluate_lift(lifted, np.empty((0, 2)))
+    assert values.shape == (0,) and grads.shape == (0, 2)
+    assert values.dtype == grads.dtype == np.float64
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), level=st.sampled_from([3, 4, 5]))
 def test_batched_evaluation_equals_single_points(data, level):

@@ -195,6 +195,55 @@ def test_prolongation_rows(mesh_cache):
         assert np.all(row[row != 0] == pytest.approx(1.0 / 6.0))
 
 
+def coo_prolongation(mesh):
+    """The prolongation summed by scipy from a COO list."""
+    n_free = mesh.free.size
+    dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    dof[mesh.free] = np.arange(n_free)
+    corner_dofs = dof[mesh.center_corners].ravel()
+    keep = corner_dofs >= 0
+    rows = np.r_[mesh.free, np.repeat(mesh.centers, 6)[keep]]
+    cols = np.r_[np.arange(n_free), corner_dofs[keep]]
+    vals = np.r_[np.ones(n_free), np.full(int(keep.sum()), 1.0 / 6.0)]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, n_free))
+
+
+def coo_transfer(coarse, fine, C):
+    """The refinement transfer with its injection summed by scipy from a
+    COO list: half of each end of the coarse edge through a fine free
+    node, the two halves of one coarse node added together."""
+    ij = fine.node_ij[fine.free]
+    odd = ij & 1
+    step = np.stack([odd[:, 0], odd[:, 1] * (1 - 2 * odd[:, 0])], axis=1)
+    ends = np.concatenate([ij - step, ij + step]) // 2
+    cols = coarse.index(ends[:, 0], ends[:, 1])
+    rows = np.tile(np.arange(ij.shape[0]), 2)
+    inject = sp.csr_matrix(
+        (np.full(rows.size, 0.5), (rows, cols)),
+        shape=(ij.shape[0], coarse.n_nodes),
+    )
+    return inject @ C
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_compressed_rows_equal_the_coo_constructions(level, mesh_cache):
+    """The prolongation and the transfer to this level, built in
+    compressed rows, equal the COO constructions in the dtype and the
+    bytes of ``data``, ``indices`` and ``indptr``: the coarse operators
+    keep their unsorted product order, and so the bits of a V-cycle."""
+    mesh = mesh_cache(level)
+    pairs = [(prolongation(mesh), coo_prolongation(mesh))]
+    if level > 1:
+        coarse = mesh_cache(level - 1)
+        C = prolongation(coarse)
+        pairs.append((refinement_transfer(coarse, mesh, C), coo_transfer(coarse, mesh, C)))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 # --------------------------------------------------------------- assembly
 
 
@@ -354,14 +403,15 @@ def test_load_vector_partition_of_unity(mesh_cache):
 
 
 @pytest.mark.parametrize("block_points", [None, 100])
-@pytest.mark.parametrize("level", range(1, 7))
+@pytest.mark.parametrize("level", range(1, 8))
 def test_blocked_load_equals_one_evaluation(
     mesh_cache, hex_sine, monkeypatch, level, block_points
 ):
     """The load from blocks of subtriangles, summed by one ``bincount``,
     is bit-identical to one call of ``f`` on every quadrature point of
-    the mesh scattered by ``np.add.at``, for the rules of degree 2, 4
-    and 6 and also for blocks that do not divide the mesh evenly."""
+    the mesh, weighted by the three-operand ``einsum`` and scattered by
+    ``np.add.at``, for the rules of degree 2, 4 and 6 and also for
+    blocks that do not divide the mesh evenly."""
     if block_points is not None:
         monkeypatch.setattr(quadrature, "BLOCK_POINTS", block_points)
     mesh = mesh_cache(level)

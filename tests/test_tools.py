@@ -20,18 +20,18 @@ def _load(name):
 
 
 def test_fingerprint_prints_every_label(capsys):
-    """Levels 1 to 3 give five hashes each, four per lift scheme from
+    """Levels 1 to 3 give seven hashes each, four per lift scheme from
     level 3, the study's two and one per export kind at level 3."""
     assert _load("fingerprint").main(["1", "2", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    base = ["A", "b", "center_load", "x", "recovered"]
+    base = ["mesh", "A", "hierarchy", "b", "center_load", "x", "recovered"]
     schemes = [f"{s} {name}" for s in lift.SCHEMES
                for name in ("coeffs", "rank", "sigma_min", "residual")]
     want = ([f"level  {lv}  {label}" for lv in (1, 2) for label in base]
             + [f"level  3  {label}" for label in base + schemes]
             + ["study 1..3  csv", "study 1..3  values"]
             + [f"export 3  {what}" for what in ("mesh", "solution", "lift")])
-    assert len(lines) == len(want) == 36
+    assert len(lines) == len(want) == 42
     for line, label in zip(lines, want):
         head, digest = line.rsplit(" ", 1)
         assert " ".join(head.split()) == " ".join(label.split())

@@ -1,8 +1,12 @@
 """Print SHA-256 fingerprints of the pipeline's arrays, level by level.
 
-For every level given it hashes the condensed matrix A (``data``,
-``indices``, ``indptr``), the load b, the centre loads, the CG
-solution, the recovered field and, from level 3, the lift's ``coeffs``,
+For every level given it hashes the mesh (``node_ij``, ``tris``,
+``centers``, ``free``, ``center_corners``), the condensed matrix A
+(``data``, ``indices``, ``indptr``), the multigrid hierarchy of
+``solver._hierarchy`` (every level's operator and transfer, and the
+coarsest operator, each as ``data``, ``indices``, ``indptr``), the load
+b, the centre loads, the CG solution, the recovered field and, from
+level 3, the lift's ``coeffs``,
 ``rank``, ``sigma_min`` and ``residual`` under every scheme of
 ``lift.SCHEMES``.  The last two lines hash the study ``hivevem study
 --min-level 1 --max-level MAX --lift`` for the largest level given
@@ -54,8 +58,14 @@ def level_hashes(level: int, problem) -> list[tuple[str, str]]:
     csr = A.to_csr()
     x, _ = solver.solve(A, b)
     u_h = system.expand(x, mesh)
+    levels, coarsest = solver._hierarchy(A)
+    hierarchy = [m for op, _, P in levels for m in (op, P)] + [coarsest]
     out = [
+        ("mesh", digest(mesh.node_ij, mesh.tris, mesh.centers, mesh.free,
+                        mesh.center_corners)),
         ("A", digest(csr.data, csr.indices, csr.indptr)),
+        ("hierarchy", digest(*(getattr(m, name) for m in hierarchy
+                               for name in ("data", "indices", "indptr")))),
         ("b", digest(b)),
         ("center_load", digest(center_load)),
         ("x", digest(x)),
