@@ -46,7 +46,6 @@ from .system import (
     assemble,
     expand,
     interpolate,
-    interpolate_pointwise,
     load_vector,
     recover_centers,
 )

@@ -24,7 +24,7 @@ evaluation per block.  Levels without a lift run the subtriangle pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, field, make_dataclass
 
 import numpy as np
 
@@ -77,9 +77,9 @@ def norms_superclose(
 
 
 def norm_l2_true(
-    approx, problem: ManufacturedProblem, degree: int = 6, *, lift=None
+    approx: FieldP1, problem: ManufacturedProblem, degree: int = 6, *, lift=None
 ):
-    """L2 norm of ``u - approx`` for a nodal field or a lifted solution.
+    """L2 norm of ``u - approx`` for a nodal field.
 
     With ``lift``, ``approx`` is a nodal field on the lift's mesh and the
     result is the tuple ``(e_l2, e_lift_l2, e_lift_h1h)``: the field's L2
@@ -88,17 +88,13 @@ def norm_l2_true(
     evaluation per block.  The field's error is then summed patch by
     patch, which moves it from the subtriangle pass by round-off only.
     """
-    if lift is not None:
-        if not isinstance(approx, FieldP1):
-            raise TypeError(f"cannot measure {type(approx).__name__} with a lift")
-        if approx.mesh is not lift.grid.mesh:
-            raise MeshMismatchError("field and lift live on different meshes")
-        return _patch_errors(lift, problem, degree, approx)
-    if isinstance(approx, FieldP1):
+    if not isinstance(approx, FieldP1):
+        raise TypeError(f"cannot measure {type(approx).__name__}")
+    if lift is None:
         return _field_l2_error(approx, problem, degree)
-    if isinstance(approx, LiftResult):
-        return _patch_errors(approx, problem, degree)[1]
-    raise TypeError(f"cannot measure {type(approx).__name__}")
+    if approx.mesh is not lift.grid.mesh:
+        raise MeshMismatchError("field and lift live on different meshes")
+    return _patch_errors(lift, problem, degree, approx)
 
 
 def _field_l2_error(u_h: FieldP1, problem, degree: int) -> float:
@@ -112,18 +108,18 @@ def _field_l2_error(u_h: FieldP1, problem, degree: int) -> float:
     return math.sqrt(mesh.tri_area * total)
 
 
-def _patch_errors(lift: LiftResult, problem, degree: int, field=None):
+def _patch_errors(lift: LiftResult, problem, degree: int, nodal=None):
     """``(e_field, e_lift_l2, e_lift_h1h)`` by the patch rule, u and its
     gradient from one ``grad_u`` call per block; ``e_field`` is the L2
-    error of the nodal ``field``, or ``None`` without one."""
+    error of the nodal field ``nodal``, or ``None`` without one."""
     grid = lift.grid
     q = rule(degree)
     weights = np.tile(q.weights, 16)
     field_sq = l2_sq = h1_sq = 0.0
     for ids, xy, basis in patch_quadrature(grid, degree):
         u, ux, uy = problem.grad_u(*xy)
-        if field is not None:
-            p1 = field.values[grid.site_nodes[ids][:, SUB_SITES]] @ q.points.T
+        if nodal is not None:
+            p1 = nodal.values[grid.site_nodes[ids][:, SUB_SITES]] @ q.points.T
             field_sq += float(np.sum((u - p1.reshape(u.shape)) ** 2 @ weights))
         fitted = lift.coeffs[ids] @ basis[:, 0].T
         l2_sq += float(np.sum((u - fitted) ** 2 @ weights))
@@ -131,7 +127,7 @@ def _patch_errors(lift: LiftResult, problem, degree: int, field=None):
         sq = (ux - coeffs @ basis[:, 1].T) ** 2 + (uy - coeffs @ basis[:, 2].T) ** 2
         h1_sq += float(np.sum(sq @ weights))
     area = grid.mesh.tri_area
-    return (None if field is None else math.sqrt(area * field_sq),
+    return (None if nodal is None else math.sqrt(area * field_sq),
             math.sqrt(area * l2_sq), math.sqrt(area * h1_sq))
 
 
@@ -156,31 +152,15 @@ COLUMNS = (
 )
 
 
-@dataclass
-class StudyRow:
-    """One refinement level of a convergence study, with the fields of
-    :data:`COLUMNS`.
-
-    Lift entries are ``None`` below the first lift level or when the
-    lift is disabled; order entries are the 0.0 sentinel on first rows
-    and whenever either error sits at round-off.
-    """
-
-    level: int
-    h: float
-    dofs: int
-    e_ih_l2: float
-    e_ih_h1: float
-    e_ih_linf: float
-    e_l2: float
-    e_lift_l2: float | None = None
-    e_lift_h1h: float | None = None
-    r_ih_l2: float = 0.0
-    r_ih_h1: float = 0.0
-    r_ih_linf: float = 0.0
-    r_l2: float = 0.0
-    r_lift_l2: float | None = None
-    r_lift_h1h: float | None = None
+#: One refinement level of a convergence study, with the fields of
+#: :data:`COLUMNS`, set by keyword.  Lift entries are ``None`` below the
+#: first lift level or when the lift is disabled; order entries are the
+#: 0.0 sentinel on first rows and whenever either error sits at round-off.
+StudyRow = make_dataclass("StudyRow", [
+    (name, object, field(default=None if "lift" in name
+                         else 0.0 if name.startswith("r_") else MISSING))
+    for name, _, _ in COLUMNS
+], kw_only=True, namespace={"__module__": __name__})
 
 
 def observed_order(e_prev, e_cur) -> float:

@@ -48,6 +48,8 @@ class StudyConfig:
     csv_path: str | None = None
 
     def __post_init__(self):
+        _check_integer("min-level", self.min_level)
+        _check_integer("max-level", self.max_level)
         if not 1 <= self.min_level <= self.max_level <= MAX_LEVEL:
             raise ConfigError(
                 f"need 1 <= min-level <= max-level <= {MAX_LEVEL}, "
@@ -67,6 +69,12 @@ class StudyConfig:
                 raise ConfigError("a lift scheme needs the lift (--lift)")
         if self.lift_enabled and self.max_level < lift.MIN_LIFT_LEVEL:
             raise ConfigError(f"lift needs max-level >= {lift.MIN_LIFT_LEVEL}")
+
+
+def _check_integer(name: str, level) -> None:
+    """Raise :class:`ConfigError` unless ``level`` is an integer, not a bool."""
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {level!r}")
 
 
 def check_writable(path) -> None:
@@ -173,6 +181,7 @@ def export(
     """Write a mesh, solution or lifted solution as legacy VTK."""
     if what not in ("mesh", "solution", "lift"):
         raise ConfigError(f"cannot export {what!r}; use mesh, solution or lift")
+    _check_integer("level", level)
     if not 1 <= level <= MAX_LEVEL:
         raise ConfigError(f"level must be in [1, {MAX_LEVEL}], got {level}")
     if what == "lift" and level < lift.MIN_LIFT_LEVEL:
@@ -188,7 +197,7 @@ def export(
         vtkio.write_vtk(build_mesh(level), path, title=f"honeycomb level {level}")
         return
     mesh, u_h, center_load, _ = solve_level(level, problem)
-    exact = system.interpolate_pointwise(problem, mesh).values
+    exact = quadrature.sample(problem.u, mesh.node_xy)
     if what == "solution":
         # The centres as the study measures them (see recover_centers).
         values = system.recover_centers(u_h, center_load).values

@@ -241,7 +241,7 @@ def build_mesh(level: int) -> HoneycombMesh:
     MeshConstructionError
         If a structural invariant fails (defensive; should not happen).
     """
-    if not isinstance(level, (int, np.integer)):
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
         raise ValueError(f"level must be an integer, got {level!r}")
     if not 1 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [1, {MAX_LEVEL}], got {level}")

@@ -89,9 +89,7 @@ _SUB_AB = np.array(
 
 #: Site ids of the vertices of the 16 subtriangles, ``_SUB_AB`` as
 #: indices into the 15 sites.
-_SITE_ID = np.zeros((5, 5), dtype=int)
-_SITE_ID[tuple(_SITE_AB.T)] = np.arange(15)
-SUB_SITES = _SITE_ID[tuple(_SUB_AB.transpose(2, 0, 1))]
+SUB_SITES = (_SUB_AB[:, :, None] == _SITE_AB).all(axis=-1).argmax(axis=-1)
 
 #: Lattice steps along the two edges from corner 0 of a patch, to its
 #: corners 1 and 2, by frame: the kind of the patch's coarse triangle.
@@ -244,7 +242,7 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
         mesh, 4.0 * mesh.s, corners, frame, site_nodes,
         mesh.is_center[site_nodes], tri_indices,
         _CORNER_SITES[np.argmax(cls0, axis=1)],
-        mesh.node_xy[site_nodes[:, _CORNER_SITES]].mean(axis=1),
+        np.take(mesh.node_xy, site_nodes[:, _CORNER_SITES], axis=0).mean(axis=1),
         coarse.tri_table,
     )
 
@@ -310,7 +308,7 @@ def _node_data(u_h: FieldP1, problem, scheme: str) -> np.ndarray:
     exact values (oracle) or corrected by ``(s**2/4) f``."""
     values = u_h.values.copy()
     centers = u_h.mesh.centers
-    xy = u_h.mesh.node_xy[centers]
+    xy = np.take(u_h.mesh.node_xy, centers, axis=0)
     if scheme == "oracle-center":
         values[centers] = sample(problem.u, xy)
     elif scheme.endswith("-corrected"):
@@ -328,21 +326,29 @@ def lift_solution(u_h: FieldP1, problem: ManufacturedProblem, grid: PatchGrid,
     return LiftResult(grid, scheme, *_fit(grid.frame, mask, values, scheme))
 
 
+def _points(point):
+    """``point`` as a float array of shape ``(2,)`` or ``(k, 2)``, and
+    its rows ``(k, 2)``; another shape raises ``ValueError``."""
+    xy = np.asarray(point, dtype=float)
+    if xy.ndim not in (1, 2) or xy.shape[-1] != 2:
+        raise ValueError(f"points must have shape (2,) or (k, 2), got {xy.shape}")
+    return xy, xy.reshape(-1, 2)
+
+
 def locate_patch(grid: PatchGrid, point):
     """Index of the patch containing a point; lowest index on ties.
 
-    Takes one point, giving an ``int``, or a ``(k, 2)`` array, giving an
-    index array; a point outside the domain or not finite raises
-    ``ValueError``.  A point is in a patch when none of its barycentric
-    coordinates is below ``-1e-12``.  Location works in the frame of the
-    coarse lattice, whose unit triangles are the patches: the point's
-    lattice coordinates ``uv`` fix its cell, only the 18 patches of the
-    3x3 cells around it can hold it, and their barycentric coordinates
-    are affine in ``uv``, with the level-independent coefficients of
-    :data:`_BARY` shifted by the cell.
+    Takes one point ``(2,)``, giving an ``int``, or a ``(k, 2)`` array,
+    giving an index array; another shape, or a point outside the domain
+    or not finite, raises ``ValueError``.  A point is in a patch when
+    none of its barycentric coordinates is below ``-1e-12``.  Location
+    works in the frame of the coarse lattice, whose unit triangles are
+    the patches: the point's lattice coordinates ``uv`` fix its cell,
+    only the 18 patches of the 3x3 cells around it can hold it, and
+    their barycentric coordinates are affine in ``uv``, with the
+    level-independent coefficients of :data:`_BARY` shifted by the cell.
     """
-    xy = np.asarray(point, dtype=float)
-    pts = xy.reshape(-1, 2)
+    xy, pts = _points(point)
     if not np.isfinite(pts).all():
         raise ValueError("cannot locate a non-finite point")
     # Clip the cell, not uv: a point on the domain's edge keeps its own
@@ -375,12 +381,11 @@ def evaluate_patches(result: LiftResult, patches, xy: np.ndarray):
 
 
 def evaluate_lift(result: LiftResult, point):
-    """Lift value and gradient at one point, ``(value, (gx, gy))``, or
-    at each row of a ``(k, 2)`` array, ``(values, gradients)``.  A
+    """Lift value and gradient at one point ``(2,)``, ``(value, (gx, gy))``,
+    or at each row of a ``(k, 2)`` array, ``(values, gradients)``.  A
     single point's gradient is an array of its own, not a view that
     would keep the ``(1, 2)`` result alive while the caller holds it."""
-    xy = np.asarray(point, dtype=float)
-    pts = xy.reshape(-1, 2)
+    xy, pts = _points(point)
     values, grads = evaluate_patches(result, locate_patch(result.grid, pts), pts)
     if xy.ndim == 1:
         return float(values[0]), grads[0].copy()

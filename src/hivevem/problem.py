@@ -157,17 +157,10 @@ class Jet:
         if k == 0:
             return self._map(np.ones_like(np.asarray(self.value, dtype=float)),
                              lambda a1: 0.0, lambda a1, a2: 0.0)
-        # Square and multiply from the lowest bit, starting from the
-        # lowest power that enters the product.
-        base, e = self, int(k)
-        while not e & 1:
-            base, e = base * base, e >> 1
-        out, e = base, e >> 1
-        while e:
-            base = base * base
-            if e & 1:
-                out = out * base
-            e >>= 1
+        # Repeated products, left to right: X**2 is the one product X * X.
+        out = self
+        for _ in range(k - 1):
+            out = out * self
         return out
 
     def sin(self):

@@ -51,51 +51,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import HEX_DIRECTIONS, UNIT_TRIANGLES, HoneycombMesh, position
+from .lattice import SQRT3, UNIT_TRIANGLES, HoneycombMesh, position
 from .problem import ManufacturedProblem
 from .quadrature import blocks, rule, sample
 
-def p1_gradients(tri_xy: np.ndarray):
-    """Constant P1 basis gradients on triangles.
-
-    Parameters
-    ----------
-    tri_xy : (T, 3, 2) array
-        Vertex coordinates, counterclockwise.
-
-    Returns
-    -------
-    grads : (T, 3, 2) array
-        Gradient of the hat function of each local vertex.
-    area : (T,) array
-        Signed areas (positive for counterclockwise input).
-    """
-    x = tri_xy[..., 0]
-    y = tri_xy[..., 1]
-    bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = (
-        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-        - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
-    )
-    grads = np.stack([bx, by], axis=2) / area2[:, None, None]
-    return grads, 0.5 * area2
-
-
-def _unit_stiffness() -> np.ndarray:
-    grads, area = p1_gradients(
-        np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]]])
-    )
-    ke = area[0] * (grads[0] @ grads[0].T)
-    ke.setflags(write=False)
-    return ke
-
-
 #: P1 stiffness matrix of every subtriangle.  It does not depend on the
-#: size, position or orientation of an equilateral triangle, so it is
-#: computed once, on the unit one; its off-diagonal entries are one ulp
-#: from the closed form ``-0.5/sqrt(3)``.
-ELEMENT_STIFFNESS = _unit_stiffness()
+#: size, position or orientation of an equilateral triangle: 1/sqrt(3)
+#: on the diagonal and -0.5/sqrt(3) off it.
+ELEMENT_STIFFNESS = np.full((3, 3), -0.5 / SQRT3)
+np.fill_diagonal(ELEMENT_STIFFNESS, 1.0 / SQRT3)
+# ROADMAP item 1's defect: entry (0, 1) is one ulp toward zero, as the
+# gradient formula rounds it, so the rows of K do not sum to zero.
+ELEMENT_STIFFNESS[0, 1] = ELEMENT_STIFFNESS[1, 0] = np.nextafter(-0.5 / SQRT3, 0.0)
+ELEMENT_STIFFNESS.setflags(write=False)
 
 
 class SparseSpd:
@@ -113,7 +81,9 @@ class SparseSpd:
     when the matrix comes from :func:`assemble`, else ``None``; the
     multigrid preconditioner builds its coarse levels below it.  Those
     come from :func:`operator` as the fine matrix does and are not
-    wrapped, so the symmetry check runs on the fine level only.
+    wrapped, so the symmetry check runs on the fine level only.  The
+    operator is symmetric by construction, but the check stays: this is
+    a public type that takes any caller's matrix.
     """
 
     def __init__(
@@ -421,14 +391,7 @@ def interpolate(problem: ManufacturedProblem, mesh: HoneycombMesh) -> FieldP1:
     corners."""
     values = np.zeros(mesh.n_nodes)
     nh = mesh.nh_nodes
-    values[nh] = sample(problem.u, mesh.node_xy[nh])
+    values[nh] = sample(problem.u, np.take(mesh.node_xy, nh, axis=0))
     values[mesh.centers] = values[mesh.center_corners].mean(axis=1)
     return FieldP1(mesh=mesh, values=values)
 
-
-def interpolate_pointwise(
-    problem: ManufacturedProblem, mesh: HoneycombMesh
-) -> FieldP1:
-    """Plain sampling of the problem's exact solution at every lattice
-    node, centres included."""
-    return FieldP1(mesh=mesh, values=sample(problem.u, mesh.node_xy))

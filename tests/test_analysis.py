@@ -16,10 +16,11 @@ from hivevem.analysis import (
     orders,
 )
 from hivevem import quadrature
-from hivevem.lift import build_patch_grid, lift_solution
+from hivevem.lift import build_patch_grid, evaluate_patches, lift_solution
 from hivevem.problem import _from_expression, get_problem
 from hivevem.quadrature import rule
-from hivevem.system import FieldP1, interpolate, interpolate_pointwise, p1_gradients
+from hivevem.system import FieldP1, interpolate
+from triangles import p1_gradients
 
 
 def cubic_problem():
@@ -28,6 +29,25 @@ def cubic_problem():
         lambda X, Y: 0.4 * X + 0.2 * Y - 0.5 * X * Y + X * X
         - 0.12 * X ** 3 + 0.3 * X * Y * Y - 0.05 * Y ** 3,
     )
+
+
+def pointwise(problem, mesh):
+    """The exact solution sampled at every node, centres included."""
+    return FieldP1(mesh=mesh, values=quadrature.sample(problem.u, mesh.node_xy))
+
+
+def lift_l2_by_subtriangles(lifted, problem, degree=6):
+    """The lift's L2 error summed subtriangle by subtriangle, each point
+    evaluated in the cubic of the patch that tiles its subtriangle."""
+    grid = lifted.grid
+    mesh = grid.mesh
+    q = rule(degree)
+    owner = np.empty(mesh.n_tris, dtype=int)
+    owner[grid.tri_indices] = np.arange(grid.n_patches)[:, None]
+    pts = np.einsum("qk,tkx->tqx", q.points, mesh.node_xy[mesh.tris]).reshape(-1, 2)
+    values, _ = evaluate_patches(lifted, np.repeat(owner, q.n_points), pts)
+    err = (problem.u(pts[:, 0], pts[:, 1]) - values).reshape(-1, q.n_points)
+    return math.sqrt(mesh.tri_area * float(np.sum(err ** 2 @ q.weights)))
 
 
 def test_observed_order_arithmetic():
@@ -120,8 +140,9 @@ def test_lift_norms_vanish_for_reproduced_cubics(mesh_cache):
     q = cubic_problem()
     mesh = mesh_cache(4)
     grid = build_patch_grid(mesh)
-    lifted = lift_solution(interpolate(q, mesh), q, grid, "lattice15-corrected")
-    assert norm_l2_true(lifted, q, degree=6) <= 1e-12
+    u_i = interpolate(q, mesh)
+    lifted = lift_solution(u_i, q, grid, "lattice15-corrected")
+    assert norm_l2_true(u_i, q, degree=6, lift=lifted)[1] <= 1e-12
     assert norm_h1_broken_true(lifted, q, degree=6) <= 1e-11
 
 
@@ -130,6 +151,8 @@ def test_norm_l2_true_rejects_unknown_types(solved_cache, hex_sine):
         norm_l2_true(np.zeros(5), hex_sine)
     mesh, u_h, _, _ = solved_cache(3)
     lifted = lift_solution(u_h, hex_sine, build_patch_grid(mesh))
+    with pytest.raises(TypeError):
+        norm_l2_true(lifted, hex_sine)
     with pytest.raises(TypeError):
         norm_l2_true(lifted, hex_sine, lift=lifted)
     with pytest.raises(MeshMismatchError):
@@ -140,19 +163,22 @@ def test_norm_l2_true_rejects_unknown_types(solved_cache, hex_sine):
 @pytest.mark.parametrize("level", range(3, 7))
 def test_single_pass_matches_the_separate_norms(level, scheme, solved_cache, hex_sine):
     """The keyword form gives the field's L2 error by the patch rule,
-    which sums the subtriangle integrals in another order, and the lift
-    norms from the same kernel as the separate calls."""
+    which sums the subtriangle integrals in another order; the lift's
+    L2 error as a sum over the subtriangles, each point evaluated in the
+    patch that tiles its subtriangle; and the broken H1 error from the
+    same kernel as the separate call."""
     mesh, u_h, _, _ = solved_cache(level)
     lifted = lift_solution(u_h, hex_sine, build_patch_grid(mesh), scheme)
     e_l2, e_lift_l2, e_lift_h1h = norm_l2_true(u_h, hex_sine, lift=lifted)
     assert e_l2 == pytest.approx(norm_l2_true(u_h, hex_sine), rel=1e-12)
-    assert e_lift_l2 == norm_l2_true(lifted, hex_sine)
+    assert e_lift_l2 == pytest.approx(lift_l2_by_subtriangles(lifted, hex_sine),
+                                      rel=1e-12)
     assert e_lift_h1h == norm_h1_broken_true(lifted, hex_sine)
 
 
 def test_interpolation_error_is_second_order(mesh_cache, hex_sine):
     errs = [
-        norm_l2_true(interpolate_pointwise(hex_sine, mesh_cache(level)), hex_sine)
+        norm_l2_true(pointwise(hex_sine, mesh_cache(level)), hex_sine)
         for level in (3, 4, 5)
     ]
     rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -173,11 +199,9 @@ def test_blocked_error_norms_match_whole_mesh_sums(
     err = hex_sine.u(pts[..., 0], pts[..., 1]) - u_h.values[mesh.tris] @ q.points.T
     want = math.sqrt(mesh.tri_area * np.einsum("tq,q->", err ** 2, q.weights))
     lifted = lift_solution(u_h, hex_sine, build_patch_grid(mesh))
-    lift_norms = (norm_l2_true(lifted, hex_sine),
-                  norm_h1_broken_true(lifted, hex_sine))
+    lift_norms = norm_l2_true(u_h, hex_sine, lift=lifted)[1:]
     monkeypatch.setattr(quadrature, "BLOCK_POINTS", block_points)
     assert norm_l2_true(u_h, hex_sine) == pytest.approx(want, rel=1e-12)
-    assert norm_l2_true(lifted, hex_sine) == pytest.approx(lift_norms[0], rel=1e-12)
     assert norm_h1_broken_true(lifted, hex_sine) == pytest.approx(
         lift_norms[1], rel=1e-12
     )

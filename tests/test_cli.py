@@ -50,6 +50,34 @@ def test_config_validation():
         StudyConfig(lift_scheme="oracle-center")  # the lift is off
 
 
+@pytest.mark.parametrize("levels", [
+    dict(min_level=2.5, max_level=3), dict(max_level="3"), dict(min_level=True),
+    dict(min_level=1, max_level=3.0), dict(min_level=np.float64(2), max_level=3),
+])
+def test_config_rejects_levels_that_are_not_integers(levels):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        StudyConfig(**levels)
+
+
+def test_config_takes_numpy_integer_levels():
+    config = StudyConfig(min_level=np.int64(2), max_level=np.int32(3))
+    assert [row.level for row in run_study(config)] == [2, 3]
+
+
+@pytest.mark.parametrize("level", [2.0, True, "3", None])
+def test_export_rejects_levels_that_are_not_integers_up_front(
+    level, tmp_path, monkeypatch
+):
+    """Refused before the output path is probed or a mesh is built: the
+    path's directory does not exist, and the message names the level."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("export built a mesh for a level that is not an integer")
+
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    with pytest.raises(ConfigError, match="level must be an integer"):
+        export(level, "mesh", tmp_path / "missing" / "m.vtk")
+
+
 def test_small_study_rows():
     rows = run_study(small_config())
     assert [r.level for r in rows] == [1, 2, 3]

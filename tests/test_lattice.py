@@ -328,6 +328,12 @@ def test_level_validation():
         build_mesh(MAX_LEVEL + 1)
 
 
+@pytest.mark.parametrize("level", [True, False, 2.0, "2", np.float64(3)])
+def test_levels_that_are_not_integers_are_rejected(level):
+    with pytest.raises(ValueError, match="level must be an integer"):
+        build_mesh(level)
+
+
 def test_interior_center_neighbourhood(mesh_cache):
     """Each centre's six lattice neighbours are its corners, none of
     which is class 0."""

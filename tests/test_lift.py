@@ -9,6 +9,7 @@ pipeline, including the centre-value correction.
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from hivevem.lift import (
     patch_quadrature,
 )
 from hivevem.problem import _from_expression, get_problem, zero
-from hivevem.system import interpolate, interpolate_pointwise
+from hivevem.quadrature import sample
+from hivevem.system import FieldP1, interpolate
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,7 +181,8 @@ def test_fit_reproduces_cubic_site_data(grid3, scheme, patch_cubic):
     Every node carries the exact value and ``f`` is zero, so the data
     is exact under every scheme."""
     q = dataclasses.replace(cubic_problem(), f=lambda x, y: 0.0 * x)
-    lifted = lift_solution(interpolate_pointwise(q, grid3.mesh), q, grid3, scheme)
+    exact = FieldP1(grid3.mesh, sample(q.u, grid3.mesh.node_xy))
+    lifted = lift_solution(exact, q, grid3, scheme)
     assert np.all(lifted.residual <= 1e-12)
     rng = np.random.default_rng(5)
     for p in range(grid3.n_patches):
@@ -510,6 +513,20 @@ def test_locate_rejects_non_finite_points(grid3, point):
         locate_patch(grid3, np.array(point))
     with pytest.raises(ValueError):
         locate_patch(grid3, np.array([[0.1, 0.1], point]))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (3,), (2, 3), (3, 1), (0, 3),
+                                   (2, 2, 2), (1, 1, 2)])
+def test_points_of_other_shapes_are_rejected(grid3, shape):
+    """Only one point (2,) or rows (k, 2) are points: another shape,
+    even with an even number of values, raises ``ValueError`` naming it."""
+    lifted = lift_solution(interpolate(cubic_problem(), grid3.mesh),
+                           cubic_problem(), grid3)
+    points = np.full(shape, 0.1)
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        locate_patch(grid3, points)
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        evaluate_lift(lifted, points)
 
 
 @pytest.mark.parametrize("level", [3, 4])

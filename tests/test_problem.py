@@ -117,24 +117,20 @@ def test_jet_power_rejects_bad_exponents():
 
 
 def _power_from_ones(j, k):
-    """The square-and-multiply power started from the ones jet, the
-    definition the power kept before it started from the base."""
+    """The power as repeated products started from the ones jet."""
     out = j._map(np.ones_like(np.asarray(j.value, dtype=float)),
                  lambda a1: 0.0, lambda a1, a2: 0.0)
-    base, e = j, k
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base
-        e >>= 1
+    for _ in range(k):
+        out = out * j
     return out
 
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("k", range(7))
 def test_jet_power_matches_the_ones_start(k, order):
-    """Starting from the base drops a product by the ones jet, which
-    changes no value: at most the sign of an exactly-zero part, which
+    """The power is the left-to-right product ``((j * j) * j) ...``:
+    starting from the base drops a product by the ones jet, which
+    changes no value, at most the sign of an exactly-zero part, which
     ``array_equal`` does not see."""
     x, y = np.random.default_rng(k).uniform(-0.9, 0.9, (2, 64))
     X, Y = Jet.variables(x, y, order)

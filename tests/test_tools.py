@@ -38,6 +38,16 @@ def test_fingerprint_prints_every_label(capsys):
         assert len(digest) == 64 and int(digest, 16) >= 0
 
 
+def test_study_fingerprint_is_pinned():
+    """The bits of ``study --min-level 1 --max-level 5 --lift``: its CSV
+    and the ``float.hex`` of every error and order.  A change that moves
+    a number on purpose re-pins these and says why."""
+    assert dict(_load("fingerprint").study_hashes(5)) == {
+        "csv": "91e4e5752191f734544ae00582173e21fb71388c9c7130c5be656724bdbcf96c",
+        "values": "ea100e4b5a896ade38de9f3903321e3c23e455d9433f30ce27ffc8c703d76381",
+    }
+
+
 def test_fingerprint_needs_a_level(capsys):
     assert _load("fingerprint").main([]) == 1
     assert "usage" in capsys.readouterr().err
