@@ -50,6 +50,8 @@ class StudyConfig:
     def __post_init__(self):
         _check_integer("min-level", self.min_level)
         _check_integer("max-level", self.max_level)
+        if not isinstance(self.lift_enabled, bool):
+            raise ConfigError(f"lift must be a bool, got {self.lift_enabled!r}")
         if not 1 <= self.min_level <= self.max_level <= MAX_LEVEL:
             raise ConfigError(
                 f"need 1 <= min-level <= max-level <= {MAX_LEVEL}, "

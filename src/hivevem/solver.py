@@ -11,7 +11,9 @@ hierarchy, whose coarse operators are re-discretised: each level's is
 built from its own mesh as the fine one is (Briggs, Henson and
 McCormick, *A Multigrid Tutorial*, SIAM 2000).  Its iteration count
 stays flat as the mesh is refined, where Jacobi's doubles with every
-level.
+level.  The coarsest level has at most 24 unknowns and is solved with a
+dense inverse, so SuperLU (and ``scipy.sparse.linalg``, imported only
+when needed) serves only ``chol`` and matrices without a mesh.
 
 A note on tolerances.  Both methods work to one fixed relative
 tolerance, :data:`TOL`: CG stops when the recurrence residual satisfies
@@ -38,12 +40,9 @@ is the meaningful post-condition and is what the test-suite asserts.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import build_mesh
 from .system import SparseSpd, operator, refinement_transfer
@@ -58,7 +57,8 @@ TOL = 1e-14
 MG_OMEGA = 0.8
 #: Smoothing sweeps before, and again after, each coarse correction.
 MG_SWEEPS = 2
-#: Level of the coarsest multigrid operator, which is factorised.
+#: Level of the coarsest multigrid operator (24 unknowns), which is
+#: inverted densely.
 MG_COARSEST_LEVEL = 3
 
 
@@ -93,8 +93,7 @@ def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
     relative residual above 1e-8, so every solve that returns has passed
     its convergence test.
     """
-    if config is None:
-        config = SolverConfig()
+    config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
@@ -111,16 +110,22 @@ def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
 def _multigrid(A: SparseSpd):
     """Symmetric V-cycle on the nested lattice hierarchy of ``A``.
 
-    The levels are those of :func:`_hierarchy`, and the coarsest
-    operator is factorised.  Each level smooths with ``MG_SWEEPS``
-    damped Jacobi sweeps before and after its coarse correction; equal
-    counts of a symmetric smoother make the cycle a symmetric positive
-    definite operator, as CG requires.  A matrix without a mesh, or
-    with a mesh no finer than the coarsest level, has no coarse levels:
-    its cycle is the exact solve.
+    The levels are those of :func:`_hierarchy`.  The coarsest operator,
+    that of ``MG_COARSEST_LEVEL`` or ``A`` itself on a mesh no finer,
+    has at most 24 unknowns: it is inverted once with numpy and
+    symmetrised, ``0.5 * (inv + inv.T)``, so the cycle applies an
+    exactly symmetric matrix there.  Each level smooths with
+    ``MG_SWEEPS`` damped Jacobi sweeps before and after its coarse
+    correction; equal counts of a symmetric smoother make the cycle a
+    symmetric positive definite operator, as CG requires.  A matrix
+    without a mesh has no coarse levels, and its cycle is the exact
+    SuperLU solve.
     """
     levels, op = _hierarchy(A)
-    coarsest = _factorise(op)
+    if A.mesh is None:
+        return _factorise(op).solve
+    inv = np.linalg.inv(op.toarray())
+    coarsest = 0.5 * (inv + inv.T)
     return lambda r: _vcycle(levels, coarsest, r)
 
 
@@ -155,7 +160,7 @@ def _vcycle(levels, coarsest, r, k=0):
     collection.
     """
     if k == len(levels):
-        return coarsest.solve(r)
+        return coarsest @ r
     op, w, P = levels[k]
     x = w * r
     for _ in range(MG_SWEEPS - 1):
@@ -166,11 +171,16 @@ def _vcycle(levels, coarsest, r, k=0):
     return x
 
 
-def _factorise(matrix: sp.spmatrix):
-    """Sparse LU factorisation (SuperLU) of a symmetric matrix."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+def _factorise(matrix):
+    """Sparse LU factorisation (SuperLU) of a symmetric scipy sparse matrix.
+
+    ``scipy.sparse.linalg`` is imported here, not with the module: it
+    brings ``scipy.linalg`` with it, about 10 MB of resident memory
+    that the default CG path does not need.
+    """
+    from scipy.sparse.linalg import splu
+
+    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def _solve_cg(A: SparseSpd, b, bnorm: float):

@@ -64,6 +64,20 @@ def test_config_takes_numpy_integer_levels():
     assert [row.level for row in run_study(config)] == [2, 3]
 
 
+@pytest.mark.parametrize("lift_enabled", ["no", 0.0, 1])
+def test_config_rejects_a_lift_flag_that_is_not_a_bool(lift_enabled):
+    """A truthy ``"no"`` would run the lift, and ``0.0`` would be kept."""
+    with pytest.raises(ConfigError, match="lift must be a bool"):
+        StudyConfig(min_level=3, max_level=3, lift_enabled=lift_enabled)
+
+
+@pytest.mark.parametrize("lift_enabled", [True, False])
+def test_config_takes_a_bool_lift_flag(lift_enabled):
+    config = StudyConfig(min_level=3, max_level=3, lift_enabled=lift_enabled)
+    (row,) = run_study(config)
+    assert (row.e_lift_l2 is not None) is lift_enabled
+
+
 @pytest.mark.parametrize("level", [2.0, True, "3", None])
 def test_export_rejects_levels_that_are_not_integers_up_front(
     level, tmp_path, monkeypatch
@@ -248,7 +262,7 @@ def test_export_writes_vtk(tmp_path, what):
 
 @pytest.mark.parametrize("what, sha256", [
     ("mesh", "abc79dc90bafeb979e7dd4c72ecfd1809daf96914c4e3996b37ca7d3c7bdf43f"),
-    ("lift", "0800c9df53bab32d5d9bc93aaf8baa24dcfdb921059a41d0507b1de1ddd52ddf"),
+    ("lift", "5093468371aa69d686f87f4e11f227d3dba3d65065911fd20061ccbe14a72105"),
 ])
 def test_export_bytes_are_pinned(tmp_path, what, sha256):
     """Level-3 files hash as pinned: the mesh as the unblocked writer

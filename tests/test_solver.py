@@ -3,6 +3,10 @@ converge within the fixed budget raises, and the multigrid
 preconditioner is symmetric with a level-independent iteration count."""
 
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hivevem
 from hivevem import solver
 from hivevem.problem import _from_expression
 from hivevem.solver import SolverConfig, SolverError, solve
@@ -150,6 +155,56 @@ def test_multigrid_hierarchy_dies_with_the_solve(mesh_cache, hex_sine):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_multigrid_on_the_coarsest_mesh_is_the_exact_solve(level, mesh_cache, hex_sine):
+    """At and below ``MG_COARSEST_LEVEL`` the cycle is the dense inverse
+    of A alone."""
+    A, _, _ = assemble(mesh_cache(level), hex_sine)
+    r = np.random.default_rng(level).normal(size=A.n)
+    want = np.linalg.solve(A.to_csr().toarray(), r)
+    got = solver._multigrid(A)(r)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+SUPERLU_CHECK = """
+import sys
+import numpy as np
+import scipy.sparse as sp
+from hivevem import cli, solver, system
+from hivevem.lattice import build_mesh
+from hivevem.problem import get_problem
+
+cli.run_study(cli.StudyConfig(min_level=1, max_level=4, lift_enabled=True))
+SUPERLU = {"scipy.sparse.linalg", "scipy.linalg"}
+assert not SUPERLU & sys.modules.keys(), "imported by the default path"
+if sys.argv[1] == "chol":
+    A, b, _ = system.assemble(build_mesh(4), get_problem("hex-sine"))
+    x, _ = solver.solve(A, b, solver.SolverConfig(method="chol"))
+    want, _ = solver.solve(A, b)
+else:
+    M = np.eye(6) * 4 + np.eye(6, k=1) + np.eye(6, k=-1)
+    A, b = system.SparseSpd(sp.csr_matrix(M)), np.arange(6.0)
+    x, _ = solver.solve(A, b)
+    want = np.linalg.solve(M, b)
+assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want)), "wrong solution"
+assert SUPERLU <= sys.modules.keys(), "SuperLU solved without it"
+"""
+
+
+@pytest.mark.parametrize("case", ["chol", "meshless"])
+def test_superlu_is_imported_only_by_chol_and_meshless_matrices(case):
+    """In a fresh interpreter, a study of levels 1-4 with the lift leaves
+    ``scipy.sparse.linalg`` (and the ``scipy.linalg`` it brings) unloaded;
+    a ``chol`` solve, or CG on a matrix without a mesh, loads it and
+    solves."""
+    src = str(Path(hivevem.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", SUPERLU_CHECK, case],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_multigrid_without_a_mesh_is_the_exact_solve():
