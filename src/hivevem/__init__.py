@@ -24,7 +24,6 @@ from .lift import (
     LiftRankError,
     LiftResult,
     PatchGrid,
-    UnsupportedLevelError,
     build_patch_grid,
     evaluate_lift,
     lift_solution,

@@ -6,9 +6,13 @@ write the same content as CSV.  ``hivevem export`` writes meshes,
 solutions or lifted solutions as legacy VTK.
 
 Exit codes: 0 success, 1 configuration error (invalid arguments,
-levels or settings, or an output path that cannot be opened for
-writing, all found before any level is built), 2 numerical failure
-(any other ``ValueError`` included).
+levels or settings, or an output path, an empty one included, that
+cannot be opened for writing, all found before any level is built),
+2 numerical failure (any other ``ValueError`` included).  A
+configuration error names the setting and quotes the check of the
+module that owns the rule: :func:`~hivevem.lattice.check_level` for
+levels, :func:`~hivevem.problem.get_problem` for problem names and the
+lift for its schemes.
 
 hivevem itself is sequential; the BLAS thread pool is set by the BLAS
 library's own variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``)
@@ -27,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, lift, quadrature, solver, system, vtkio
-from .lattice import MAX_LEVEL, build_mesh
-from .problem import PROBLEMS, ManufacturedProblem, get_problem
+from .lattice import build_mesh, check_level
+from .problem import ManufacturedProblem, get_problem
 
 CSV_COLUMNS = tuple(name for name, _, _ in analysis.COLUMNS)
 
@@ -45,38 +49,33 @@ class StudyConfig:
     lift_enabled: bool = False
     lift_scheme: str | None = None  # None: the default, lift.SCHEMES[0]
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
-    csv_path: str | None = None
 
     def __post_init__(self):
-        _check_integer("min-level", self.min_level)
-        _check_integer("max-level", self.max_level)
         if not isinstance(self.lift_enabled, bool):
             raise ConfigError(f"lift must be a bool, got {self.lift_enabled!r}")
-        if not 1 <= self.min_level <= self.max_level <= MAX_LEVEL:
-            raise ConfigError(
-                f"need 1 <= min-level <= max-level <= {MAX_LEVEL}, "
-                f"got {self.min_level}..{self.max_level}"
-            )
-        if self.problem not in PROBLEMS:
-            raise ConfigError(
-                f"unknown problem {self.problem!r}; available: {sorted(PROBLEMS)}"
-            )
+        _setting("min-level", check_level, self.min_level)
+        if self.lift_enabled:
+            _setting("max-level with the lift", check_level, self.max_level,
+                     lift.MIN_LIFT_LEVEL)
+        else:
+            _setting("max-level", check_level, self.max_level)
+        if self.min_level > self.max_level:
+            raise ConfigError(f"need min-level <= max-level, "
+                              f"got {self.min_level}..{self.max_level}")
+        _setting("problem", get_problem, self.problem)
         if self.lift_scheme is not None:
-            if self.lift_scheme not in lift.SCHEMES:
-                raise ConfigError(
-                    f"unknown lift scheme {self.lift_scheme!r}; "
-                    f"available: {lift.SCHEMES}"
-                )
+            _setting("lift-scheme", lift._check_scheme, self.lift_scheme)
             if not self.lift_enabled:
                 raise ConfigError("a lift scheme needs the lift (--lift)")
-        if self.lift_enabled and self.max_level < lift.MIN_LIFT_LEVEL:
-            raise ConfigError(f"lift needs max-level >= {lift.MIN_LIFT_LEVEL}")
 
 
-def _check_integer(name: str, level) -> None:
-    """Raise :class:`ConfigError` unless ``level`` is an integer, not a bool."""
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {level!r}")
+def _setting(name: str, check, *args):
+    """``check(*args)``, a library function that owns an input rule; its
+    ``ValueError`` becomes a :class:`ConfigError` that names the setting."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def check_writable(path) -> None:
@@ -183,17 +182,11 @@ def export(
     """Write a mesh, solution or lifted solution as legacy VTK."""
     if what not in ("mesh", "solution", "lift"):
         raise ConfigError(f"cannot export {what!r}; use mesh, solution or lift")
-    _check_integer("level", level)
-    if not 1 <= level <= MAX_LEVEL:
-        raise ConfigError(f"level must be in [1, {MAX_LEVEL}], got {level}")
-    if what == "lift" and level < lift.MIN_LIFT_LEVEL:
-        raise ConfigError(
-            f"lift export needs level >= {lift.MIN_LIFT_LEVEL}, got {level}"
-        )
-    try:
-        problem = get_problem(problem_name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if what == "lift":
+        _setting("level of the lift", check_level, level, lift.MIN_LIFT_LEVEL)
+    else:
+        _setting("level", check_level, level)
+    problem = _setting("problem", get_problem, problem_name)
     check_writable(path)
     if what == "mesh":
         vtkio.write_vtk(build_mesh(level), path, title=f"honeycomb level {level}")
@@ -265,18 +258,17 @@ def main(argv=None) -> int:
                 lift_enabled=args.lift,
                 lift_scheme=args.lift_scheme,
                 solver=solver.SolverConfig(method=args.solver),
-                csv_path=args.csv,
             )
-            if config.csv_path:
-                check_writable(config.csv_path)
+            if args.csv is not None:
+                check_writable(args.csv)
             start = time.perf_counter()
             rows = run_study(config)
             elapsed = time.perf_counter() - start
             print(render_table(rows))
             print(f"# {config.problem}, solver={config.solver.method}, "
                   f"{elapsed:.2f}s")
-            if config.csv_path:
-                with open(config.csv_path, "w", newline="\n") as fh:
+            if args.csv is not None:
+                with open(args.csv, "w", newline="\n") as fh:
                     fh.write(rows_to_csv(rows))
         else:
             export(args.level, args.what, args.path, args.problem)

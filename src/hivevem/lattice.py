@@ -35,7 +35,11 @@ The nodes are numbered row-major in i, then j, through a table over
 the square ``|i|, |j| <= n + 1``: the nodes and a ring of -1 around
 them.  Lattice steps are then fixed flat offsets into the table, so the
 subtriangles, the corners of the centres and the neighbours of the
-nodes are gathers at a node's or a cell's offset plus the steps'.
+nodes are gathers at a node's or a cell's offset plus the steps'.  A
+second table, ``tri_table``, numbers the subtriangles by cell and kind.
+
+:func:`check_level` is the one test of a refinement level: the mesh,
+the lift's patch grid and the command line's settings all ask it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 
 SQRT3 = math.sqrt(3.0)
 
-#: Largest refinement level accepted by :func:`build_mesh`.  Memory grows
+#: Largest refinement level accepted by :func:`check_level`.  Memory grows
 #: about fourfold per level.  On a 2-core x86 VM, ``study --min-level 10
 #: --max-level 10 --lift`` peaks at 399 MB (``ru_maxrss``) in about 7 s
 #: and ``export --level 10 --what lift`` at 399 MB in about 10 s, so
@@ -107,12 +111,11 @@ class HoneycombMesh:
         neither on the boundary nor a centre.  They index the degrees of
         freedom of the discrete system.
 
-    :meth:`index` maps lattice coordinates to node indices,
-    :meth:`neighbours` unit steps from every node to node indices, and
-    :meth:`tri_index` lattice unit triangles to subtriangle indices,
-    through :attr:`tri_table`.  :attr:`tri_table` and
-    :attr:`center_corners` are derived on first read; :func:`build_mesh`
-    has checked the corners already.
+    :meth:`index` maps lattice coordinates to node indices and
+    :meth:`neighbours` unit steps from every node to node indices.
+    :attr:`tri_table` maps lattice unit triangles, by cell and kind, to
+    subtriangle indices.  It and :attr:`center_corners` are derived on
+    first read; :func:`build_mesh` has checked the corners already.
     """
 
     level: int
@@ -167,22 +170,13 @@ class HoneycombMesh:
         width = self._lookup.shape[1]
         return self._lookup.ravel()[at[:, None] + np.asarray(steps) @ (width, 1)]
 
-    def tri_index(self, i, j, kind):
-        """Subtriangle indices of the lattice unit triangles of kind 0,
-        ``(i,j),(i+1,j),(i,j+1)``, or kind 1, ``(i,j+1),(i+1,j),(i+1,j+1)``,
-        -1 for every triangle not inside the closed hexagon.
-
-        Arguments broadcast as in :meth:`index`, and read :attr:`tri_table`.
-        """
-        m = self.n + 1
-        table = self.tri_table
-        return table[np.clip(i, -m, m - 1) + m, np.clip(j, -m, m - 1) + m, kind]
-
     @cached_property
     def tri_table(self) -> np.ndarray:
         """Subtriangle indices by cell and kind, ``[i + n + 1, j + n + 1,
-        kind]``: the cells ``-n <= i, j < n`` and a ring of -1 around
-        them, with -1 for every triangle outside the closed hexagon.
+        kind]``: kind 0 is ``(i,j),(i+1,j),(i,j+1)`` and kind 1
+        ``(i,j+1),(i+1,j),(i+1,j+1)``.  The table spans the cells
+        ``-n <= i, j < n`` and a ring of -1 around them, with -1 for
+        every triangle outside the closed hexagon.
         Built on first read from the order in which :func:`build_mesh`
         emits ``tris``."""
         # ``tris`` holds the kind-0 triangles, then the kind-1 ones, each
@@ -225,6 +219,15 @@ def _unit_triangles(inside: np.ndarray, width: int):
                    for off in steps]
 
 
+def check_level(level, lowest: int = 1) -> None:
+    """Raise ``ValueError`` unless ``level`` is an integer, not a bool,
+    between ``lowest`` and :data:`MAX_LEVEL`."""
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
+        raise ValueError(f"level must be an integer, got {level!r}")
+    if not lowest <= level <= MAX_LEVEL:
+        raise ValueError(f"level must be in [{lowest}, {MAX_LEVEL}], got {level}")
+
+
 def build_mesh(level: int) -> HoneycombMesh:
     """Build the honeycomb mesh of the given refinement level.
 
@@ -237,14 +240,11 @@ def build_mesh(level: int) -> HoneycombMesh:
     Raises
     ------
     ValueError
-        If the level is out of range.
+        If :func:`check_level` refuses the level.
     MeshConstructionError
         If a structural invariant fails (defensive; should not happen).
     """
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
-        raise ValueError(f"level must be an integer, got {level!r}")
-    if not 1 <= level <= MAX_LEVEL:
-        raise ValueError(f"level must be in [1, {MAX_LEVEL}], got {level}")
+    check_level(level)
 
     n = 2 ** (level - 1)
     s = 1.0 / n

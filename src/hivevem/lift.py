@@ -6,7 +6,8 @@ the mesh two levels coarser, of both kinds, numbered as its ``tris``.
 A patch contains 16 subtriangles and carries the 15 lattice sites of
 its degree-4 principal lattice; exactly one of its three corners is of
 the hexagon-centre class.  The grid is built by integer lattice
-arithmetic from the coarse mesh.  A point is located in the frame of
+arithmetic from the coarse mesh, and a lower level is refused by
+:func:`~hivevem.lattice.check_level`.  A point is located in the frame of
 the coarse lattice, where every patch is a unit triangle: its lattice
 coordinates give its cell, the coarse mesh's
 :attr:`~hivevem.lattice.HoneycombMesh.tri_table` gives the 18 patches
@@ -51,7 +52,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .lattice import (
-    SQRT3, UNIT_TRIANGLES, HoneycombMesh, build_mesh, node_class, position,
+    SQRT3, UNIT_TRIANGLES, HoneycombMesh, build_mesh, check_level, node_class,
+    position,
 )
 from .problem import ManufacturedProblem
 from .quadrature import blocks, rule, sample
@@ -112,10 +114,6 @@ _BARY = np.rint(np.linalg.inv(np.concatenate([
 ], axis=-1))).transpose(2, 0, 1, 3).reshape(3, -1)
 
 
-class UnsupportedLevelError(ValueError):
-    """Patch grids only exist from level 3 on."""
-
-
 class LiftRankError(RuntimeError):
     """A scheme that requires a determined fit met a deficient matrix."""
 
@@ -137,16 +135,17 @@ def _frame_local(ab) -> np.ndarray:
 _FRAME_DESIGN = monomial_basis(_frame_local(_SITE_AB))[..., 0, :]
 
 
-def _unit_triangles(vertex_sum):
-    """Cell and kind of lattice unit triangles from their vertex sums:
-    ``(3i+1, 3j+1)`` for ``(i,j),(i+1,j),(i,j+1)`` (kind 0) and
-    ``(3i+2, 3j+2)`` for ``(i,j+1),(i+1,j),(i+1,j+1)`` (kind 1)."""
-    return vertex_sum[..., 0] // 3, vertex_sum[..., 1] // 3, vertex_sum[..., 0] % 3 - 1
-
-
 @dataclass
 class PatchGrid:
-    """The lift patches of one mesh, as arrays over the patch index."""
+    """The lift patches of one mesh, as arrays over the patch index.
+
+    The fits read ``site_nodes``, the error pass the sites of each
+    subtriangle through :data:`SUB_SITES`, and point location the coarse
+    ``cell_patches``; so the grid keeps no index of its subtriangles in
+    the mesh.  :func:`build_patch_grid` checks the two facts that the
+    program reads: every site is a node, and every patch has exactly one
+    centre-class corner, whose site the ``paper11`` schemes add.
+    """
 
     mesh: HoneycombMesh
     edge: float                  # L = 4 s
@@ -154,7 +153,6 @@ class PatchGrid:
     frame: np.ndarray            # (P,) row of _FRAMES, the coarse kind
     site_nodes: np.ndarray       # (P, 15)
     site_is_center: np.ndarray   # (P, 15) interior-centre flags
-    tri_indices: np.ndarray      # (P, 16)
     c0_corner_site: np.ndarray   # (P,) site id of the centre-class corner
     centroid: np.ndarray         # (P, 2)
     cell_patches: np.ndarray     # the coarse tri_table, -1 outside
@@ -205,33 +203,20 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
 
     Patch p is subtriangle p of ``build_mesh(mesh.level - 2)``, whose
     spacing is L, with its corners in the same order; the patch order
-    fixes the tie-breaking order used by point location.
+    fixes the tie-breaking order used by point location.  A level below
+    :data:`MIN_LIFT_LEVEL` raises ``ValueError`` from
+    :func:`~hivevem.lattice.check_level`.
     """
-    if mesh.level < MIN_LIFT_LEVEL:
-        raise UnsupportedLevelError(
-            f"patch grid needs level >= {MIN_LIFT_LEVEL}, got {mesh.level}"
-        )
+    check_level(mesh.level, MIN_LIFT_LEVEL)
     coarse = build_mesh(mesh.level - 2)
     corners = 4 * coarse.node_ij[coarse.tris]
     # Corner 1 lies a step (4, 0) from corner 0 on kind 0, (4, -4) on kind 1.
     frame = (corners[:, 0, 1] - corners[:, 1, 1]) // 4
 
-    def lattice(local_ab, scale=1):
-        offsets = np.einsum("sa,fad->fsd", local_ab, _FRAMES)
-        return scale * corners[:, :1] + offsets[frame]
-
-    sites = lattice(_SITE_AB)
+    sites = corners[:, :1] + np.einsum("sa,fad->fsd", _SITE_AB, _FRAMES)[frame]
     site_nodes = mesh.index(sites[..., 0], sites[..., 1])
     if np.any(site_nodes < 0):
         raise RuntimeError("patch site outside the domain")
-
-    tri_indices = mesh.tri_index(
-        *_unit_triangles(lattice(_SUB_AB.sum(axis=1), scale=3)))
-    covered = np.bincount(tri_indices.ravel(), minlength=mesh.n_tris)
-    if np.any(covered > 1):
-        raise RuntimeError("patch tiling overlap")
-    if np.any(covered == 0):
-        raise RuntimeError("patch tiling does not cover the submesh")
 
     corner_sites = sites[:, _CORNER_SITES]
     cls0 = node_class(corner_sites[..., 0], corner_sites[..., 1]) == 0
@@ -240,17 +225,22 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
 
     return PatchGrid(
         mesh, 4.0 * mesh.s, corners, frame, site_nodes,
-        mesh.is_center[site_nodes], tri_indices,
+        mesh.is_center[site_nodes],
         _CORNER_SITES[np.argmax(cls0, axis=1)],
         np.take(mesh.node_xy, site_nodes[:, _CORNER_SITES], axis=0).mean(axis=1),
         coarse.tri_table,
     )
 
 
-def _site_mask(site_is_center, c0_corner_site, scheme: str) -> np.ndarray:
-    """Sites used by a data scheme, as a ``(P, 15)`` mask."""
+def _check_scheme(scheme: str) -> None:
+    """Raise ``ValueError`` unless ``scheme`` is one of :data:`SCHEMES`."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown lift scheme {scheme!r}; available: {SCHEMES}")
+
+
+def _site_mask(site_is_center, c0_corner_site, scheme: str) -> np.ndarray:
+    """Sites used by a data scheme, as a ``(P, 15)`` mask."""
+    _check_scheme(scheme)
     if scheme in ("lattice15-corrected", "oracle-center"):
         return np.ones(site_is_center.shape, dtype=bool)
     mask = ~site_is_center

@@ -26,7 +26,7 @@ from hivevem.solver import SolverConfig, solve
 from hivevem.system import assemble, expand, interpolate
 from hivevem.analysis import norm_h1_broken_true, norm_l2_true
 from cells import census
-from triangles import integrate, triangle_area
+from triangles import integrate, patch_subtriangles, triangle_area
 
 SQRT3 = math.sqrt(3.0)
 
@@ -75,7 +75,7 @@ def cubic_floor(grid, problem):
     the patch edge 4s.
     """
     q = rule(8)
-    tri = grid.mesh.node_xy[grid.mesh.tris[grid.tri_indices]]      # (P, 16, 3, 2)
+    tri = grid.mesh.node_xy[grid.mesh.tris[patch_subtriangles(grid)]]  # (P, 16, 3, 2)
     d1 = tri[..., 1, :] - tri[..., 0, :]
     d2 = tri[..., 2, :] - tri[..., 0, :]
     area = 0.5 * np.abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])

@@ -20,7 +20,7 @@ from hivevem.lift import build_patch_grid, evaluate_patches, lift_solution
 from hivevem.problem import _from_expression, get_problem
 from hivevem.quadrature import rule
 from hivevem.system import FieldP1, interpolate
-from triangles import p1_gradients
+from triangles import p1_gradients, patch_subtriangles
 
 
 def cubic_problem():
@@ -38,12 +38,13 @@ def pointwise(problem, mesh):
 
 def lift_l2_by_subtriangles(lifted, problem, degree=6):
     """The lift's L2 error summed subtriangle by subtriangle, each point
-    evaluated in the cubic of the patch that tiles its subtriangle."""
+    evaluated in the cubic of the patch that tiles its subtriangle, as
+    the centroid oracle finds it."""
     grid = lifted.grid
     mesh = grid.mesh
     q = rule(degree)
     owner = np.empty(mesh.n_tris, dtype=int)
-    owner[grid.tri_indices] = np.arange(grid.n_patches)[:, None]
+    owner[patch_subtriangles(grid)] = np.arange(grid.n_patches)[:, None]
     pts = np.einsum("qk,tkx->tqx", q.points, mesh.node_xy[mesh.tris]).reshape(-1, 2)
     values, _ = evaluate_patches(lifted, np.repeat(owner, q.n_points), pts)
     err = (problem.u(pts[:, 0], pts[:, 1]) - values).reshape(-1, q.n_points)

@@ -17,7 +17,8 @@ from hivevem.cli import (
     rows_to_csv,
     run_study,
 )
-from hivevem.lattice import build_mesh
+from hivevem.lattice import build_mesh, check_level
+from hivevem.problem import get_problem
 from hivevem.quadrature import rule
 from hivevem.solver import SolverConfig
 
@@ -263,7 +264,7 @@ def test_export_writes_vtk(tmp_path, what):
 @pytest.mark.parametrize("what, sha256", [
     ("mesh", "abc79dc90bafeb979e7dd4c72ecfd1809daf96914c4e3996b37ca7d3c7bdf43f"),
     ("lift", "5093468371aa69d686f87f4e11f227d3dba3d65065911fd20061ccbe14a72105"),
-])
+], ids=["mesh", "lift"])
 def test_export_bytes_are_pinned(tmp_path, what, sha256):
     """Level-3 files hash as pinned: the mesh as the unblocked writer
     wrote it, the lift with its seam nodes on the lowest index of the
@@ -358,6 +359,89 @@ def test_unwritable_output_is_rejected_before_any_mesh(
     assert main(argv) == 1
     assert "hivevem: configuration error: cannot write" in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
+
+
+def test_an_empty_csv_path_is_a_config_error(monkeypatch, capsys):
+    """``--csv ""`` names no file: refused before any level is built,
+    not run and silently left unwritten."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mesh was built for an empty CSV path")
+
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    assert main(["study", "--max-level", "3", "--csv", ""]) == 1
+    assert "hivevem: configuration error: cannot write" in capsys.readouterr().err
+
+
+def owner_message(check, *args):
+    """The ``ValueError`` message of a library check that owns a rule."""
+    with pytest.raises(ValueError) as err:
+        check(*args)
+    return str(err.value)
+
+
+#: Bad inputs: a command line for ``main``, or the keywords of a
+#: ``StudyConfig`` or the arguments of ``export``; the setting that the
+#: message names; and the owner's check with its arguments, or None for
+#: a rule that only the command line has.
+BAD_INPUTS = {
+    "min-level-2.5": (dict(min_level=2.5), "min-level", (check_level, 2.5)),
+    "max-level-True": (dict(max_level=True), "max-level", (check_level, True)),
+    "min-level-0": (["study", "--min-level", "0"], "min-level", (check_level, 0)),
+    "max-level-11": (["study", "--max-level", "11"], "max-level", (check_level, 11)),
+    "export-2.5": ((2.5, "mesh"), "level", (check_level, 2.5)),
+    "export-True": ((True, "solution"), "level", (check_level, True)),
+    "export-0": (["export", "--level", "0", "--what", "mesh"], "level",
+                 (check_level, 0)),
+    "export-11": (["export", "--level", "11", "--what", "solution"], "level",
+                  (check_level, 11)),
+    "min-above-max": (["study", "--min-level", "5", "--max-level", "4"],
+                      "min-level <= max-level", None),
+    "study-lift-2": (["study", "--lift", "--max-level", "2"],
+                     "max-level with the lift", (check_level, 2, lift.MIN_LIFT_LEVEL)),
+    "export-lift-2": (["export", "--what", "lift", "--level", "2"],
+                      "level of the lift", (check_level, 2, lift.MIN_LIFT_LEVEL)),
+    "study-problem": (["study", "--problem", "nope"], "problem",
+                      (get_problem, "nope")),
+    "export-problem": (["export", "--level", "3", "--what", "mesh",
+                        "--problem", "nope"], "problem", (get_problem, "nope")),
+    "scheme": (dict(max_level=3, lift_enabled=True, lift_scheme="nope"),
+               "lift-scheme", (lift._check_scheme, "nope")),
+    "scheme-without-lift": (dict(lift_scheme="oracle-center"),
+                            "a lift scheme needs the lift", None),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_inputs_are_refused_with_the_owners_message(
+    case, tmp_path, monkeypatch, capsys
+):
+    """Every bad setting is a configuration error found before any level
+    is built; the message names the setting and quotes the check of the
+    module that owns the rule: ``check_level`` for levels, the lift for
+    schemes and ``get_problem`` for problem names."""
+    inputs, setting, owner = BAD_INPUTS[case]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mesh was built for a bad configuration")
+
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    out = tmp_path / "out.vtk"
+    if isinstance(inputs, list):
+        if inputs[0] == "export":
+            inputs = [*inputs, "--path", str(out)]
+        assert main(inputs) == 1
+        message = capsys.readouterr().err
+        assert message.startswith("hivevem: configuration error: ")
+    else:
+        with pytest.raises(ConfigError) as err:
+            if isinstance(inputs, dict):
+                StudyConfig(**inputs)
+            else:
+                export(*inputs, out)
+        message = str(err.value)
+    expected = setting if owner is None else f"{setting}: {owner_message(*owner)}"
+    assert expected in message
+    assert not out.exists()
 
 
 def test_writable_check_leaves_the_path_as_it_was(tmp_path):

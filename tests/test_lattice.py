@@ -280,26 +280,31 @@ def test_neighbours_are_the_index_of_every_unit_step(level, mesh_cache):
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
 def test_tri_index_inverts_tris_and_is_minus_one_outside(level):
-    """Every subtriangle maps back from its cell, the vertex-wise
-    minimum, and kind, 1 when the cell corner (i+1, j+1) is a vertex;
-    a unit triangle of a wide square of cells has an index exactly
-    when its three vertices are nodes.  The table is built on first
-    call only."""
+    """``tri_table`` maps every subtriangle back from its cell, the
+    vertex-wise minimum, and kind, 1 when the cell corner (i+1, j+1)
+    is a vertex; a unit triangle of the table's cells has an index
+    exactly when its three vertices are nodes, so the ring of cells
+    around the hexagon's is -1.  The table is built on first read only."""
     mesh = build_mesh(level)
     assert "tri_table" not in vars(mesh)
+    table = mesh.tri_table
+    m = mesh.n + 1
+    assert table.shape == (2 * m, 2 * m, 2)
     ij = mesh.node_ij[mesh.tris]
     cell = ij.min(axis=1)
     kind = (ij == cell[:, None] + 1).all(axis=-1).any(axis=1).astype(int)
-    assert np.array_equal(mesh.tri_index(*cell.T, kind), np.arange(mesh.n_tris))
+    assert np.array_equal(table[cell[:, 0] + m, cell[:, 1] + m, kind],
+                          np.arange(mesh.n_tris))
 
-    r = np.arange(-mesh.n - 3, mesh.n + 3)
+    r = np.arange(-m, m)
     I, J, K = np.meshgrid(r, r, [0, 1], indexing="ij")
     steps = np.array([[(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])[K]
     vertices = mesh.index(I[..., None] + steps[..., 0], J[..., None] + steps[..., 1])
-    got = mesh.tri_index(I, J, K)
-    assert np.array_equal(got >= 0, (vertices >= 0).all(axis=-1))
-    assert np.array_equal(mesh.tris[got[got >= 0]], vertices[got >= 0])
-    assert np.all(mesh.tri_index(np.array([-10, 10]) * mesh.n, 0, 1) == -1)
+    assert np.array_equal(table >= 0, (vertices >= 0).all(axis=-1))
+    assert np.array_equal(mesh.tris[table[table >= 0]], vertices[table >= 0])
+    ring = np.ones(table.shape[:2], dtype=bool)
+    ring[1:-1, 1:-1] = False
+    assert np.all(table[ring] == -1)
 
 
 def test_boundary_nodes_lie_on_the_hexagon(mesh_cache):

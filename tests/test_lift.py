@@ -22,7 +22,7 @@ from hivevem.lift import (
     MONOMIAL_POWERS,
     SCHEMES,
     LiftRankError,
-    UnsupportedLevelError,
+    SUB_SITES,
     _fit,
     _node_data,
     build_patch_grid,
@@ -35,6 +35,7 @@ from hivevem.lift import (
 from hivevem.problem import _from_expression, get_problem, zero
 from hivevem.quadrature import sample
 from hivevem.system import FieldP1, interpolate
+from triangles import patch_subtriangles
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,7 +86,7 @@ def grid4(mesh_cache):
 def test_minimum_level(mesh_cache):
     assert MIN_LIFT_LEVEL == 3
     for level in (1, 2):
-        with pytest.raises(UnsupportedLevelError):
+        with pytest.raises(ValueError, match=r"level must be in \[3, "):
             build_patch_grid(mesh_cache(level))
 
 
@@ -96,10 +97,21 @@ def test_patch_counts(level, n_patches, mesh_cache):
     assert grid.edge == pytest.approx(4 * grid.mesh.s)
 
 
-def test_patches_partition_the_submesh(grid4):
-    assert grid4.tri_indices.shape == (grid4.n_patches, 16)
-    seen = np.sort(grid4.tri_indices.ravel())
-    assert np.array_equal(seen, np.arange(grid4.mesh.n_tris))
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_patches_partition_the_submesh(level):
+    """The patches tile the submesh, 16 subtriangles each (the oracle
+    asserts it), and those are the subtriangles that ``SUB_SITES``
+    spells out from each patch's sites, which the error pass reads."""
+    grid = grid_at(level)
+    n = grid.mesh.n_nodes
+
+    def keys(triples):
+        """One integer per vertex set (P, 16, 3), sorted in each patch."""
+        t = np.sort(triples, axis=-1).astype(np.int64)
+        return np.sort((t[..., 0] * n + t[..., 1]) * n + t[..., 2], axis=-1)
+
+    tiles = keys(grid.mesh.tris[patch_subtriangles(grid)])
+    assert np.array_equal(tiles, keys(grid.site_nodes[:, SUB_SITES]))
 
 
 def test_sites_are_the_principal_lattice(grid3):

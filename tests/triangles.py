@@ -1,10 +1,12 @@
 """Geometry of triangles given by their vertices: quadrature on one
 triangle, for the tests that check the tabulated rules against
-closed-form integrals, and the P1 gradients, the oracle of the element
-stiffness."""
+closed-form integrals, the P1 gradients, the oracle of the element
+stiffness, and the subtriangles of each lift patch, found by their
+centroids."""
 
 import numpy as np
 
+from hivevem.lattice import position
 from hivevem.quadrature import QuadratureRule
 
 
@@ -48,3 +50,27 @@ def p1_gradients(tri_xy: np.ndarray):
     )
     grads = np.stack([bx, by], axis=2) / area2[:, None, None]
     return grads, 0.5 * area2
+
+
+def patch_subtriangles(grid) -> np.ndarray:
+    """Subtriangle indices (P, 16) of every patch of a lift patch grid,
+    ascending in each row, found by geometry alone: a subtriangle belongs
+    to the patch triangle that holds its centroid.  Every centroid is
+    tested against every patch, from the corners' lattice coordinates,
+    and each subtriangle must have exactly one owner, each patch 16."""
+    mesh = grid.mesh
+    centroid = mesh.node_xy[mesh.tris].mean(axis=1)               # (T, 2)
+    a, b, c = np.moveaxis(position(grid.corners_ij, mesh.s), 1, 0)  # (P, 2)
+
+    def side(p, q):
+        """Signed area of (p, q, centroid), (P, T): positive on the left."""
+        d = centroid - p[:, None]
+        e = (q - p)[:, None]
+        return e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0]
+
+    inside = (side(a, b) > 0) & (side(b, c) > 0) & (side(c, a) > 0)
+    owners = inside.sum(axis=0)
+    assert np.all(owners == 1), f"subtriangles with {set(owners.tolist())} owners"
+    owner = inside.argmax(axis=0)
+    assert np.all(np.bincount(owner, minlength=grid.n_patches) == 16)
+    return np.argsort(owner, kind="stable").reshape(grid.n_patches, -1)
