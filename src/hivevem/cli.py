@@ -226,10 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--problem", default="hex-sine", metavar="NAME")
     st.add_argument("--lift", action="store_true",
                     help="fit and measure the patchwise cubic lift")
-    st.add_argument("--lift-scheme", default=None,
-                    choices=lift.SCHEMES, metavar="SCHEME",
+    st.add_argument("--lift-scheme", choices=lift.SCHEMES, metavar="SCHEME",
                     help=f"data scheme of the lift (default {lift.SCHEMES[0]})")
-    st.add_argument("--solver", default="cg", choices=solver.METHODS)
+    st.add_argument("--solver", default="cg", choices=solver.METHODS,
+                    help="chol, the direct solve, peaks near 2 GB at level 10")
     st.add_argument("--csv", default=None, metavar="PATH")
 
     ex = sub.add_parser("export", help="write legacy VTK files")

@@ -409,7 +409,7 @@ def patch_quadrature(grid: PatchGrid, degree: int):
     """
     local, basis = _patch_rule(degree)
     for f, frame_local in enumerate(local):
-        offsets = grid.edge * frame_local.T[:, None]
+        offsets = np.ascontiguousarray(grid.edge * frame_local.T[:, None])
         members = np.flatnonzero(grid.frame == f)
         for ids in blocks(members, frame_local.shape[0]):
             yield ids, grid.centroid[ids].T[..., None] + offsets, basis[f]

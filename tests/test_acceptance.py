@@ -19,7 +19,7 @@ import pytest
 from hivevem.cli import StudyConfig, run_study
 from hivevem.lattice import build_mesh
 from hivevem.lift import build_patch_grid, evaluate_lift, lift_solution
-from hivevem.problem import _from_expression, get_problem, zero
+from hivevem.problem import PROBLEMS, _from_expression, exp, get_problem, sin, zero
 from hivevem.quadrature import SUPPORTED_DEGREES, rule
 from hivevem.problem import jet_eval, laplacian
 from hivevem.solver import SolverConfig, solve
@@ -53,6 +53,12 @@ def report(criterion, ok, detail):
     line = f"ACCEPTANCE {criterion}: {status} :: {detail}"
     print(line)
     assert ok, line
+
+
+def report_parts(criterion, parts):
+    """:func:`report` over named sub-checks ``(name, ok, info)``."""
+    report(criterion, all(ok for _, ok, _ in parts), "; ".join(
+        f"{name} {'ok' if ok else 'FAIL'} ({info})" for name, ok, info in parts))
 
 
 def cubic():
@@ -282,11 +288,56 @@ def test_criterion_6_lift(study):
               f"{tuple(round(r, 2) for r in rates)}, "
               f"level-5 error {row(extra, 5).e_lift_l2:.3e}")
 
-    ok = all(flag for _, flag, _ in sub)
-    detail = "; ".join(
-        f"{name} {'ok' if flag else 'FAIL'} ({info})" for name, flag, info in sub
-    )
-    report("6 lift accuracy", ok, detail)
+    report_parts("6 lift accuracy", sub)
+
+
+def test_orders_on_a_solution_with_no_symmetry(monkeypatch):
+    """Hex-sine is even in x, so the two mirrored lift frames always see
+    mirrored data.  exp(0.3x - 0.5y + 0.2xy) times its three sine
+    factors vanishes on the same six edges with no symmetry; its study
+    keeps the orders of criteria 3, 5 and 6 and criterion 6's floor
+    ratios.  Only orders and ratios are gated, no absolute values."""
+    half_pi = 0.5 * math.pi
+
+    def expr(X, Y):
+        return (
+            exp(0.3 * X - 0.5 * Y + 0.2 * X * Y)
+            * sin(half_pi * (Y / SQRT3 + X + 1.0))
+            * sin(half_pi * (Y / SQRT3 - X + 1.0))
+            * sin((math.pi / SQRT3) * (Y + 0.5 * SQRT3))
+        )
+
+    hex_exp = _from_expression("hex-exp", expr)
+    monkeypatch.setitem(PROBLEMS, "hex-exp", lambda: hex_exp)
+    rows = run_study(StudyConfig(min_level=4, max_level=7, problem="hex-exp",
+                                 lift_enabled=True))
+    levels = (5, 6, 7)
+    sub = []
+    superclose = [(row(rows, level).r_ih_l2, row(rows, level).r_ih_h1,
+                   row(rows, level).r_ih_linf) for level in levels]
+    sub.append((
+        "superclose orders",
+        all(3.7 <= r <= 4.3 for rates in superclose for r in rates)
+        and all(3.9 <= r <= 4.1 for r in superclose[-1]),
+        f"{min(map(min, superclose)):.2f}-{max(map(max, superclose)):.2f}",
+    ))
+    for name, column, low, high in (("true L2 order", "r_l2", 1.95, 2.05),
+                                    ("lift L2 order", "r_lift_l2", 3.8, 4.2),
+                                    ("lift H1h order", "r_lift_h1h", 2.9, 3.1)):
+        rates = [getattr(row(rows, level), column) for level in levels]
+        sub.append((name, all(low <= r <= high for r in rates),
+                    f"{tuple(round(r, 2) for r in rates)} in [{low}, {high}]"))
+
+    floor_l2, floor_h1 = cubic_floor(build_patch_grid(build_mesh(5)), hex_exp)
+    ratio_l2 = row(rows, 5).e_lift_l2 / floor_l2
+    ratio_h1 = row(rows, 5).e_lift_h1h / floor_h1
+    sub.append((
+        "level-5 floor ratios",
+        1.0 <= ratio_l2 <= 2.0 and 1.0 <= ratio_h1 <= 1.25,
+        f"L2 {ratio_l2:.3f} in [1, 2], H1h {ratio_h1:.3f} in [1, 1.25]",
+    ))
+
+    report_parts("no-symmetry orders", sub)
 
 
 def test_criterion_7_lift_algebra(patch_cubic):
@@ -350,7 +401,6 @@ def test_criterion_8_numerics_hygiene(mesh_cache, hex_sine):
 
     # jets against central differences
     def expr(X, Y):
-        from hivevem.problem import exp, sin
         return sin(1.3 * X) * exp(0.4 * Y) + X * X * Y
 
     def val(x, y):

@@ -32,44 +32,9 @@ def small_config(**kw):
     return StudyConfig(**base)
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        StudyConfig(min_level=5, max_level=3)
-    with pytest.raises(ConfigError):
-        StudyConfig(min_level=0)
-    with pytest.raises(ConfigError):
-        StudyConfig(max_level=99)
-    with pytest.raises(ConfigError):
-        StudyConfig(problem="nope")
-    with pytest.raises(ConfigError):
-        StudyConfig(max_level=2, lift_enabled=True)
-    with pytest.raises(ConfigError):
-        StudyConfig(lift_enabled=True, lift_scheme="nope")
-    with pytest.raises(ConfigError):
-        StudyConfig(lift_scheme="nope")
-    with pytest.raises(ConfigError):
-        StudyConfig(lift_scheme="oracle-center")  # the lift is off
-
-
-@pytest.mark.parametrize("levels", [
-    dict(min_level=2.5, max_level=3), dict(max_level="3"), dict(min_level=True),
-    dict(min_level=1, max_level=3.0), dict(min_level=np.float64(2), max_level=3),
-])
-def test_config_rejects_levels_that_are_not_integers(levels):
-    with pytest.raises(ConfigError, match="must be an integer"):
-        StudyConfig(**levels)
-
-
 def test_config_takes_numpy_integer_levels():
     config = StudyConfig(min_level=np.int64(2), max_level=np.int32(3))
     assert [row.level for row in run_study(config)] == [2, 3]
-
-
-@pytest.mark.parametrize("lift_enabled", ["no", 0.0, 1])
-def test_config_rejects_a_lift_flag_that_is_not_a_bool(lift_enabled):
-    """A truthy ``"no"`` would run the lift, and ``0.0`` would be kept."""
-    with pytest.raises(ConfigError, match="lift must be a bool"):
-        StudyConfig(min_level=3, max_level=3, lift_enabled=lift_enabled)
 
 
 @pytest.mark.parametrize("lift_enabled", [True, False])
@@ -77,20 +42,6 @@ def test_config_takes_a_bool_lift_flag(lift_enabled):
     config = StudyConfig(min_level=3, max_level=3, lift_enabled=lift_enabled)
     (row,) = run_study(config)
     assert (row.e_lift_l2 is not None) is lift_enabled
-
-
-@pytest.mark.parametrize("level", [2.0, True, "3", None])
-def test_export_rejects_levels_that_are_not_integers_up_front(
-    level, tmp_path, monkeypatch
-):
-    """Refused before the output path is probed or a mesh is built: the
-    path's directory does not exist, and the message names the level."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("export built a mesh for a level that is not an integer")
-
-    monkeypatch.setattr(cli, "build_mesh", forbidden)
-    with pytest.raises(ConfigError, match="level must be an integer"):
-        export(level, "mesh", tmp_path / "missing" / "m.vtk")
 
 
 def test_small_study_rows():
@@ -207,24 +158,6 @@ def test_main_study_writes_csv(tmp_path):
     assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
-def test_main_reports_config_errors(tmp_path):
-    assert main(["study", "--min-level", "5", "--max-level", "3"]) == 1
-    assert main(["study", "--problem", "nope"]) == 1
-    for gone in (["--quad-load", "4"],  # the options are gone
-                 ["--tol", "1e-6"], ["--maxit", "5"],
-                 ["--lift", "--lift-scheme", "vertices-only-minnorm"]):
-        with pytest.raises(SystemExit) as err:
-            main(["study", *gone])
-        assert err.value.code == 1
-    # a setting that the run would ignore
-    assert main(["study", "--lift-scheme", "oracle-center"]) == 1
-    out = str(tmp_path / "x.vtk")
-    assert main(["export", "--level", "99", "--what", "mesh",
-                 "--path", out]) == 1
-    assert main(["export", "--level", "2", "--what", "solution",
-                 "--problem", "nope", "--path", out]) == 1
-
-
 def test_main_reports_numerical_failure(indefinite_preconditioner, capsys):
     code = main([
         "study", "--min-level", "4", "--max-level", "4", "--solver", "cg",
@@ -241,14 +174,6 @@ def test_numerical_value_error_is_not_a_config_error(monkeypatch, capsys):
     assert main(["study", "--min-level", "2", "--max-level", "2",
                  "--solver", "chol"]) == 2
     assert "numerical failure" in capsys.readouterr().err
-
-
-def test_unknown_arguments_exit_nonzero():
-    with pytest.raises(SystemExit) as err:
-        main(["study", "--frobnicate"])
-    assert err.value.code == 1
-    with pytest.raises(SystemExit):
-        main([])
 
 
 @pytest.mark.parametrize("what", ["mesh", "solution", "lift"])
@@ -286,60 +211,11 @@ def test_solution_export_has_the_recovered_centres(tmp_path):
     assert error[mesh.centers].max() <= 2.0 * error[mesh.nh_nodes].max()
 
 
-def test_export_rejects_unknown_kind(tmp_path):
-    with pytest.raises(ConfigError):
-        export(2, "movie", tmp_path / "x.vtk")
-
-
 def test_main_export(tmp_path):
     out = tmp_path / "m.vtk"
     assert main(["export", "--level", "2", "--what", "mesh",
                  "--path", str(out)]) == 0
     assert out.exists()
-
-
-def test_export_lift_rejects_low_level_before_solving(tmp_path, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("export allocated before validating the level")
-
-    monkeypatch.setattr(cli, "solve_level", forbidden)
-    monkeypatch.setattr(cli, "build_mesh", forbidden)
-    out = tmp_path / "lift.vtk"
-    with pytest.raises(ConfigError):
-        export(2, "lift", out)
-    assert main(["export", "--level", "2", "--what", "lift",
-                 "--path", str(out)]) == 1
-    assert not out.exists()
-
-
-def test_export_rejects_an_unknown_problem_before_writing(tmp_path, monkeypatch):
-    """A mesh export needs no problem, but a name that is not one is a
-    configuration error all the same, found before anything is built."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("export built a mesh for an unknown problem")
-
-    monkeypatch.setattr(cli, "build_mesh", forbidden)
-    out = tmp_path / "m.vtk"
-    with pytest.raises(ConfigError, match="unknown problem 'nope'"):
-        export(2, "mesh", out, "nope")
-    assert main(["export", "--level", "2", "--what", "mesh",
-                 "--problem", "nope", "--path", str(out)]) == 1
-    assert not out.exists()
-
-
-def test_levels_above_the_memory_ceiling_are_rejected_up_front(
-    tmp_path, monkeypatch
-):
-    """Level 11 would need about 2 GB: refused before any mesh is built."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a level above MAX_LEVEL reached build_mesh")
-
-    monkeypatch.setattr(cli, "build_mesh", forbidden)
-    assert main(["study", "--max-level", "11"]) == 1
-    out = tmp_path / "m.vtk"
-    assert main(["export", "--level", "11", "--what", "mesh",
-                 "--path", str(out)]) == 1
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["study", "export"])
@@ -382,20 +258,32 @@ def owner_message(check, *args):
 #: Bad inputs: a command line for ``main``, or the keywords of a
 #: ``StudyConfig`` or the arguments of ``export``; the setting that the
 #: message names; and the owner's check with its arguments, or None for
-#: a rule that only the command line has.
+#: a rule that ``cli`` owns, whose message the setting quotes.
 BAD_INPUTS = {
     "min-level-2.5": (dict(min_level=2.5), "min-level", (check_level, 2.5)),
+    "min-level-True": (dict(min_level=True), "min-level", (check_level, True)),
+    "min-level-float64-2": (dict(min_level=np.float64(2)), "min-level",
+                            (check_level, np.float64(2))),
     "max-level-True": (dict(max_level=True), "max-level", (check_level, True)),
+    "max-level-str-3": (dict(max_level="3"), "max-level", (check_level, "3")),
+    "max-level-3.0": (dict(max_level=3.0), "max-level", (check_level, 3.0)),
     "min-level-0": (["study", "--min-level", "0"], "min-level", (check_level, 0)),
     "max-level-11": (["study", "--max-level", "11"], "max-level", (check_level, 11)),
     "export-2.5": ((2.5, "mesh"), "level", (check_level, 2.5)),
+    "export-2.0": ((2.0, "mesh"), "level", (check_level, 2.0)),
     "export-True": ((True, "solution"), "level", (check_level, True)),
+    "export-str-3": (("3", "mesh"), "level", (check_level, "3")),
+    "export-None": ((None, "mesh"), "level", (check_level, None)),
     "export-0": (["export", "--level", "0", "--what", "mesh"], "level",
                  (check_level, 0)),
     "export-11": (["export", "--level", "11", "--what", "solution"], "level",
                   (check_level, 11)),
+    "export-movie": ((2, "movie"),
+                     "cannot export 'movie'; use mesh, solution or lift", None),
     "min-above-max": (["study", "--min-level", "5", "--max-level", "4"],
                       "min-level <= max-level", None),
+    **{f"lift-{flag}": (dict(lift_enabled=flag), "lift must be a bool", None)
+       for flag in ("no", 0.0, 1)},
     "study-lift-2": (["study", "--lift", "--max-level", "2"],
                      "max-level with the lift", (check_level, 2, lift.MIN_LIFT_LEVEL)),
     "export-lift-2": (["export", "--what", "lift", "--level", "2"],
@@ -406,7 +294,9 @@ BAD_INPUTS = {
                         "--problem", "nope"], "problem", (get_problem, "nope")),
     "scheme": (dict(max_level=3, lift_enabled=True, lift_scheme="nope"),
                "lift-scheme", (lift._check_scheme, "nope")),
-    "scheme-without-lift": (dict(lift_scheme="oracle-center"),
+    "unknown-scheme-without-lift": (dict(lift_scheme="nope"), "lift-scheme",
+                                    (lift._check_scheme, "nope")),
+    "scheme-without-lift": (["study", "--lift-scheme", "oracle-center"],
                             "a lift scheme needs the lift", None),
 }
 
@@ -416,20 +306,22 @@ def test_bad_inputs_are_refused_with_the_owners_message(
     case, tmp_path, monkeypatch, capsys
 ):
     """Every bad setting is a configuration error found before any level
-    is built; the message names the setting and quotes the check of the
-    module that owns the rule: ``check_level`` for levels, the lift for
-    schemes and ``get_problem`` for problem names."""
+    is built or the output path is probed; the message names the setting
+    and quotes the check of the module that owns the rule:
+    ``check_level`` for levels, the lift for schemes, ``get_problem``
+    for problem names and ``cli`` for the rest.  The output path lies in
+    a directory that does not exist, so probing it first would fail with
+    another message."""
     inputs, setting, owner = BAD_INPUTS[case]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a mesh was built for a bad configuration")
 
     monkeypatch.setattr(cli, "build_mesh", forbidden)
-    out = tmp_path / "out.vtk"
+    out = tmp_path / "missing" / "out"
     if isinstance(inputs, list):
-        if inputs[0] == "export":
-            inputs = [*inputs, "--path", str(out)]
-        assert main(inputs) == 1
+        option = "--path" if inputs[0] == "export" else "--csv"
+        assert main([*inputs, option, str(out)]) == 1
         message = capsys.readouterr().err
         assert message.startswith("hivevem: configuration error: ")
     else:
@@ -441,7 +333,21 @@ def test_bad_inputs_are_refused_with_the_owners_message(
         message = str(err.value)
     expected = setting if owner is None else f"{setting}: {owner_message(*owner)}"
     assert expected in message
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--quad-load", "4"], ["study", "--tol", "1e-6"],
+    ["study", "--maxit", "5"],  # the options are gone
+    ["study", "--lift", "--lift-scheme", "vertices-only-minnorm"],
+    ["study", "--frobnicate"], [],
+], ids=["quad-load", "tol", "maxit", "lift-scheme", "frobnicate", "no-command"])
+def test_parser_errors_exit_1(argv, capsys):
+    """Arguments that the parser refuses exit 1 with the usage."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    assert "usage: hivevem" in capsys.readouterr().err
 
 
 def test_writable_check_leaves_the_path_as_it_was(tmp_path):
