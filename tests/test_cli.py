@@ -336,6 +336,59 @@ def test_bad_inputs_are_refused_with_the_owners_message(
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("levels", [dict(min_level=2.5, max_level=3)])
+def test_config_rejects_levels_that_are_not_integers(levels):
+    """A fractional level is refused even beside a valid one."""
+    with pytest.raises(ConfigError, match="must be an integer"):
+        StudyConfig(**levels)
+
+
+@pytest.mark.parametrize("level", [True])
+def test_export_rejects_levels_that_are_not_integers_up_front(
+    level, tmp_path, monkeypatch
+):
+    """A bool level is refused for a mesh export too, which needs no
+    problem, before the output path is probed or a mesh is built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("export built a mesh for a level that is not an integer")
+
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    with pytest.raises(ConfigError, match="level must be an integer"):
+        export(level, "mesh", tmp_path / "missing" / "m.vtk")
+
+
+def test_export_lift_rejects_low_level_before_solving(tmp_path, monkeypatch):
+    """Neither a mesh nor a solve is started for a lift below its level,
+    through ``export`` or the command line."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("export allocated before validating the level")
+
+    monkeypatch.setattr(cli, "solve_level", forbidden)
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    out = tmp_path / "lift.vtk"
+    with pytest.raises(ConfigError):
+        export(2, "lift", out)
+    assert main(["export", "--level", "2", "--what", "lift",
+                 "--path", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_export_rejects_an_unknown_problem_before_writing(tmp_path, monkeypatch):
+    """A mesh export needs no problem, but a name that is not one is a
+    configuration error all the same, through ``export``'s own argument
+    as well as the command line, found before anything is built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("export built a mesh for an unknown problem")
+
+    monkeypatch.setattr(cli, "build_mesh", forbidden)
+    out = tmp_path / "m.vtk"
+    with pytest.raises(ConfigError, match="unknown problem 'nope'"):
+        export(2, "mesh", out, "nope")
+    assert main(["export", "--level", "2", "--what", "mesh",
+                 "--problem", "nope", "--path", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["study", "--quad-load", "4"], ["study", "--tol", "1e-6"],
     ["study", "--maxit", "5"],  # the options are gone
