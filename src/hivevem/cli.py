@@ -11,8 +11,12 @@ cannot be opened for writing, all found before any level is built),
 2 numerical failure (any other ``ValueError`` included).  A
 configuration error names the setting and quotes the check of the
 module that owns the rule: :func:`~hivevem.lattice.check_level` for
-levels, :func:`~hivevem.problem.get_problem` for problem names and the
-lift for its schemes.
+levels and :func:`~hivevem.problem.get_problem` for problem names.
+
+The study runs the program's one path: CG and the default lift scheme.
+The direct solve and the other lift schemes are library references,
+``solver.solve(A, b, SolverConfig(method="chol"))`` and
+``lift.lift_solution(u_h, problem, grid, scheme)``.
 
 hivevem itself is sequential; the BLAS thread pool is set by the BLAS
 library's own variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``)
@@ -26,7 +30,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +51,6 @@ class StudyConfig:
     max_level: int = 7
     problem: str = "hex-sine"
     lift_enabled: bool = False
-    lift_scheme: str | None = None  # None: the default, lift.SCHEMES[0]
-    solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
 
     def __post_init__(self):
         if not isinstance(self.lift_enabled, bool):
@@ -63,10 +65,6 @@ class StudyConfig:
             raise ConfigError(f"need min-level <= max-level, "
                               f"got {self.min_level}..{self.max_level}")
         _setting("problem", get_problem, self.problem)
-        if self.lift_scheme is not None:
-            _setting("lift-scheme", lift._check_scheme, self.lift_scheme)
-            if not self.lift_enabled:
-                raise ConfigError("a lift scheme needs the lift (--lift)")
 
 
 def _setting(name: str, check, *args):
@@ -90,16 +88,12 @@ def check_writable(path) -> None:
         os.remove(path)
 
 
-def solve_level(
-    level: int,
-    problem: ManufacturedProblem,
-    solver_config: solver.SolverConfig | None = None,
-):
-    """Solve one level; returns ``(mesh, u_h, center_load, stats)``,
+def solve_level(level: int, problem: ManufacturedProblem):
+    """Solve one level by CG; returns ``(mesh, u_h, center_load, stats)``,
     ``center_load`` for :func:`system.recover_centers`."""
     mesh = build_mesh(level)
     A, b, center_load = system.assemble(mesh, problem)
-    x, stats = solver.solve(A, b, solver_config)
+    x, stats = solver.solve(A, b)
     return mesh, system.expand(x, mesh), center_load, stats
 
 
@@ -108,14 +102,13 @@ def study_row(
     problem: ManufacturedProblem,
     config: StudyConfig,
 ) -> analysis.StudyRow:
-    mesh, u_h, center_load, _ = solve_level(level, problem, config.solver)
+    mesh, u_h, center_load, _ = solve_level(level, problem)
     u_i = system.interpolate(problem, mesh)
     l2, h1, linf = analysis.norms_superclose(u_h, u_i)
     u_rec = system.recover_centers(u_h, center_load)
     if config.lift_enabled and level >= lift.MIN_LIFT_LEVEL:
         grid = lift.build_patch_grid(mesh)
-        scheme = config.lift_scheme or lift.SCHEMES[0]
-        lifted = lift.lift_solution(u_h, problem, grid, scheme)
+        lifted = lift.lift_solution(u_h, problem, grid)
         e_l2, e_lift_l2, e_lift_h1h = analysis.norm_l2_true(
             u_rec, problem, lift=lifted)
     else:
@@ -226,10 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--problem", default="hex-sine", metavar="NAME")
     st.add_argument("--lift", action="store_true",
                     help="fit and measure the patchwise cubic lift")
-    st.add_argument("--lift-scheme", choices=lift.SCHEMES, metavar="SCHEME",
-                    help=f"data scheme of the lift (default {lift.SCHEMES[0]})")
-    st.add_argument("--solver", default="cg", choices=solver.METHODS,
-                    help="chol, the direct solve, peaks near 2 GB at level 10")
     st.add_argument("--csv", default=None, metavar="PATH")
 
     ex = sub.add_parser("export", help="write legacy VTK files")
@@ -256,8 +245,6 @@ def main(argv=None) -> int:
                 max_level=args.max_level,
                 problem=args.problem,
                 lift_enabled=args.lift,
-                lift_scheme=args.lift_scheme,
-                solver=solver.SolverConfig(method=args.solver),
             )
             if args.csv is not None:
                 check_writable(args.csv)
@@ -265,8 +252,7 @@ def main(argv=None) -> int:
             rows = run_study(config)
             elapsed = time.perf_counter() - start
             print(render_table(rows))
-            print(f"# {config.problem}, solver={config.solver.method}, "
-                  f"{elapsed:.2f}s")
+            print(f"# {config.problem}, {elapsed:.2f}s")
             if args.csv is not None:
                 with open(args.csv, "w", newline="\n") as fh:
                     fh.write(rows_to_csv(rows))

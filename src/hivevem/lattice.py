@@ -57,7 +57,7 @@ SQRT3 = math.sqrt(3.0)
 #: --max-level 10 --lift`` peaks at 399 MB (``ru_maxrss``) in about 7 s
 #: and ``export --level 10 --what lift`` at 399 MB in about 10 s, so
 #: level 11 would need about 2 GB.  Both solve with CG, which never
-#: loads SuperLU; the direct solver needs about 2 GB at level 10.
+#: loads SuperLU, the program's one solver path.
 MAX_LEVEL = 10
 
 #: The six unit lattice steps, counterclockwise starting from +x.

@@ -29,6 +29,10 @@ cubic on every patch; a fit of rank below 10 raises
 
 Data schemes
 ------------
+The study and the lift export fit the default, ``lattice15-corrected``.
+The others are references for the tests, reached only through the
+``scheme`` argument of :func:`lift_solution`.
+
 ``lattice15-corrected`` (default)
     All 15 sites.  Mesh vertices carry nodal solution values; interior
     hexagon centres carry the centre value plus ``(s**2/4) * f``, which
@@ -232,15 +236,11 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
     )
 
 
-def _check_scheme(scheme: str) -> None:
-    """Raise ``ValueError`` unless ``scheme`` is one of :data:`SCHEMES`."""
+def _site_mask(site_is_center, c0_corner_site, scheme: str) -> np.ndarray:
+    """Sites used by a data scheme, as a ``(P, 15)`` mask; a scheme not
+    in :data:`SCHEMES` raises ``ValueError``."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown lift scheme {scheme!r}; available: {SCHEMES}")
-
-
-def _site_mask(site_is_center, c0_corner_site, scheme: str) -> np.ndarray:
-    """Sites used by a data scheme, as a ``(P, 15)`` mask."""
-    _check_scheme(scheme)
     if scheme in ("lattice15-corrected", "oracle-center"):
         return np.ones(site_is_center.shape, dtype=bool)
     mask = ~site_is_center

@@ -12,19 +12,20 @@ multiple of it.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hivevem.cli import StudyConfig, run_study
-from hivevem.lattice import build_mesh
-from hivevem.lift import build_patch_grid, evaluate_lift, lift_solution
+from hivevem.lattice import build_mesh, position
+from hivevem.lift import MONOMIAL_POWERS, build_patch_grid, evaluate_lift, lift_solution
 from hivevem.problem import PROBLEMS, _from_expression, exp, get_problem, sin, zero
 from hivevem.quadrature import SUPPORTED_DEGREES, rule
 from hivevem.problem import jet_eval, laplacian
 from hivevem.solver import SolverConfig, solve
-from hivevem.system import assemble, expand, interpolate
-from hivevem.analysis import norm_h1_broken_true, norm_l2_true
+from hivevem.system import assemble, expand, interpolate, recover_centers
+from hivevem.analysis import norm_h1_broken_true, norm_l2_true, observed_order
 from cells import census
 from triangles import integrate, patch_subtriangles, triangle_area
 
@@ -35,11 +36,7 @@ SQRT3 = math.sqrt(3.0)
 def study(request):
     """Levels 2..7, CG at tol 1e-14, lift enabled; timed once."""
     start = time.perf_counter()
-    rows = run_study(StudyConfig(
-        min_level=2, max_level=7,
-        lift_enabled=True, lift_scheme="lattice15-corrected",
-        solver=SolverConfig(method="cg"),
-    ))
+    rows = run_study(StudyConfig(min_level=2, max_level=7, lift_enabled=True))
     elapsed = time.perf_counter() - start
     return rows, elapsed
 
@@ -68,6 +65,26 @@ def cubic():
         lambda X, Y: 0.3 + X - 0.5 * Y + X * Y + 0.25 * X * X - Y * Y
         + 0.1 * X ** 3 - 0.2 * X * X * Y + 0.15 * X * Y * Y + 0.05 * Y ** 3,
     )
+
+
+def scheme_rows(scheme, levels=(4, 5, 6)):
+    """The lift columns of a hex-sine study under ``scheme``, built
+    through the library with the direct solve: rows with ``level``,
+    ``e_lift_l2``, ``e_lift_h1h`` and their orders ``r_lift_*``, the
+    0.0 sentinel on the first.  The study fits only the default scheme."""
+    problem = get_problem("hex-sine")
+    errors = []
+    for level in levels:
+        mesh = build_mesh(level)
+        A, b, center_load = assemble(mesh, problem)
+        u_h = expand(solve(A, b, SolverConfig(method="chol"))[0], mesh)
+        lifted = lift_solution(u_h, problem, build_patch_grid(mesh), scheme)
+        errors.append(norm_l2_true(
+            recover_centers(u_h, center_load), problem, lift=lifted)[1:])
+    return [SimpleNamespace(level=level, e_lift_l2=e[0], e_lift_h1h=e[1],
+                            r_lift_l2=observed_order(prev[0], e[0]),
+                            r_lift_h1h=observed_order(prev[1], e[1]))
+            for level, prev, e in zip(levels, [(None, None), *errors], errors)]
 
 
 def cubic_floor(grid, problem):
@@ -253,10 +270,7 @@ def test_criterion_6_lift(study):
         f"{e5_h1:.3e} = {e5_h1 / floor_h1:.3f} x floor {floor_h1:.3e}, in [1, 1.25]",
     ))
 
-    oracle = run_study(StudyConfig(
-        min_level=4, max_level=6, lift_enabled=True,
-        lift_scheme="oracle-center", solver=SolverConfig(method="chol"),
-    ))
+    oracle = scheme_rows("oracle-center")
     o_l2 = [row(oracle, level).r_lift_l2 for level in (5, 6)]
     o_h1 = [row(oracle, level).r_lift_h1h for level in (5, 6)]
     sub.append((
@@ -279,10 +293,7 @@ def test_criterion_6_lift(study):
 
     # reported without a gate
     for scheme in ("paper11-plain", "paper11-corrected"):
-        extra = run_study(StudyConfig(
-            min_level=4, max_level=6, lift_enabled=True,
-            lift_scheme=scheme, solver=SolverConfig(method="chol"),
-        ))
+        extra = scheme_rows(scheme)
         rates = [row(extra, level).r_lift_l2 for level in (5, 6)]
         print(f"  (report) {scheme}: L2 rates "
               f"{tuple(round(r, 2) for r in rates)}, "
@@ -291,12 +302,9 @@ def test_criterion_6_lift(study):
     report_parts("6 lift accuracy", sub)
 
 
-def test_orders_on_a_solution_with_no_symmetry(monkeypatch):
-    """Hex-sine is even in x, so the two mirrored lift frames always see
-    mirrored data.  exp(0.3x - 0.5y + 0.2xy) times its three sine
-    factors vanishes on the same six edges with no symmetry; its study
-    keeps the orders of criteria 3, 5 and 6 and criterion 6's floor
-    ratios.  Only orders and ratios are gated, no absolute values."""
+def hex_exp_problem():
+    """exp(0.3x - 0.5y + 0.2xy) times hex-sine's three sine factors: it
+    vanishes on the same six edges, with no symmetry."""
     half_pi = 0.5 * math.pi
 
     def expr(X, Y):
@@ -307,7 +315,15 @@ def test_orders_on_a_solution_with_no_symmetry(monkeypatch):
             * sin((math.pi / SQRT3) * (Y + 0.5 * SQRT3))
         )
 
-    hex_exp = _from_expression("hex-exp", expr)
+    return _from_expression("hex-exp", expr)
+
+
+def test_orders_on_a_solution_with_no_symmetry(monkeypatch):
+    """Hex-sine is even in x, so the two mirrored lift frames always see
+    mirrored data.  ``hex_exp_problem`` has no symmetry; its study keeps
+    the orders of criteria 3, 5 and 6 and criterion 6's floor ratios.
+    Only orders and ratios are gated, no absolute values."""
+    hex_exp = hex_exp_problem()
     monkeypatch.setitem(PROBLEMS, "hex-exp", lambda: hex_exp)
     rows = run_study(StudyConfig(min_level=4, max_level=7, problem="hex-exp",
                                  lift_enabled=True))
@@ -338,6 +354,63 @@ def test_orders_on_a_solution_with_no_symmetry(monkeypatch):
     ))
 
     report_parts("no-symmetry orders", sub)
+
+
+#: Vertices of a patch's 16 subtriangles as steps (a, b) from its
+#: corner 0, in quarters of its edges to corners 1 and 2.
+PATCH_SUBTRIANGLES_AB = np.array(
+    [[(a, b), (a + 1, b), (a, b + 1)] for a in range(4) for b in range(4 - a)]
+    + [[(a + 1, b), (a, b + 1), (a + 1, b + 1)]
+       for a in range(3) for b in range(3 - a)])
+
+
+def lift_max_error(lifted, problem):
+    """max |u - lift| over the degree-6 points of every patch's 16
+    subtriangles, each point on its own patch's cubic.  The points are
+    built from ``corners_ij`` and the cubic is summed term by term over
+    ``MONOMIAL_POWERS`` in the frame rebuilt from the corners, origin at
+    their mean and coordinates over the edge 4s, for all patches at once."""
+    grid = lifted.grid
+    s = grid.mesh.s
+    a, b = np.einsum("qk,tka->atq", rule(6).points, PATCH_SUBTRIANGLES_AB).reshape(2, -1)
+    corners = grid.corners_ij.astype(float)                        # (P, 3, 2)
+    steps = (corners[:, 1:] - corners[:, :1]) / 4.0                # (P, 2, 2)
+    ij = (corners[:, None, 0] + a[:, None] * steps[:, None, 0]
+          + b[:, None] * steps[:, None, 1])                         # (P, 16 nq, 2)
+    x, y = np.moveaxis(position(ij, s), -1, 0).copy()              # (P, 16 nq) each
+    origin = position(corners, s).mean(axis=1)
+    X, Y = (x - origin[:, :1]) / (4.0 * s), (y - origin[:, 1:]) / (4.0 * s)
+    powers_x, powers_y = [1.0, X, X * X, X * X * X], [1.0, Y, Y * Y, Y * Y * Y]
+    value = np.zeros(X.shape)
+    for c, (i, j) in zip(lifted.coeffs.T, MONOMIAL_POWERS):
+        value += c[:, None] * powers_x[i] * powers_y[j]
+    return float(np.max(np.abs(problem.u(x, y) - value)))
+
+
+@pytest.mark.parametrize("name", ["hex-sine", "hex-exp"])
+def test_lift_max_norm_order(name, solved_cache):
+    """The abstract's lift is of optimal order in the max norm too: the
+    order of ``lift_max_error`` lies in criterion 6's L2 window [3.8, 4.2]
+    at levels 6-8.  No absolute value is gated.  Hex-sine reuses the
+    session's solves; hex-exp solves by CG, as the study does."""
+    problem = get_problem(name) if name == "hex-sine" else hex_exp_problem()
+    errors = []
+    for level in (5, 6, 7, 8):
+        if name == "hex-sine":
+            mesh, u_h, _, _ = solved_cache(level)
+        else:
+            mesh = build_mesh(level)
+            A, b, _ = assemble(mesh, problem)
+            u_h = expand(solve(A, b)[0], mesh)
+        lifted = lift_solution(u_h, problem, build_patch_grid(mesh))
+        errors.append(lift_max_error(lifted, problem))
+    rates = [math.log2(prev / e) for prev, e in zip(errors, errors[1:])]
+    report(
+        f"lift max-norm order ({name})",
+        all(3.8 <= r <= 4.2 for r in rates),
+        f"levels 5-8 errors {', '.join(f'{e:.3e}' for e in errors)}; "
+        f"orders {tuple(round(r, 3) for r in rates)} in [3.8, 4.2]",
+    )
 
 
 def test_criterion_7_lift_algebra(patch_cubic):

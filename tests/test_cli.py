@@ -2,6 +2,9 @@
 
 import dataclasses
 import hashlib
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,16 +23,17 @@ from hivevem.cli import (
 from hivevem.lattice import build_mesh, check_level
 from hivevem.problem import get_problem
 from hivevem.quadrature import rule
-from hivevem.solver import SolverConfig
 
 
 def small_config(**kw):
-    base = dict(
-        min_level=1, max_level=3,
-        solver=SolverConfig(method="chol"),
-    )
-    base.update(kw)
-    return StudyConfig(**base)
+    return StudyConfig(**{"min_level": 1, "max_level": 3, **kw})
+
+
+def test_study_config_holds_only_the_study_settings():
+    """The study has one solver path and one lift scheme, so its
+    settings are the levels, the problem and the lift switch."""
+    assert [f.name for f in dataclasses.fields(StudyConfig)] == [
+        "min_level", "max_level", "problem", "lift_enabled"]
 
 
 def test_config_takes_numpy_integer_levels():
@@ -151,17 +155,14 @@ def test_render_table_shape():
 def test_main_study_writes_csv(tmp_path):
     out = tmp_path / "study.csv"
     code = main([
-        "study", "--min-level", "1", "--max-level", "2",
-        "--solver", "chol", "--csv", str(out),
+        "study", "--min-level", "1", "--max-level", "2", "--csv", str(out),
     ])
     assert code == 0
     assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
 def test_main_reports_numerical_failure(indefinite_preconditioner, capsys):
-    code = main([
-        "study", "--min-level", "4", "--max-level", "4", "--solver", "cg",
-    ])
+    code = main(["study", "--min-level", "4", "--max-level", "4"])
     assert code == 2
     assert "CG did not converge" in capsys.readouterr().err
 
@@ -171,8 +172,7 @@ def test_numerical_value_error_is_not_a_config_error(monkeypatch, capsys):
         raise ValueError("math domain error")
 
     monkeypatch.setattr(analysis, "norms_superclose", broken)
-    assert main(["study", "--min-level", "2", "--max-level", "2",
-                 "--solver", "chol"]) == 2
+    assert main(["study", "--min-level", "2", "--max-level", "2"]) == 2
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -292,12 +292,6 @@ BAD_INPUTS = {
                       (get_problem, "nope")),
     "export-problem": (["export", "--level", "3", "--what", "mesh",
                         "--problem", "nope"], "problem", (get_problem, "nope")),
-    "scheme": (dict(max_level=3, lift_enabled=True, lift_scheme="nope"),
-               "lift-scheme", (lift._check_scheme, "nope")),
-    "unknown-scheme-without-lift": (dict(lift_scheme="nope"), "lift-scheme",
-                                    (lift._check_scheme, "nope")),
-    "scheme-without-lift": (["study", "--lift-scheme", "oracle-center"],
-                            "a lift scheme needs the lift", None),
 }
 
 
@@ -308,10 +302,9 @@ def test_bad_inputs_are_refused_with_the_owners_message(
     """Every bad setting is a configuration error found before any level
     is built or the output path is probed; the message names the setting
     and quotes the check of the module that owns the rule:
-    ``check_level`` for levels, the lift for schemes, ``get_problem``
-    for problem names and ``cli`` for the rest.  The output path lies in
-    a directory that does not exist, so probing it first would fail with
-    another message."""
+    ``check_level`` for levels, ``get_problem`` for problem names and
+    ``cli`` for the rest.  The output path lies in a directory that does
+    not exist, so probing it first would fail with another message."""
     inputs, setting, owner = BAD_INPUTS[case]
 
     def forbidden(*args, **kwargs):
@@ -391,16 +384,30 @@ def test_export_rejects_an_unknown_problem_before_writing(tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("argv", [
     ["study", "--quad-load", "4"], ["study", "--tol", "1e-6"],
-    ["study", "--maxit", "5"],  # the options are gone
+    ["study", "--maxit", "5"], ["study", "--solver", "chol"],  # the options are gone
     ["study", "--lift", "--lift-scheme", "vertices-only-minnorm"],
+    ["study", "--lift", "--lift-scheme", "lattice15-corrected"],
     ["study", "--frobnicate"], [],
-], ids=["quad-load", "tol", "maxit", "lift-scheme", "frobnicate", "no-command"])
+], ids=["quad-load", "tol", "maxit", "solver-chol", "lift-scheme",
+        "lift-scheme-default", "frobnicate", "no-command"])
 def test_parser_errors_exit_1(argv, capsys):
     """Arguments that the parser refuses exit 1 with the usage."""
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 1
     assert "usage: hivevem" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Every ``hivevem`` line of the README's ``sh`` blocks is accepted by
+    the real parser, which runs nothing: a stale example fails here."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = [shlex.split(line)[1:]
+                for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+                for line in block.splitlines() if line.startswith("hivevem ")]
+    assert len(commands) >= 3
+    for argv in commands:
+        assert cli._build_parser().parse_args(argv).command == argv[0]
 
 
 def test_writable_check_leaves_the_path_as_it_was(tmp_path):
