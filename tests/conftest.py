@@ -7,7 +7,7 @@ from hivevem import solver
 from hivevem.lattice import build_mesh, position
 from hivevem.lift import MONOMIAL_POWERS
 from hivevem.problem import get_problem
-from hivevem.solver import SolverConfig, solve
+from hivevem.solver import solve
 from hivevem.system import assemble, expand
 
 
@@ -25,7 +25,9 @@ def mesh_cache():
 
 @pytest.fixture(scope="session")
 def solved_cache(mesh_cache):
-    """level -> (mesh, u_h, center_load, stats) for hex-sine, direct solver."""
+    """level -> (mesh, u_h, center_load, stats) for hex-sine, solved with
+    the study's CG; ``test_solver.py`` and criterion 8 compare CG with
+    the direct solve."""
     cache = {}
 
     def get(level):
@@ -33,7 +35,7 @@ def solved_cache(mesh_cache):
             problem = get_problem("hex-sine")
             mesh = mesh_cache(level)
             A, b, center_load = assemble(mesh, problem)
-            x, stats = solve(A, b, SolverConfig(method="chol"))
+            x, stats = solve(A, b)
             cache[level] = (mesh, expand(x, mesh), center_load, stats)
         return cache[level]
 

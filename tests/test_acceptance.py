@@ -391,8 +391,8 @@ def lift_max_error(lifted, problem):
 def test_lift_max_norm_order(name, solved_cache):
     """The abstract's lift is of optimal order in the max norm too: the
     order of ``lift_max_error`` lies in criterion 6's L2 window [3.8, 4.2]
-    at levels 6-8.  No absolute value is gated.  Hex-sine reuses the
-    session's solves; hex-exp solves by CG, as the study does."""
+    at levels 6-8.  No absolute value is gated.  Both solve by CG, as
+    the study does; hex-sine reuses the session's solves."""
     problem = get_problem(name) if name == "hex-sine" else hex_exp_problem()
     errors = []
     for level in (5, 6, 7, 8):

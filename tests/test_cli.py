@@ -188,7 +188,7 @@ def test_export_writes_vtk(tmp_path, what):
 
 @pytest.mark.parametrize("what, sha256", [
     ("mesh", "abc79dc90bafeb979e7dd4c72ecfd1809daf96914c4e3996b37ca7d3c7bdf43f"),
-    ("lift", "5093468371aa69d686f87f4e11f227d3dba3d65065911fd20061ccbe14a72105"),
+    ("lift", "e8b0b59002115227d3ad9689372774d8c33663b65f68e9bbaa3f5c714b122aeb"),
 ], ids=["mesh", "lift"])
 def test_export_bytes_are_pinned(tmp_path, what, sha256):
     """Level-3 files hash as pinned: the mesh as the unblocked writer

@@ -340,3 +340,69 @@ def test_zero_problem_returns_arrays_of_the_input_shape(shape):
     expr = lambda X, Y: 0.0 * X * Y  # noqa: E731
     for v in (problem.f(x, y), *problem.grad_u(x, y), *jet_eval(expr, x, y)):
         assert np.shape(v) == shape and not np.any(v)
+
+
+EPS = np.finfo(float).eps
+ANGLES = np.concatenate([
+    np.random.default_rng(8).uniform(-8.0, 8.0, 4096),
+    [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2 * math.pi, 1e-300],
+])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_half_angle_sin_cos_match_numpy(order):
+    """The plain ``sin`` and ``cos`` and the jets' value parts, all from
+    one half-angle tangent, agree with ``np.sin`` and ``np.cos`` to
+    4 eps absolute, at the poles of the tangent ``±pi`` too."""
+    X, _ = Jet.variables(ANGLES, ANGLES, order)
+    for got, want in [(sin(ANGLES), np.sin(ANGLES)), (cos(ANGLES), np.cos(ANGLES)),
+                      (sin(X).value, np.sin(ANGLES)), (cos(X).value, np.cos(ANGLES))]:
+        assert np.max(np.abs(got - want)) <= 4 * EPS
+
+
+def test_half_angle_sin_cos_at_zero_and_non_finite_angles():
+    """``sin(±0.0)`` keeps its sign and ``cos(0.0)`` is exactly 1; an
+    infinite or NaN angle gives NaN."""
+    assert math.copysign(1.0, sin(0.0)) == 1.0
+    assert math.copysign(1.0, sin(-0.0)) == -1.0
+    assert cos(0.0) == 1.0 and cos(-0.0) == 1.0
+    bad = np.array([np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        X, _ = Jet.variables(bad, bad)
+        values = [sin(bad), cos(bad), sin(X).value, cos(X).value]
+    assert all(np.isnan(v).all() for v in values)
+
+
+def test_one_tangent_per_sine_cosine_pair(monkeypatch):
+    """hex-sine's ``f`` and ``grad_u`` take each of their three sine
+    factors and its cosine from one ``np.tan`` call, ``u`` each sine
+    from one, and none of them calls ``np.sin`` or ``np.cos``."""
+    problem = hex_sine()
+    x, y = np.random.default_rng(2).uniform(-0.9, 0.9, (2, 64))
+    calls = []
+    tan = np.tan
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return tan(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.sin or np.cos called")
+
+    monkeypatch.setattr(np, "tan", counted)
+    monkeypatch.setattr(np, "sin", forbidden)
+    monkeypatch.setattr(np, "cos", forbidden)
+    for evaluate in (problem.f, problem.grad_u, problem.u):
+        calls.clear()
+        evaluate(x, y)
+        assert len(calls) == 3
+
+
+def test_u_is_within_8_ulp_of_the_jet_value():
+    """``u`` and the value part of ``grad_u`` differ by at most 8 ulp of
+    max |u| at the degree-6 points of level 6 (4.9 measured), as the
+    ``ManufacturedProblem`` docstring states."""
+    problem = hex_sine()
+    xy = np.concatenate([p for _, p in tri_quadrature(build_mesh(6), rule(6))], axis=1)
+    u = problem.u(*xy)
+    assert np.max(np.abs(u - problem.grad_u(*xy)[0])) <= 8 * np.spacing(np.max(np.abs(u)))

@@ -44,7 +44,7 @@ def test_study_fingerprint_is_pinned():
     a number on purpose re-pins these and says why."""
     assert dict(_load("fingerprint").study_hashes(5)) == {
         "csv": "91e4e5752191f734544ae00582173e21fb71388c9c7130c5be656724bdbcf96c",
-        "values": "7b38a3c15f60869e419e06c8c645a802356532631c26c8dc8bffb8a32becce93",
+        "values": "748c3ef913d81342a054879e3d0b5852a2682dc12cfed3c2dfb4311b6a768c33",
     }
 
 
