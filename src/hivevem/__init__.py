@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .lattice import (
     HoneycombMesh,
-    MeshConstructionError,
     build_mesh,
     position,
 )
@@ -36,7 +35,7 @@ from .problem import (
     jet_eval,
     laplacian,
 )
-from .quadrature import QuadratureRule, monomial_integral, rule
+from .quadrature import QuadratureRule, rule
 from .solver import SolveStats, SolverConfig, SolverError, solve
 from .system import (
     ELEMENT_STIFFNESS,

@@ -45,7 +45,7 @@ class ConfigError(ValueError):
     """Invalid study or export configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     min_level: int = 2
     max_level: int = 7

@@ -27,9 +27,10 @@ rather than as a list:
   boundary along lattice lines.
 
 The domain corners themselves are never class-0 nodes because
-``2**(level-1) % 3`` alternates between 1 and 2.  :func:`build_mesh`
-checks the anchors: one per subtriangle, six per centre and three per
-boundary class-0 node.
+``2**(level-1) % 3`` alternates between 1 and 2.  These are facts of the
+lattice, not of the data, so :func:`build_mesh` does not re-check them;
+the tests check the anchors (one per subtriangle, six per centre and
+three per boundary class-0 node), the counts and the centres' corners.
 
 The nodes are numbered row-major in i, then j, through a table over
 the square ``|i|, |j| <= n + 1``: the nodes and a ring of -1 around
@@ -53,11 +54,12 @@ import numpy as np
 SQRT3 = math.sqrt(3.0)
 
 #: Largest refinement level accepted by :func:`check_level`.  Memory grows
-#: about fourfold per level.  On a 2-core x86 VM, ``study --min-level 10
-#: --max-level 10 --lift`` peaks at 399 MB (``ru_maxrss``) in about 7 s
-#: and ``export --level 10 --what lift`` at 399 MB in about 10 s, so
-#: level 11 would need about 2 GB.  Both solve with CG, which never
-#: loads SuperLU, the program's one solver path.
+#: about fourfold per level.  On a 2-core x86 VM (medians of three runs,
+#: ``OPENBLAS_NUM_THREADS=1``), ``study --min-level 10 --max-level 10
+#: --lift`` peaks at 383 MB (``ru_maxrss``) in about 4.5 s and ``export
+#: --level 10 --what lift`` at 383 MB in about 6.5 s, so level 11 would
+#: need about 2 GB.  Both solve with CG, which never loads SuperLU, the
+#: program's one solver path.
 MAX_LEVEL = 10
 
 #: The six unit lattice steps, counterclockwise starting from +x.
@@ -66,10 +68,6 @@ HEX_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 #: Lattice steps from cell (i, j) to the vertices of its unit triangles
 #: of kind 0 and kind 1, counterclockwise: the vertex order of ``tris``.
 UNIT_TRIANGLES = np.array([[(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])
-
-
-class MeshConstructionError(RuntimeError):
-    """A structural invariant failed while building a mesh."""
 
 
 def node_class(i, j):
@@ -115,7 +113,7 @@ class HoneycombMesh:
     :meth:`neighbours` unit steps from every node to node indices.
     :attr:`tri_table` maps lattice unit triangles, by cell and kind, to
     subtriangle indices.  It and :attr:`center_corners` are derived on
-    first read; :func:`build_mesh` has checked the corners already.
+    first read.
     """
 
     level: int
@@ -241,8 +239,6 @@ def build_mesh(level: int) -> HoneycombMesh:
     ------
     ValueError
         If :func:`check_level` refuses the level.
-    MeshConstructionError
-        If a structural invariant fails (defensive; should not happen).
     """
     check_level(level)
 
@@ -256,52 +252,22 @@ def build_mesh(level: int) -> HoneycombMesh:
     norm = np.maximum(np.maximum(np.abs(I), np.abs(J)), np.abs(I + J)).ravel()
     inside = norm <= n
     at = np.flatnonzero(inside)  # the nodes' flat offsets, row-major
-    n_nodes = at.size
-    expected_nodes = 3 * n * n + 3 * n + 1
-    if n_nodes != expected_nodes:
-        raise MeshConstructionError(
-            f"node count {n_nodes} != {expected_nodes} at level {level}"
-        )
     lookup = np.full(width * width, -1)
-    lookup[at] = np.arange(n_nodes)
+    lookup[at] = np.arange(at.size)
 
     node_ij = np.stack([I.ravel()[at], J.ravel()[at]], axis=1)
     node_xy = position(node_ij, s)
     on_boundary = norm[at] == n
-    cls = node_class(node_ij[:, 0], node_ij[:, 1])
-    is_center = (cls == 0) & ~on_boundary
+    is_center = (node_class(node_ij[:, 0], node_ij[:, 1]) == 0) & ~on_boundary
 
     # The unit triangles of kind 0, then those of kind 1, row-major over
     # the cells, with their vertices in ``UNIT_TRIANGLES`` order: at a
     # cell's flat offset plus ``steps``.
     steps, cells = _unit_triangles(inside, width)
-    columns = [lookup[np.concatenate([c + o for c, o in zip(cells, off)])]
-               for off in steps.T]
-    tris = np.stack(columns, axis=1)
-    if tris.shape[0] != 6 * n * n:
-        raise MeshConstructionError(
-            f"subtriangle count {tris.shape[0]} != {6 * n * n} at level {level}"
-        )
+    tris = np.stack([lookup[np.concatenate([c + o for c, o in zip(cells, off)])]
+                     for off in steps.T], axis=1)
 
-    # Each subtriangle must own exactly one class-0 vertex: its anchor.
-    class0 = cls == 0
-    by_vertex = [class0[v] for v in columns]
-    if not np.all(by_vertex[0].view(np.int8) + by_vertex[1] + by_vertex[2] == 1):
-        raise MeshConstructionError("subtriangle without unique class-0 vertex")
-    anchor = np.where(by_vertex[0], columns[0], np.where(by_vertex[1], *columns[1:]))
-    # Interior class-0 nodes anchor 6 subtriangles, boundary ones 3.
-    count = np.bincount(anchor, minlength=n_nodes)
-    want = np.where(class0, np.where(on_boundary, 3, 6), 0)
-    bad = np.flatnonzero(count != want)
-    if bad.size:
-        node = int(bad[0])
-        where = "boundary" if on_boundary[node] else "interior"
-        raise MeshConstructionError(
-            f"{where} node {node} anchors {count[node]} subtriangles, "
-            f"not {want[node]}"
-        )
-
-    mesh = HoneycombMesh(
+    return HoneycombMesh(
         level=level,
         s=s,
         n=n,
@@ -315,7 +281,3 @@ def build_mesh(level: int) -> HoneycombMesh:
         free=np.flatnonzero(~is_center & ~on_boundary),
         _lookup=lookup.astype(np.int32).reshape(width, width),
     )
-    # Six corners around every interior centre, all of which must exist.
-    if np.any(mesh.center_corners < 0):
-        raise MeshConstructionError("interior centre with corner outside domain")
-    return mesh

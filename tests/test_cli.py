@@ -36,6 +36,16 @@ def test_study_config_holds_only_the_study_settings():
         "min_level", "max_level", "problem", "lift_enabled"]
 
 
+@pytest.mark.parametrize("name, value", [("min_level", 0), ("lift_enabled", "yes")])
+def test_config_is_frozen_after_its_checks(name, value):
+    """A setting assigned after construction would slip past the checks
+    of ``__post_init__``, so assignment raises."""
+    config = small_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, value)
+    assert getattr(config, name) == getattr(small_config(), name)
+
+
 def test_config_takes_numpy_integer_levels():
     config = StudyConfig(min_level=np.int64(2), max_level=np.int32(3))
     assert [row.level for row in run_study(config)] == [2, 3]

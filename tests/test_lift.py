@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivevem.lattice import HEX_DIRECTIONS, build_mesh, node_class, position
+from hivevem.lattice import HEX_DIRECTIONS, MAX_LEVEL, build_mesh, node_class, position
 from hivevem.lift import (
     MIN_LIFT_LEVEL,
     MONOMIAL_POWERS,
@@ -142,6 +142,19 @@ def test_each_patch_has_one_center_class_corner(grid4):
         # exactly one of the three corners has class 0
         classes = [int(node_class(i, j)) for i, j in grid4.corners_ij[p]]
         assert classes.count(0) == 1
+
+
+@pytest.mark.parametrize("level", range(MIN_LIFT_LEVEL, MAX_LEVEL + 1))
+def test_patch_grid_facts_at_every_lift_level(level):
+    """Every site is a node, and exactly one corner of each patch is
+    class 0, the node at its ``c0_corner_site``."""
+    grid = build_patch_grid(build_mesh(level))
+    assert np.all(grid.site_nodes >= 0)
+    corners = grid.corners_ij
+    class0 = node_class(corners[..., 0], corners[..., 1]) == 0
+    assert np.all(class0.sum(axis=1) == 1)
+    c0_node = grid.site_nodes[np.arange(grid.n_patches), grid.c0_corner_site]
+    assert np.array_equal(grid.mesh.node_ij[c0_node], corners[class0])
 
 
 @pytest.mark.parametrize(
