@@ -20,7 +20,6 @@ from .lattice import (
     position,
 )
 from .lift import (
-    LiftRankError,
     LiftResult,
     PatchGrid,
     build_patch_grid,

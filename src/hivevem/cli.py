@@ -10,11 +10,12 @@ levels or settings, or an output path, an empty one included, that
 cannot be opened for writing, all found before any level is built),
 2 numerical failure (any other ``ValueError`` included).  A
 configuration error names the setting and quotes the check of the
-module that owns the rule: :func:`~hivevem.lattice.check_level` for
-levels and :func:`~hivevem.problem.get_problem` for problem names.
+module that owns the rule, :func:`~hivevem.lattice.check_level` for
+levels.
 
-The study runs the program's one path: CG and the default lift scheme.
-The direct solve and the other lift schemes are library references,
+The study and the export run the program's one path: the
+:data:`PROBLEM` test case, CG and the default lift scheme.  The direct
+solve and the other lift schemes are library references,
 ``solver.solve(A, b, SolverConfig(method="chol"))`` and
 ``lift.lift_solution(u_h, problem, grid, scheme)``.
 
@@ -40,6 +41,9 @@ from .problem import ManufacturedProblem, get_problem
 
 CSV_COLUMNS = tuple(name for name, _, _ in analysis.COLUMNS)
 
+#: The one problem of the study and the export, the paper's test case.
+PROBLEM = "hex-sine"
+
 
 class ConfigError(ValueError):
     """Invalid study or export configuration."""
@@ -49,7 +53,6 @@ class ConfigError(ValueError):
 class StudyConfig:
     min_level: int = 2
     max_level: int = 7
-    problem: str = "hex-sine"
     lift_enabled: bool = False
 
     def __post_init__(self):
@@ -64,7 +67,6 @@ class StudyConfig:
         if self.min_level > self.max_level:
             raise ConfigError(f"need min-level <= max-level, "
                               f"got {self.min_level}..{self.max_level}")
-        _setting("problem", get_problem, self.problem)
 
 
 def _setting(name: str, check, *args):
@@ -128,7 +130,7 @@ def study_row(
 
 
 def run_study(config: StudyConfig) -> list[analysis.StudyRow]:
-    problem = get_problem(config.problem)
+    problem = get_problem(PROBLEM)
     rows = [
         study_row(level, problem, config)
         for level in range(config.min_level, config.max_level + 1)
@@ -166,12 +168,7 @@ def render_table(rows: list[analysis.StudyRow]) -> str:
     return "\n".join(lines)
 
 
-def export(
-    level: int,
-    what: str,
-    path,
-    problem_name: str = "hex-sine",
-) -> None:
+def export(level: int, what: str, path) -> None:
     """Write a mesh, solution or lifted solution as legacy VTK."""
     if what not in ("mesh", "solution", "lift"):
         raise ConfigError(f"cannot export {what!r}; use mesh, solution or lift")
@@ -179,24 +176,24 @@ def export(
         _setting("level of the lift", check_level, level, lift.MIN_LIFT_LEVEL)
     else:
         _setting("level", check_level, level)
-    problem = _setting("problem", get_problem, problem_name)
     check_writable(path)
     if what == "mesh":
         vtkio.write_vtk(build_mesh(level), path, title=f"honeycomb level {level}")
         return
+    problem = get_problem(PROBLEM)
     mesh, u_h, center_load, _ = solve_level(level, problem)
     exact = quadrature.sample(problem.u, mesh.node_xy)
     if what == "solution":
         # The centres as the study measures them (see recover_centers).
         values = system.recover_centers(u_h, center_load).values
         data = {"u_h": values, "error": exact - values}
-        title = f"{problem_name} solution, level {level}"
+        title = f"{PROBLEM} solution, level {level}"
     else:
         grid = lift.build_patch_grid(mesh)
         lifted = lift.lift_solution(u_h, problem, grid)
         values = _lift_at_nodes(lifted)
         data = {"u_lift": values, "error": exact - values}
-        title = f"{problem_name} lift, level {level}"
+        title = f"{PROBLEM} lift, level {level}"
     vtkio.write_vtk(mesh, path, point_data=data, title=title)
 
 
@@ -216,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("study", help="run a convergence study")
     st.add_argument("--min-level", type=int, default=2)
     st.add_argument("--max-level", type=int, default=7)
-    st.add_argument("--problem", default="hex-sine", metavar="NAME")
     st.add_argument("--lift", action="store_true",
                     help="fit and measure the patchwise cubic lift")
     st.add_argument("--csv", default=None, metavar="PATH")
@@ -225,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--level", type=int, required=True)
     ex.add_argument("--what", required=True, choices=("mesh", "solution", "lift"))
     ex.add_argument("--path", required=True)
-    ex.add_argument("--problem", default="hex-sine", metavar="NAME")
     return parser
 
 
@@ -243,7 +238,6 @@ def main(argv=None) -> int:
             config = StudyConfig(
                 min_level=args.min_level,
                 max_level=args.max_level,
-                problem=args.problem,
                 lift_enabled=args.lift,
             )
             if args.csv is not None:
@@ -252,17 +246,16 @@ def main(argv=None) -> int:
             rows = run_study(config)
             elapsed = time.perf_counter() - start
             print(render_table(rows))
-            print(f"# {config.problem}, {elapsed:.2f}s")
+            print(f"# {PROBLEM}, {elapsed:.2f}s")
             if args.csv is not None:
                 with open(args.csv, "w", newline="\n") as fh:
                     fh.write(rows_to_csv(rows))
         else:
-            export(args.level, args.what, args.path, args.problem)
+            export(args.level, args.what, args.path)
     except ConfigError as exc:
         print(f"hivevem: configuration error: {exc}", file=sys.stderr)
         return 1
-    except (solver.SolverError, lift.LiftRankError, ArithmeticError,
-            ValueError) as exc:
+    except (solver.SolverError, ArithmeticError, ValueError) as exc:
         print(f"hivevem: numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -15,7 +15,8 @@ McCormick, *A Multigrid Tutorial*, SIAM 2000).  Its iteration count
 stays flat as the mesh is refined, where Jacobi's doubles with every
 level.  The coarsest level has at most 24 unknowns and is solved with a
 dense inverse, so SuperLU (and ``scipy.sparse.linalg``, imported only
-when needed) serves only ``chol`` and matrices without a mesh.
+when needed) serves only ``chol``.  CG needs the lattice hierarchy, so
+it refuses a matrix without a mesh; such a matrix takes ``chol``.
 
 A note on tolerances.  Both methods work to one fixed relative
 tolerance, :data:`TOL`: CG stops when the recurrence residual satisfies
@@ -93,7 +94,8 @@ def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
     Raises :class:`SolverError` if CG fails to converge within its
     iteration budget of ``max(2n, 200)`` or the direct solve leaves a
     relative residual above 1e-8, so every solve that returns has passed
-    its convergence test.
+    its convergence test.  CG raises ``ValueError`` for a matrix without
+    a mesh and a nonzero ``b``; such a system takes ``method="chol"``.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -120,12 +122,12 @@ def _multigrid(A: SparseSpd):
     ``MG_SWEEPS`` damped Jacobi sweeps before and after its coarse
     correction; equal counts of a symmetric smoother make the cycle a
     symmetric positive definite operator, as CG requires.  A matrix
-    without a mesh has no coarse levels, and its cycle is the exact
-    SuperLU solve.
+    without a mesh has no hierarchy and raises ``ValueError``.
     """
-    levels, op = _hierarchy(A)
     if A.mesh is None:
-        return _factorise(op).solve
+        raise ValueError("CG needs the lattice hierarchy of a mesh; solve a "
+                         "matrix without one with method='chol'")
+    levels, op = _hierarchy(A)
     inv = np.linalg.inv(op.toarray())
     coarsest = 0.5 * (inv + inv.T)
     return lambda r: _vcycle(levels, coarsest, r)
@@ -145,7 +147,7 @@ def _hierarchy(A: SparseSpd):
     level below.
     """
     levels, op, mesh = [], A.to_csr(), A.mesh
-    while mesh is not None and mesh.level > MG_COARSEST_LEVEL:
+    while mesh.level > MG_COARSEST_LEVEL:
         coarse = build_mesh(mesh.level - 1)
         coarse_op, C = operator(coarse)
         P = refinement_transfer(coarse, mesh, C)
@@ -171,18 +173,6 @@ def _vcycle(levels, coarsest, r, k=0):
     for _ in range(MG_SWEEPS):
         x += w * (r - op @ x)
     return x
-
-
-def _factorise(matrix):
-    """Sparse LU factorisation (SuperLU) of a symmetric scipy sparse matrix.
-
-    ``scipy.sparse.linalg`` is imported here, not with the module: it
-    brings ``scipy.linalg`` with it, about 10 MB of resident memory
-    that the default CG path does not need.
-    """
-    from scipy.sparse.linalg import splu
-
-    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def _solve_cg(A: SparseSpd, b, bnorm: float):
@@ -227,7 +217,15 @@ def _solve_cg(A: SparseSpd, b, bnorm: float):
 
 
 def _solve_direct(A: SparseSpd, b, bnorm: float):
-    lu = _factorise(A.to_csr())
+    """Sparse LU (SuperLU) solve with up to two refinement steps.
+
+    ``scipy.sparse.linalg`` is imported here, not with the module: it
+    brings ``scipy.linalg`` with it, about 10 MB of resident memory
+    that the default CG path does not need.
+    """
+    from scipy.sparse.linalg import splu
+
+    lu = splu(A.to_csr().tocsc(), permc_spec="MMD_AT_PLUS_A")
     x = lu.solve(b)
     refinements = 0
     res = b - A @ x

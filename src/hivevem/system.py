@@ -79,7 +79,8 @@ class SparseSpd:
 
     ``mesh`` is the lattice whose free nodes ``mesh.free`` index the rows
     when the matrix comes from :func:`assemble`, else ``None``; the
-    multigrid preconditioner builds its coarse levels below it.  Those
+    multigrid preconditioner builds its coarse levels below it, so a
+    matrix without a mesh is solved with ``method='chol'`` only.  Those
     come from :func:`operator` as the fine matrix does and are not
     wrapped, so the symmetry check runs on the fine level only.  The
     operator is symmetric by construction, but the check stays: this is

@@ -17,10 +17,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hivevem import cli
 from hivevem.cli import StudyConfig, run_study
 from hivevem.lattice import build_mesh, position
 from hivevem.lift import MONOMIAL_POWERS, build_patch_grid, evaluate_lift, lift_solution
-from hivevem.problem import PROBLEMS, _from_expression, exp, get_problem, sin, zero
+from hivevem.problem import _from_expression, exp, get_problem, sin, zero
 from hivevem.quadrature import SUPPORTED_DEGREES, rule
 from hivevem.problem import jet_eval, laplacian
 from hivevem.solver import SolverConfig, solve
@@ -324,9 +325,8 @@ def test_orders_on_a_solution_with_no_symmetry(monkeypatch):
     the orders of criteria 3, 5 and 6 and criterion 6's floor ratios.
     Only orders and ratios are gated, no absolute values."""
     hex_exp = hex_exp_problem()
-    monkeypatch.setitem(PROBLEMS, "hex-exp", lambda: hex_exp)
-    rows = run_study(StudyConfig(min_level=4, max_level=7, problem="hex-exp",
-                                 lift_enabled=True))
+    monkeypatch.setattr(cli, "get_problem", lambda name: hex_exp)
+    rows = run_study(StudyConfig(min_level=4, max_level=7, lift_enabled=True))
     levels = (5, 6, 7)
     sub = []
     superclose = [(row(rows, level).r_ih_l2, row(rows, level).r_ih_h1,

@@ -21,7 +21,6 @@ from hivevem.cli import (
     run_study,
 )
 from hivevem.lattice import build_mesh, check_level
-from hivevem.problem import get_problem
 from hivevem.quadrature import rule
 
 
@@ -30,10 +29,10 @@ def small_config(**kw):
 
 
 def test_study_config_holds_only_the_study_settings():
-    """The study has one solver path and one lift scheme, so its
-    settings are the levels, the problem and the lift switch."""
+    """The study has one problem, one solver path and one lift scheme,
+    so its settings are the levels and the lift switch."""
     assert [f.name for f in dataclasses.fields(StudyConfig)] == [
-        "min_level", "max_level", "problem", "lift_enabled"]
+        "min_level", "max_level", "lift_enabled"]
 
 
 @pytest.mark.parametrize("name, value", [("min_level", 0), ("lift_enabled", "yes")])
@@ -298,10 +297,6 @@ BAD_INPUTS = {
                      "max-level with the lift", (check_level, 2, lift.MIN_LIFT_LEVEL)),
     "export-lift-2": (["export", "--what", "lift", "--level", "2"],
                       "level of the lift", (check_level, 2, lift.MIN_LIFT_LEVEL)),
-    "study-problem": (["study", "--problem", "nope"], "problem",
-                      (get_problem, "nope")),
-    "export-problem": (["export", "--level", "3", "--what", "mesh",
-                        "--problem", "nope"], "problem", (get_problem, "nope")),
 }
 
 
@@ -312,8 +307,7 @@ def test_bad_inputs_are_refused_with_the_owners_message(
     """Every bad setting is a configuration error found before any level
     is built or the output path is probed; the message names the setting
     and quotes the check of the module that owns the rule:
-    ``check_level`` for levels, ``get_problem`` for problem names and
-    ``cli`` for the rest.  The output path lies in a directory that does
+    ``check_level`` for levels and ``cli`` for the rest.  The output path lies in a directory that does
     not exist, so probing it first would fail with another message."""
     inputs, setting, owner = BAD_INPUTS[case]
 
@@ -376,30 +370,18 @@ def test_export_lift_rejects_low_level_before_solving(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_export_rejects_an_unknown_problem_before_writing(tmp_path, monkeypatch):
-    """A mesh export needs no problem, but a name that is not one is a
-    configuration error all the same, through ``export``'s own argument
-    as well as the command line, found before anything is built."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("export built a mesh for an unknown problem")
-
-    monkeypatch.setattr(cli, "build_mesh", forbidden)
-    out = tmp_path / "m.vtk"
-    with pytest.raises(ConfigError, match="unknown problem 'nope'"):
-        export(2, "mesh", out, "nope")
-    assert main(["export", "--level", "2", "--what", "mesh",
-                 "--problem", "nope", "--path", str(out)]) == 1
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv", [
     ["study", "--quad-load", "4"], ["study", "--tol", "1e-6"],
     ["study", "--maxit", "5"], ["study", "--solver", "chol"],  # the options are gone
     ["study", "--lift", "--lift-scheme", "vertices-only-minnorm"],
     ["study", "--lift", "--lift-scheme", "lattice15-corrected"],
+    ["study", "--problem", "hex-sine"],  # the study has one problem
+    ["export", "--level", "2", "--what", "mesh", "--path", "m.vtk",
+     "--problem", "hex-sine"],
     ["study", "--frobnicate"], [],
 ], ids=["quad-load", "tol", "maxit", "solver-chol", "lift-scheme",
-        "lift-scheme-default", "frobnicate", "no-command"])
+        "lift-scheme-default", "study-problem", "export-problem",
+        "frobnicate", "no-command"])
 def test_parser_errors_exit_1(argv, capsys):
     """Arguments that the parser refuses exit 1 with the usage."""
     with pytest.raises(SystemExit) as err:

@@ -35,15 +35,27 @@ def support(xy):
     return (np.atleast_2d(xy) @ EDGE_NORMALS.T).max(axis=1)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
-def test_counting_formulas(level, mesh_cache):
-    mesh = mesh_cache(level)
+@pytest.mark.parametrize("level", range(1, MAX_LEVEL + 1))
+def test_counting_formulas(level):
+    """The counts, the anchors and the centres' corners at every level,
+    in whole-array operations: one class-0 vertex per subtriangle, and
+    six subtriangles per interior class-0 node, three per boundary one
+    and none elsewhere."""
+    mesh = build_mesh(level)
     n = 2 ** (level - 1)
     assert mesh.n == n
     assert mesh.s == 2.0 ** (1 - level)
     assert mesh.n_nodes == 3 * n * n + 3 * n + 1
     assert mesh.n_tris == 6 * n * n
     assert np.count_nonzero(mesh.on_boundary) == 6 * n
+
+    class0 = node_class(mesh.node_ij[:, 0], mesh.node_ij[:, 1]) == 0
+    at_class0 = class0[mesh.tris]
+    assert np.all(at_class0.sum(axis=1) == 1)
+    anchors = mesh.tris[at_class0]
+    want = np.where(class0, np.where(mesh.on_boundary, 3, 6), 0)
+    assert np.array_equal(np.bincount(anchors, minlength=mesh.n_nodes), want)
+    assert np.all(mesh.center_corners >= 0)
 
 
 def mask_built_mesh(level):
@@ -304,27 +316,6 @@ def test_tri_index_inverts_tris_and_is_minus_one_outside(level):
     ring = np.ones(table.shape[:2], dtype=bool)
     ring[1:-1, 1:-1] = False
     assert np.all(table[ring] == -1)
-
-
-@pytest.mark.parametrize("level", range(8, MAX_LEVEL + 1))
-def test_lattice_facts_at_the_largest_levels(level):
-    """The counts, the anchors and the centres' corners at the levels
-    that the per-cell tests do not reach, in whole-array operations: one
-    class-0 vertex per subtriangle, and six subtriangles per interior
-    class-0 node, three per boundary one and none elsewhere."""
-    mesh = build_mesh(level)
-    n = 2 ** (level - 1)
-    assert mesh.n_nodes == 3 * n * n + 3 * n + 1
-    assert mesh.n_tris == 6 * n * n
-    assert np.count_nonzero(mesh.on_boundary) == 6 * n
-
-    class0 = node_class(mesh.node_ij[:, 0], mesh.node_ij[:, 1]) == 0
-    at_class0 = class0[mesh.tris]
-    assert np.all(at_class0.sum(axis=1) == 1)
-    anchors = mesh.tris[at_class0]
-    want = np.where(class0, np.where(mesh.on_boundary, 3, 6), 0)
-    assert np.array_equal(np.bincount(anchors, minlength=mesh.n_nodes), want)
-    assert np.all(mesh.center_corners >= 0)
 
 
 def test_boundary_nodes_lie_on_the_hexagon(mesh_cache):

@@ -171,7 +171,6 @@ def test_multigrid_on_the_coarsest_mesh_is_the_exact_solve(level, mesh_cache, he
 SUPERLU_CHECK = """
 import sys
 import numpy as np
-import scipy.sparse as sp
 from hivevem import cli, solver, system
 from hivevem.lattice import build_mesh
 from hivevem.problem import get_problem
@@ -179,39 +178,39 @@ from hivevem.problem import get_problem
 cli.run_study(cli.StudyConfig(min_level=1, max_level=4, lift_enabled=True))
 SUPERLU = {"scipy.sparse.linalg", "scipy.linalg"}
 assert not SUPERLU & sys.modules.keys(), "imported by the default path"
-if sys.argv[1] == "chol":
-    A, b, _ = system.assemble(build_mesh(4), get_problem("hex-sine"))
-    x, _ = solver.solve(A, b, solver.SolverConfig(method="chol"))
-    want, _ = solver.solve(A, b)
-else:
-    M = np.eye(6) * 4 + np.eye(6, k=1) + np.eye(6, k=-1)
-    A, b = system.SparseSpd(sp.csr_matrix(M)), np.arange(6.0)
-    x, _ = solver.solve(A, b)
-    want = np.linalg.solve(M, b)
+A, b, _ = system.assemble(build_mesh(4), get_problem("hex-sine"))
+x, _ = solver.solve(A, b, solver.SolverConfig(method="chol"))
+want, _ = solver.solve(A, b)
 assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want)), "wrong solution"
 assert SUPERLU <= sys.modules.keys(), "SuperLU solved without it"
 """
 
 
-@pytest.mark.parametrize("case", ["chol", "meshless"])
-def test_superlu_is_imported_only_by_chol_and_meshless_matrices(case):
+def test_superlu_is_imported_only_by_chol():
     """In a fresh interpreter, a study of levels 1-4 with the lift leaves
     ``scipy.sparse.linalg`` (and the ``scipy.linalg`` it brings) unloaded;
-    a ``chol`` solve, or CG on a matrix without a mesh, loads it and
-    solves."""
+    a ``chol`` solve loads it and solves."""
     src = str(Path(hivevem.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", SUPERLU_CHECK, case],
+    run = subprocess.run([sys.executable, "-c", SUPERLU_CHECK],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 
 
-def test_multigrid_without_a_mesh_is_the_exact_solve():
+def test_cg_refuses_a_matrix_without_a_mesh(monkeypatch):
+    """CG's V-cycle needs the lattice hierarchy, so a matrix without a
+    mesh is refused before any hierarchy is built, with a message that
+    names the direct solve, which solves the same system."""
+    def forbidden(A):
+        raise AssertionError("a hierarchy was built for a matrix without a mesh")
+
+    monkeypatch.setattr(solver, "_hierarchy", forbidden)
     A = random_spd(12, seed=4)
     b = np.random.default_rng(5).normal(size=12)
-    x, stats = solve(A, b, SolverConfig())
-    assert stats.iterations <= 2
+    with pytest.raises(ValueError, match="method='chol'"):
+        solve(A, b)
+    x, _ = solve(A, b, SolverConfig(method="chol"))
     assert np.allclose(x, np.linalg.solve(A.to_csr().toarray(), b), atol=1e-12)
 
 
