@@ -8,12 +8,12 @@ differences (the element stiffness of the equilateral subtriangles) and
 its max norm is taken over the mesh vertices (the honeycomb degrees of
 freedom; interior hexagon centres are slaved values, not vertices).
 
-True errors against the exact solution use a higher-degree rule,
-degree 6 by default, on the subtriangles.  Lift errors are broken over
-patches: each patch cubic is integrated over its own 16 subtriangles,
-and the H1 seminorm uses the analytic cubic gradients.  The monomials
-are tabulated once per rule for each of the two patch frames, one per
-kind of patch triangle, and applied to blocks of patches.
+True errors against the exact solution use the degree-6 rule on the
+subtriangles.  Lift errors are broken over patches: each patch cubic is
+integrated over its own 16 subtriangles, and the H1 seminorm uses the
+analytic cubic gradients.  The monomials are tabulated once for each of
+the two patch frames, one per kind of patch triangle, and applied to
+blocks of patches.
 
 At a level with a lift, one pass over the patch rule gives all three
 true errors: the patches tile the subtriangles, so the nodal field's L2
@@ -42,8 +42,8 @@ class MeshMismatchError(ValueError):
     """Fields compared across different meshes."""
 
 
-def _nodal_l2(mesh: HoneycombMesh, nodal: np.ndarray, degree: int) -> float:
-    q = rule(degree)
+def _nodal_l2(mesh: HoneycombMesh, nodal: np.ndarray) -> float:
+    q = rule(2)
     vals = nodal[mesh.tris] @ q.points.T          # (T, nq)
     return math.sqrt(mesh.tri_area * float(np.einsum("tq,q->", vals ** 2, q.weights)))
 
@@ -56,29 +56,20 @@ def _nodal_h1(mesh: HoneycombMesh, nodal: np.ndarray) -> float:
     return math.sqrt(float(np.sum(d * d)) / (2.0 * SQRT3))
 
 
-def norms_superclose(
-    u_h: FieldP1,
-    u_i: FieldP1,
-    degree: int = 2,
-) -> tuple[float, float, float]:
-    """L2, H1-seminorm and vertex max norm of ``u_i - u_h``.
-
-    Degree 2 already integrates the piecewise-quadratic integrand
-    exactly; the parameter exists so the exactness is testable.
-    """
+def norms_superclose(u_h: FieldP1, u_i: FieldP1) -> tuple[float, float, float]:
+    """L2, H1-seminorm and vertex max norm of ``u_i - u_h``; the L2 norm
+    takes the degree-2 rule, exact for the piecewise-quadratic integrand."""
     if u_h.mesh is not u_i.mesh:
         raise MeshMismatchError("superclose norms need fields on one mesh")
     mesh = u_h.mesh
     diff = u_i.values - u_h.values
-    l2 = _nodal_l2(mesh, diff, degree)
+    l2 = _nodal_l2(mesh, diff)
     h1 = _nodal_h1(mesh, diff)
     linf = float(np.max(np.abs(diff[mesh.nh_nodes])))
     return l2, h1, linf
 
 
-def norm_l2_true(
-    approx: FieldP1, problem: ManufacturedProblem, degree: int = 6, *, lift=None
-):
+def norm_l2_true(approx: FieldP1, problem: ManufacturedProblem, *, lift=None):
     """L2 norm of ``u - approx`` for a nodal field.
 
     With ``lift``, ``approx`` is a nodal field on the lift's mesh and the
@@ -91,15 +82,15 @@ def norm_l2_true(
     if not isinstance(approx, FieldP1):
         raise TypeError(f"cannot measure {type(approx).__name__}")
     if lift is None:
-        return _field_l2_error(approx, problem, degree)
+        return _field_l2_error(approx, problem)
     if approx.mesh is not lift.grid.mesh:
         raise MeshMismatchError("field and lift live on different meshes")
-    return _patch_errors(lift, problem, degree, approx)
+    return _patch_errors(lift, problem, approx)
 
 
-def _field_l2_error(u_h: FieldP1, problem, degree: int) -> float:
+def _field_l2_error(u_h: FieldP1, problem) -> float:
     mesh = u_h.mesh
-    q = rule(degree)
+    q = rule(6)
     total = 0.0
     for tris, xy in tri_quadrature(mesh, q):
         exact = np.asarray(problem.u(*xy)).reshape(-1, q.n_points)
@@ -108,15 +99,15 @@ def _field_l2_error(u_h: FieldP1, problem, degree: int) -> float:
     return math.sqrt(mesh.tri_area * total)
 
 
-def _patch_errors(lift: LiftResult, problem, degree: int, nodal=None):
+def _patch_errors(lift: LiftResult, problem, nodal=None):
     """``(e_field, e_lift_l2, e_lift_h1h)`` by the patch rule, u and its
     gradient from one ``grad_u`` call per block; ``e_field`` is the L2
     error of the nodal field ``nodal``, or ``None`` without one."""
     grid = lift.grid
-    q = rule(degree)
+    q = rule(6)
     weights = np.tile(q.weights, 16)
     field_sq = l2_sq = h1_sq = 0.0
-    for ids, xy, basis in patch_quadrature(grid, degree):
+    for ids, xy, basis in patch_quadrature(grid):
         u, ux, uy = problem.grad_u(*xy)
         if nodal is not None:
             p1 = nodal.values[grid.site_nodes[ids][:, SUB_SITES]] @ q.points.T
@@ -131,11 +122,9 @@ def _patch_errors(lift: LiftResult, problem, degree: int, nodal=None):
             math.sqrt(area * l2_sq), math.sqrt(area * h1_sq))
 
 
-def norm_h1_broken_true(
-    lift: LiftResult, problem: ManufacturedProblem, degree: int = 6
-) -> float:
+def norm_h1_broken_true(lift: LiftResult, problem: ManufacturedProblem) -> float:
     """Patch-broken H1 seminorm of ``u - lift`` via analytic gradients."""
-    return _patch_errors(lift, problem, degree)[2]
+    return _patch_errors(lift, problem)[2]
 
 
 #: The study columns in CSV order: name, table header and table width.

@@ -270,7 +270,6 @@ class LiftResult:
     smallest singular value and residual norm of each fit (P,)."""
 
     grid: PatchGrid
-    scheme: str
     coeffs: np.ndarray
     rank: np.ndarray
     sigma_min: np.ndarray
@@ -301,7 +300,7 @@ def lift_solution(u_h: FieldP1, problem: ManufacturedProblem, grid: PatchGrid,
     if u_h.mesh is not grid.mesh:
         raise ValueError("solution and patch grid live on different meshes")
     values = _node_data(u_h, problem, scheme)[grid.site_nodes]
-    return LiftResult(grid, scheme, *_fit(grid.frame, mask, values))
+    return LiftResult(grid, *_fit(grid.frame, mask, values))
 
 
 def _points(point):
@@ -371,11 +370,11 @@ def evaluate_lift(result: LiftResult, point):
 
 
 @lru_cache(maxsize=None)
-def _patch_rule(degree: int):
+def _patch_rule():
     """Scaled local coordinates (2, 16 nq, 2) of the points of the
-    degree-``degree`` rule on the 16 subtriangles of a patch, per frame,
-    and their :func:`monomial_basis` (2, 16 nq, 3, 10), read-only."""
-    local = np.einsum("qk,ftkx->ftqx", rule(degree).points, _frame_local(_SUB_AB))
+    degree-6 rule on the 16 subtriangles of a patch, per frame, and
+    their :func:`monomial_basis` (2, 16 nq, 3, 10), read-only."""
+    local = np.einsum("qk,ftkx->ftqx", rule(6).points, _frame_local(_SUB_AB))
     local = local.reshape(len(_FRAMES), -1, 2)
     basis = monomial_basis(local)
     local.setflags(write=False)
@@ -383,19 +382,19 @@ def _patch_rule(degree: int):
     return local, basis
 
 
-def patch_quadrature(grid: PatchGrid, degree: int):
-    """Quadrature points on the 16 subtriangles of every patch.
+def patch_quadrature(grid: PatchGrid):
+    """Points of the degree-6 rule on the 16 subtriangles of every patch.
 
     Yields ``(ids, xy, basis)`` for blocks of patches of one frame that
-    carry at most :data:`~hivevem.quadrature.BLOCK_POINTS` points of the
-    degree-``degree`` rule together: the coordinates ``xy`` (2, n, 16 nq)
-    of their points, subtriangle major, and the :func:`monomial_basis`
-    (16 nq, 3, 10) at the scaled local coordinates they share, computed
-    once per rule.  On subtriangle ``t`` the rule's barycentric
-    coordinates refer to the sites ``SUB_SITES[t]``, in order.  The
-    blocks bound the memory of problem evaluations at fine levels.
+    carry at most :data:`~hivevem.quadrature.BLOCK_POINTS` points
+    together: the coordinates ``xy`` (2, n, 16 nq) of their points,
+    subtriangle major, and the :func:`monomial_basis` (16 nq, 3, 10) at
+    the scaled local coordinates they share, computed once.  On
+    subtriangle ``t`` the rule's barycentric coordinates refer to the
+    sites ``SUB_SITES[t]``, in order.  The blocks bound the memory of
+    problem evaluations at fine levels.
     """
-    local, basis = _patch_rule(degree)
+    local, basis = _patch_rule()
     for f, frame_local in enumerate(local):
         offsets = np.ascontiguousarray(grid.edge * frame_local.T[:, None])
         members = np.flatnonzero(grid.frame == f)

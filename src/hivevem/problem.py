@@ -24,11 +24,12 @@ values are those of full array arithmetic; only the sign of an exact
 zero may differ.  :func:`jet_eval` and ``grad_u`` broadcast float parts
 back to the shape of the value.
 
-Sines and cosines come from one half-angle tangent t = tan(theta/2):
-sin = 2t / (1 + t**2), cos = (1 - t**2) / (1 + t**2).  numpy's float64
-``tan`` has a vectorised kernel where ``sin`` and ``cos`` may run a
-scalar loop, so a jet's sine-cosine pair costs one ``tan`` and a few
-flops.  The values are within 4 eps of ``np.sin`` and ``np.cos``.
+A sine and the cosine its derivative needs come from one half-angle
+tangent t = tan(theta/2): sin = 2t / (1 + t**2), cos = (1 - t**2) /
+(1 + t**2).  numpy's float64 ``tan`` has a vectorised kernel where
+``sin`` and ``cos`` may run a scalar loop, so a jet's sine costs one
+``tan`` and a few flops.  The values are within 4 eps of ``np.sin`` and
+``np.cos``.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class Jet:
     Each direction follows the rules of the one-variable jet
     ``a0 + a1 t + a2 t**2`` in the same operation order, so every part
     equals, bit for bit, that of a one-variable jet along x or y.
-    Supports ring operations, division, non-negative integer powers,
-    sin, cos and exp.
+    Supports ring operations, division by a constant, non-negative
+    integer powers, sin and exp.
     """
 
     __slots__ = ("value", "first", "half")
@@ -145,17 +146,7 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other._reciprocal()
         return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def _reciprocal(self):
-        inv = 1.0 / self.value
-        return self._map(inv, lambda a1: _mul(-a1, inv, inv),
-                         lambda a1, a2: _mul(_sum(_mul(a1, a1, inv), -a2), inv, inv))
 
     def __pow__(self, k):
         if not isinstance(k, (int, np.integer)) or k < 0:
@@ -173,12 +164,6 @@ class Jet:
         s, c = _sincos(self.value)
         return self._map(s, lambda a1: _mul(c, a1),
                          lambda a1, a2: _sum(_mul(c, a2), _mul(-0.5, s, a1, a1)))
-
-    def cos(self):
-        s, c = _sincos(self.value)
-        s = -s
-        return self._map(c, lambda a1: _mul(s, a1),
-                         lambda a1, a2: _sum(_mul(s, a2), _mul(-0.5, c, a1, a1)))
 
     def exp(self):
         e = np.exp(self.value)
@@ -199,14 +184,6 @@ def sin(z):
         return z.sin()
     t = np.tan(0.5 * z)
     return 2.0 * t / (1.0 + t * t)
-
-
-def cos(z):
-    if isinstance(z, Jet):
-        return z.cos()
-    t = np.tan(0.5 * z)
-    t2 = t * t
-    return (1.0 - t2) / (1.0 + t2)
 
 
 def exp(z):

@@ -1,8 +1,9 @@
 """Symmetric Gauss quadrature on triangles.
 
 Rules are stored in barycentric form with weights that sum to one,
-so a sum over the points is multiplied by the triangle's area.  The degrees
-provided (2, 4, 6, 8) cover load assembly and error-norm evaluation.
+so a sum over the points is multiplied by the triangle's area.  Each
+degree provided has one job: 2 the superclose L2 norm, 4 the load, 6
+the true error norms, and 8 the tests' independent references.
 
 The tabulated coefficients are the classical symmetric rules with 3, 6,
 12 and 16 points, all with positive weights.  The tests check each rule
@@ -34,7 +35,6 @@ BLOCK_POINTS = 16384
 class QuadratureRule:
     """A fixed rule: barycentric points and area-normalised weights."""
 
-    degree: int
     points: np.ndarray   # (nq, 3) barycentric coordinates
     weights: np.ndarray  # (nq,) summing to one
 
@@ -101,7 +101,7 @@ def rule(degree: int) -> QuadratureRule:
     points = np.array([p for _, p in entries])
     weights.setflags(write=False)
     points.setflags(write=False)
-    return QuadratureRule(degree=degree, points=points, weights=weights)
+    return QuadratureRule(points=points, weights=weights)
 
 
 def blocks(items: np.ndarray, points_each: int) -> list[np.ndarray]:

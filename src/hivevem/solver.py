@@ -82,7 +82,6 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
-    method: str
     iterations: int
     residual: float              # recomputed |b - Ax| / |b|
     recurrence_residual: float   # CG recurrence value at termination
@@ -104,7 +103,7 @@ def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:  # the empty system of level 1 included
-        return np.zeros(A.n), SolveStats(config.method, 0, 0.0, 0.0)
+        return np.zeros(A.n), SolveStats(0, 0.0, 0.0)
 
     if config.method == "chol":
         return _solve_direct(A, b, bnorm)
@@ -208,7 +207,6 @@ def _solve_cg(A: SparseSpd, b, bnorm: float):
             f"recomputed residual {true_res:.3e} (tol {TOL:.1e})"
         )
     stats = SolveStats(
-        method="cg",
         iterations=iterations,
         residual=true_res,
         recurrence_residual=rnorm / bnorm,
@@ -240,4 +238,4 @@ def _solve_direct(A: SparseSpd, b, bnorm: float):
         rel = new_rel
     if not np.all(np.isfinite(x)) or rel > 1e-8:
         raise SolverError(f"direct solve failed: relative residual {rel:.3e}")
-    return x, SolveStats("chol", refinements, rel, rel)
+    return x, SolveStats(refinements, rel, rel)

@@ -70,9 +70,10 @@ class SparseSpd:
     """Symmetric positive definite matrix in compressed-row storage.
 
     Thin wrapper over a scipy CSR matrix that fixes the contract:
-    square, column indices sorted within each row, and numerically
-    symmetric.  A CSR matrix, such as the product of :func:`operator`,
-    is taken without a copy and put in canonical form in place.
+    square, finite, column indices sorted within each row, and
+    numerically symmetric.  A CSR matrix, such as the product of
+    :func:`operator`, is taken without a copy and put in canonical form
+    in place.
     Positive definiteness follows from the construction (congruence of
     the P1 stiffness with a full-rank prolongation) and is exercised by
     the tests rather than re-proved here.
@@ -97,6 +98,9 @@ class SparseSpd:
         csr.sum_duplicates()
         if csr.nnz:
             scale = float(np.max(np.abs(csr.data)))
+            # The max is inf or NaN exactly when an entry is not finite.
+            if not np.isfinite(scale):
+                raise ValueError("matrix has non-finite entries")
             # On a symmetric pattern, the transpose's data lines up
             # with A's; only an asymmetric pattern builds A - A^T.
             t = csr.tocsc()
@@ -194,19 +198,16 @@ def refinement_transfer(
     return inject @ C
 
 
-def load_vector(
-    mesh: HoneycombMesh,
-    problem: ManufacturedProblem,
-    degree: int = 4,
-) -> np.ndarray:
-    """Load vector of ``f`` against the P1 basis over all lattice nodes.
+def load_vector(mesh: HoneycombMesh, problem: ManufacturedProblem) -> np.ndarray:
+    """Load vector of ``f`` against the P1 basis over all lattice nodes,
+    by the degree-4 rule on every subtriangle.
 
     ``f`` is evaluated on blocks of subtriangles (:func:`tri_quadrature`);
     each block writes its rows of the (T, 3) element contributions, and
     one ``bincount`` sums them onto the nodes in the order of
     ``np.add.at``, triangle by triangle.
     """
-    q = rule(degree)
+    q = rule(4)
     contrib = np.empty(mesh.tris.shape)
     # The blocks of ``contrib`` are those of ``mesh.tris`` in tri_quadrature.
     for (_, xy), out in zip(tri_quadrature(mesh, q), blocks(contrib, q.n_points)):
@@ -378,6 +379,9 @@ def recover_centers(u_h: FieldP1, center_load: np.ndarray) -> FieldP1:
     solution should be measured on this representation.
     """
     mesh = u_h.mesh
+    if np.shape(center_load) != mesh.centers.shape:
+        raise ValueError(f"expected {mesh.centers.size} centre loads, "
+                         f"got {np.shape(center_load)}")
     values = u_h.values.copy()
     values[mesh.centers] = (
         values[mesh.center_corners].mean(axis=1)

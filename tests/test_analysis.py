@@ -19,7 +19,7 @@ from hivevem import quadrature
 from hivevem.lift import build_patch_grid, evaluate_patches, lift_solution
 from hivevem.problem import _from_expression, get_problem
 from hivevem.quadrature import rule
-from hivevem.system import FieldP1, interpolate
+from hivevem.system import FieldP1, interpolate, tri_quadrature
 from triangles import p1_gradients, patch_subtriangles
 
 
@@ -89,17 +89,17 @@ def test_orders_fills_consecutive_rows():
 
 
 def test_superclose_quadrature_is_already_exact(solved_cache):
-    """The superclose integrand is piecewise quadratic, so degree 2 and
-    degree 4 give the same numbers to round-off."""
+    """The superclose integrand is piecewise quadratic, so the degree-2
+    rule gives the degree-4 L2 norm to round-off."""
     mesh, u_h, _, _ = solved_cache(3)
     problem = get_problem("hex-sine")
     u_i = interpolate(problem, mesh)
-    a = norms_superclose(u_h, u_i, degree=2)
-    b = norms_superclose(u_h, u_i, degree=4)
-    assert a[0] == pytest.approx(b[0], rel=1e-13)
-    assert a[1] == b[1]          # H1 term never touches the rule
-    assert a[2] == b[2]
-    assert all(v > 0 for v in a)
+    q = rule(4)
+    vals = (u_i.values - u_h.values)[mesh.tris] @ q.points.T
+    want = math.sqrt(mesh.tri_area * float(np.sum(vals ** 2 @ q.weights)))
+    got = norms_superclose(u_h, u_i)
+    assert got[0] == pytest.approx(want, rel=1e-13)
+    assert all(v > 0 for v in got)
 
 
 @pytest.mark.parametrize("level", range(2, 8))
@@ -128,13 +128,16 @@ def test_mesh_mismatch_is_rejected(mesh_cache, hex_sine):
 
 
 def test_l2_error_of_the_zero_field_is_the_solution_norm(mesh_cache, hex_sine):
-    """Frozen reference: the L2 norm of the manufactured solution."""
+    """Frozen reference: the L2 norm of the manufactured solution, which
+    the degree-8 rule gives to 1e-11 as well."""
     mesh = mesh_cache(5)
     zero = FieldP1(mesh=mesh, values=np.zeros(mesh.n_nodes))
-    got = norm_l2_true(zero, hex_sine, degree=6)
+    got = norm_l2_true(zero, hex_sine)
     assert got == pytest.approx(8.686221036716e-2, rel=1e-10)
-    # degree robustness
-    assert norm_l2_true(zero, hex_sine, degree=8) == pytest.approx(got, rel=1e-11)
+    q = rule(8)
+    sq = sum(float(np.sum(hex_sine.u(*xy).reshape(-1, q.n_points) ** 2 @ q.weights))
+             for _, xy in tri_quadrature(mesh, q))
+    assert math.sqrt(mesh.tri_area * sq) == pytest.approx(got, rel=1e-11)
 
 
 def test_lift_norms_vanish_for_reproduced_cubics(mesh_cache):
@@ -143,8 +146,8 @@ def test_lift_norms_vanish_for_reproduced_cubics(mesh_cache):
     grid = build_patch_grid(mesh)
     u_i = interpolate(q, mesh)
     lifted = lift_solution(u_i, q, grid, "lattice15-corrected")
-    assert norm_l2_true(u_i, q, degree=6, lift=lifted)[1] <= 1e-12
-    assert norm_h1_broken_true(lifted, q, degree=6) <= 1e-11
+    assert norm_l2_true(u_i, q, lift=lifted)[1] <= 1e-12
+    assert norm_h1_broken_true(lifted, q) <= 1e-11
 
 
 def test_norm_l2_true_rejects_unknown_types(solved_cache, hex_sine):

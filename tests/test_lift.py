@@ -32,7 +32,7 @@ from hivevem.lift import (
     patch_quadrature,
 )
 from hivevem.problem import _from_expression, get_problem, zero
-from hivevem.quadrature import sample
+from hivevem.quadrature import rule, sample
 from hivevem.system import FieldP1, interpolate
 from triangles import patch_subtriangles
 
@@ -172,16 +172,17 @@ def test_monomial_basis():
 
 
 def test_patch_quadrature_computes_the_basis_once_per_rule():
-    """Calls with one rule, on any grid, share one read-only basis per
-    frame: the monomials at each block's scaled local points."""
+    """Calls on any grid share one read-only basis per frame: the
+    monomials at each block's scaled local points of the degree-6 rule."""
     grids = [build_patch_grid(build_mesh(level)) for level in (4, 5)]
     shared = [
-        {basis.ctypes.data for _, _, basis in patch_quadrature(grid, 6)}
+        {basis.ctypes.data for _, _, basis in patch_quadrature(grid)}
         for grid in grids
     ]
     assert shared[0] == shared[1] and len(shared[0]) == 2
     grid = grids[1]
-    for ids, xy, basis in patch_quadrature(grid, 6):
+    for ids, xy, basis in patch_quadrature(grid):
+        assert xy.shape[-1] == 16 * rule(6).n_points
         local = (xy - grid.centroid[ids].T[..., None]) / grid.edge
         assert not basis.flags.writeable
         assert np.allclose(

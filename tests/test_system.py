@@ -355,6 +355,15 @@ def test_sparsespd_judges_an_asymmetric_pattern_by_value():
     assert SparseSpd(zero_stored).data.size == 3
 
 
+@pytest.mark.parametrize("rows", [[[2.0, np.nan], [1.0, 2.0]],
+                                  [[np.inf, 0.0], [0.0, 2.0]]])
+def test_sparsespd_rejects_non_finite_entries(rows):
+    """A NaN compares false, so ``A - A^T`` alone would pass the
+    asymmetric first matrix; both are refused before any solve."""
+    with pytest.raises(ValueError, match="non-finite"):
+        SparseSpd(sp.csr_matrix(np.array(rows)))
+
+
 def test_assembly_peak_memory_is_a_few_copies_of_a(
     mesh_cache, hex_sine, monkeypatch
 ):
@@ -396,7 +405,7 @@ def test_load_vector_partition_of_unity(mesh_cache):
     """Sum of the P1 load of f = 1 is the domain area."""
     poisson_one = _from_expression("one", lambda X, Y: -0.25 * (X * X + Y * Y))
     mesh = mesh_cache(3)
-    load = load_vector(mesh, poisson_one, degree=2)
+    load = load_vector(mesh, poisson_one)
     assert load.sum() == pytest.approx(1.5 * SQRT3, rel=1e-13)
 
 
@@ -408,21 +417,20 @@ def test_blocked_load_equals_one_evaluation(
     """The load from blocks of subtriangles, summed by one ``bincount``,
     is bit-identical to one call of ``f`` on every quadrature point of
     the mesh, weighted by the three-operand ``einsum`` and scattered by
-    ``np.add.at``, for the rules of degree 2, 4 and 6 and also for
-    blocks that do not divide the mesh evenly."""
+    ``np.add.at``, by the degree-4 rule, also for blocks that do not
+    divide the mesh evenly."""
     if block_points is not None:
         monkeypatch.setattr(quadrature, "BLOCK_POINTS", block_points)
     mesh = mesh_cache(level)
-    for degree in (2, 4, 6):
-        q = rule(degree)
-        pts = np.einsum("qk,tkx->tqx", q.points, mesh.node_xy[mesh.tris])
-        fvals = hex_sine.f(pts[..., 0].ravel(), pts[..., 1].ravel())
-        contrib = mesh.tri_area * np.einsum(
-            "tq,q,qk->tk", fvals.reshape(mesh.n_tris, q.n_points), q.weights, q.points
-        )
-        want = np.zeros(mesh.n_nodes)
-        np.add.at(want, mesh.tris, contrib)
-        assert np.array_equal(load_vector(mesh, hex_sine, degree), want)
+    q = rule(4)
+    pts = np.einsum("qk,tkx->tqx", q.points, mesh.node_xy[mesh.tris])
+    fvals = hex_sine.f(pts[..., 0].ravel(), pts[..., 1].ravel())
+    contrib = mesh.tri_area * np.einsum(
+        "tq,q,qk->tk", fvals.reshape(mesh.n_tris, q.n_points), q.weights, q.points
+    )
+    want = np.zeros(mesh.n_nodes)
+    np.add.at(want, mesh.tris, contrib)
+    assert np.array_equal(load_vector(mesh, hex_sine), want)
 
 
 @pytest.mark.parametrize("block_points", [None, 1000])
@@ -508,6 +516,15 @@ def test_recover_centers_is_exact_on_cubics(mesh_cache):
     # vertex values untouched
     verts = ~mesh.is_center
     assert np.array_equal(rec.values[verts], u_i.values[verts])
+
+
+def test_recover_centers_validates_the_center_load(mesh_cache, hex_sine):
+    """A load of another shape is refused, not broadcast to every centre."""
+    mesh = mesh_cache(3)
+    u_i = interpolate(hex_sine, mesh)
+    for bad in (1.0, np.ones(1), np.ones(mesh.centers.size + 1)):
+        with pytest.raises(ValueError, match="centre loads"):
+            recover_centers(u_i, bad)
 
 
 def test_recover_centers_fourth_order(solved_cache):
