@@ -14,15 +14,15 @@ module that owns the rule, :func:`~hivevem.lattice.check_level` for
 levels.
 
 The study and the export run the program's one path: the
-:data:`PROBLEM` test case, CG and the default lift scheme.  The direct
-solve and the other lift schemes are library references,
-``solver.solve(A, b, SolverConfig(method="chol"))`` and
-``lift.lift_solution(u_h, problem, grid, scheme)``.
+:data:`PROBLEM` test case, CG and the cubic lift.  The direct solve is
+a library reference, ``solver.solve(A, b, SolverConfig(method="chol"))``.
 
 hivevem itself is sequential; the BLAS thread pool is set by the BLAS
 library's own variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``)
-before the process starts.  Runs with a fixed configuration are
-bit-for-bit reproducible.
+before the process starts.  The output does not depend on it: CG sums
+its reductions without BLAS, and a run gives the same bits with one
+BLAS thread and with two, which the tests check at level 8.  So runs
+are bit-for-bit reproducible.
 """
 
 from __future__ import annotations

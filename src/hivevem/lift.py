@@ -16,37 +16,26 @@ barycentric coordinates as affine functions of the coordinates, the
 same at every level.
 
 On every patch a full bivariate cubic (10 coefficients) is fitted by
-least squares to solution data at a scheme-dependent subset of the 15
-sites.  Fits use a scaled local frame, origin at the patch centroid and
-coordinates divided by L, so design matrices stay well conditioned
-uniformly in the level.  In that frame the sites depend only on the
-patch's frame, the kind of its coarse unit triangle, which fixes the
-two lattice steps along its edges from its corner 0.  So all patches of
-one frame and site subset share one design matrix and are fitted
-together with one pseudo-inverse.  Every scheme's sites determine a
-cubic on every patch, which the tests check at every lift level; each
-fit reports its rank, smallest singular value and residual in
+least squares to solution data at the 15 sites.  Mesh vertices carry
+nodal solution values; interior hexagon centres carry the centre value
+plus ``(s**2/4) * f``, which cancels the second-order gap between a
+centre value (the mean of the six corners) and the underlying smooth
+function, so the data is fourth-order accurate.  Fits use a scaled
+local frame, origin at the patch centroid and coordinates divided by
+L, so design matrices stay well conditioned uniformly in the level.  In
+that frame the sites depend only on the patch's frame, the kind of its
+coarse unit triangle, which fixes the two lattice steps along its edges
+from its corner 0.  So there are two design matrices in all, one per
+frame, the same at every level; each has rank 10, which the tests
+check, and its pseudo-inverse is built once, at import.  The rank and
+the smallest singular value of each fit are therefore constants of the
+lattice, :data:`FRAME_SIGMA_MIN`; each fit's residual is reported in
 :class:`LiftResult`.
 
-Data schemes
-------------
-The study and the lift export fit the default, ``lattice15-corrected``.
-The others are references for the tests, reached only through the
-``scheme`` argument of :func:`lift_solution`.
-
-``lattice15-corrected`` (default)
-    All 15 sites.  Mesh vertices carry nodal solution values; interior
-    hexagon centres carry the centre value plus ``(s**2/4) * f``, which
-    cancels the second-order gap between a centre value (the mean of
-    the six corners) and the underlying smooth function.  The corrected
-    data is fourth-order accurate, and the site set always determines a
-    cubic uniquely.
-``paper11-plain`` / ``paper11-corrected``
-    The mesh vertices of the patch plus its centre-class corner, data
-    plain or corrected; the smallest site set with a provable rank.
-``oracle-center``
-    All 15 sites with exact solution values at the centres; isolates
-    the effect of the centre-data correction.
+The tests keep the reference data schemes that the program does not
+run: the ``paper11`` site set (the mesh vertices plus the centre-class
+corner), with plain or corrected centre data, and exact solution values
+at the centres.  They fit them with their own least squares.
 """
 
 from __future__ import annotations
@@ -57,15 +46,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .lattice import (
-    SQRT3, UNIT_TRIANGLES, HoneycombMesh, build_mesh, check_level, node_class,
-    position,
+    SQRT3, UNIT_TRIANGLES, HoneycombMesh, build_mesh, check_level, position,
 )
 from .problem import ManufacturedProblem
 from .quadrature import blocks, rule, sample
 from .system import FieldP1
-
-SCHEMES = ("lattice15-corrected", "paper11-plain", "paper11-corrected",
-           "oracle-center")
 
 MIN_LIFT_LEVEL = 3
 
@@ -134,6 +119,12 @@ def _frame_local(ab) -> np.ndarray:
 
 #: Design matrices at all 15 sites, one per frame: (2, 15, 10).
 _FRAME_DESIGN = monomial_basis(_frame_local(_SITE_AB))[..., 0, :]
+#: Their pseudo-inverses, ``_U[f] @ _VT[f]``, as the left singular
+#: vectors over the singular values (2, 15, 10) and the right singular
+#: vectors (2, 10, 10), and their smallest singular values (2,).
+_U, _SV, _VT = np.linalg.svd(_FRAME_DESIGN, full_matrices=False)
+_U /= _SV[:, None]
+FRAME_SIGMA_MIN = _SV[:, -1]
 
 
 @dataclass
@@ -143,10 +134,8 @@ class PatchGrid:
     The fits read ``site_nodes``, the error pass the sites of each
     subtriangle through :data:`SUB_SITES`, and point location the coarse
     ``cell_patches``; so the grid keeps no index of its subtriangles in
-    the mesh.  The program reads two facts of the lattice, which the
-    tests check at every lift level: every site is a node, and every
-    patch has exactly one centre-class corner, whose site the
-    ``paper11`` schemes add.
+    the mesh.  Every site is a node, which the tests check at every lift
+    level.
     """
 
     mesh: HoneycombMesh
@@ -154,8 +143,6 @@ class PatchGrid:
     corners_ij: np.ndarray       # (P, 3, 2) lattice coordinates
     frame: np.ndarray            # (P,) row of _FRAMES, the coarse kind
     site_nodes: np.ndarray       # (P, 15)
-    site_is_center: np.ndarray   # (P, 15) interior-centre flags
-    c0_corner_site: np.ndarray   # (P,) site id of the centre-class corner
     centroid: np.ndarray         # (P, 2)
     cell_patches: np.ndarray     # the coarse tri_table, -1 outside
 
@@ -171,7 +158,7 @@ class PatchGrid:
 # Per-patch views of the arrays, kept only for ``perfbench/worker.py``:
 # it reads ``corners_ij`` from ``grid.patches``, and the rank, sigma_min,
 # residual, values and gradients from ``result.fits``.  The library and
-# its tests use the arrays.
+# its tests use the arrays and the frame constants.
 @dataclass(frozen=True, eq=False)
 class Patch:
     """Patch ``index`` of a grid."""
@@ -189,8 +176,9 @@ class CubicFit:
     result: LiftResult = field(repr=False)
     index: int
 
-    rank = property(lambda f: int(f.result.rank[f.index]))
-    sigma_min = property(lambda f: float(f.result.sigma_min[f.index]))
+    rank = 10  # every frame's design has full rank
+    sigma_min = property(
+        lambda f: float(FRAME_SIGMA_MIN[f.result.grid.frame[f.index]]))
     residual = property(lambda f: float(f.result.residual[f.index]))
 
     def __call__(self, xy: np.ndarray) -> np.ndarray:
@@ -217,62 +205,23 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
 
     sites = corners[:, :1] + np.einsum("sa,fad->fsd", _SITE_AB, _FRAMES)[frame]
     site_nodes = mesh.index(sites[..., 0], sites[..., 1])
-    corner_sites = sites[:, _CORNER_SITES]
-    cls0 = node_class(corner_sites[..., 0], corner_sites[..., 1]) == 0
     return PatchGrid(
         mesh, 4.0 * mesh.s, corners, frame, site_nodes,
-        mesh.is_center[site_nodes],
-        _CORNER_SITES[np.argmax(cls0, axis=1)],
         np.take(mesh.node_xy, site_nodes[:, _CORNER_SITES], axis=0).mean(axis=1),
         coarse.tri_table,
     )
 
 
-def _site_mask(site_is_center, c0_corner_site, scheme: str) -> np.ndarray:
-    """Sites used by a data scheme, as a ``(P, 15)`` mask; a scheme not
-    in :data:`SCHEMES` raises ``ValueError``."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown lift scheme {scheme!r}; available: {SCHEMES}")
-    if scheme in ("lattice15-corrected", "oracle-center"):
-        return np.ones(site_is_center.shape, dtype=bool)
-    mask = ~site_is_center
-    mask[np.arange(mask.shape[0]), c0_corner_site] = True
-    return mask
-
-
-def _fit(frames, masks, data):
-    """Coefficients (n, 10), rank, smallest singular value and residual
-    norm (n,) of fits to ``data`` (n, 15) at the masked sites, with one
-    pseudo-inverse per class of equal frame and mask.  The rank cutoff
-    is that of ``lstsq``; a deficient fit is the minimum-norm one."""
-    n = len(frames)
-    coeffs, (sigma_min, residual) = np.empty((n, 10)), np.empty((2, n))
-    rank = np.empty(n, dtype=np.int64)
-    keys = frames << 15 | masks @ (1 << np.arange(15))
-    classes, inverse = np.unique(keys, return_inverse=True)
-    for c, key in enumerate(classes):
-        ids = np.flatnonzero(inverse == c)
-        sites = np.flatnonzero(masks[ids[0]])
-        design = _FRAME_DESIGN[key >> 15, sites]
-        u, sv, vt = np.linalg.svd(design, full_matrices=False)
-        keep = sv > np.finfo(float).eps * max(design.shape) * sv[0]
-        d = data[ids[:, None], sites]
-        coeffs[ids] = d @ (u[:, keep] / sv[keep]) @ vt[keep]
-        rank[ids], sigma_min[ids] = keep.sum(), sv[-1]
-        residual[ids] = np.linalg.norm(coeffs[ids] @ design.T - d, axis=1)
-    return coeffs, rank, sigma_min, residual
-
-
 @dataclass
 class LiftResult:
     """Cubic fits of one lifted solution, as arrays over the patch index:
-    ``coeffs`` (P, 10) in each patch's scaled local frame, and the rank,
-    smallest singular value and residual norm of each fit (P,)."""
+    ``coeffs`` (P, 10) in each patch's scaled local frame, and the
+    residual norm of each fit (P,).  The rank, 10, and the smallest
+    singular value, :data:`FRAME_SIGMA_MIN`, are those of the patch's
+    frame."""
 
     grid: PatchGrid
     coeffs: np.ndarray
-    rank: np.ndarray
-    sigma_min: np.ndarray
     residual: np.ndarray
 
     @cached_property
@@ -280,27 +229,31 @@ class LiftResult:
         return [CubicFit(self, p) for p in range(self.grid.n_patches)]
 
 
-def _node_data(u_h: FieldP1, problem, scheme: str) -> np.ndarray:
-    """Fit data at every node: the solution, with interior centres set to
-    exact values (oracle) or corrected by ``(s**2/4) f``."""
+def _node_data(u_h: FieldP1, problem) -> np.ndarray:
+    """Fit data at every node: the solution, with interior centres
+    corrected by ``(s**2/4) f``."""
     values = u_h.values.copy()
     centers = u_h.mesh.centers
     xy = np.take(u_h.mesh.node_xy, centers, axis=0)
-    if scheme == "oracle-center":
-        values[centers] = sample(problem.u, xy)
-    elif scheme.endswith("-corrected"):
-        values[centers] += 0.25 * u_h.mesh.s ** 2 * sample(problem.f, xy)
+    values[centers] += 0.25 * u_h.mesh.s ** 2 * sample(problem.f, xy)
     return values
 
 
-def lift_solution(u_h: FieldP1, problem: ManufacturedProblem, grid: PatchGrid,
-                  scheme: str = "lattice15-corrected") -> LiftResult:
-    """Fit the cubic lift on every patch of the grid."""
-    mask = _site_mask(grid.site_is_center, grid.c0_corner_site, scheme)
+def lift_solution(u_h: FieldP1, problem: ManufacturedProblem,
+                  grid: PatchGrid) -> LiftResult:
+    """Fit the cubic lift on every patch of the grid: the site data of
+    the patches of each frame, in ascending order, times the frame's
+    pseudo-inverse."""
     if u_h.mesh is not grid.mesh:
         raise ValueError("solution and patch grid live on different meshes")
-    values = _node_data(u_h, problem, scheme)[grid.site_nodes]
-    return LiftResult(grid, *_fit(grid.frame, mask, values))
+    data = _node_data(u_h, problem)[grid.site_nodes]
+    coeffs, residual = np.empty((grid.n_patches, 10)), np.empty(grid.n_patches)
+    for f, design in enumerate(_FRAME_DESIGN):
+        ids = np.flatnonzero(grid.frame == f)
+        d = data[ids]
+        c = coeffs[ids] = d @ _U[f] @ _VT[f]
+        residual[ids] = np.linalg.norm(c @ design.T - d, axis=1)
+    return LiftResult(grid, coeffs, residual)
 
 
 def _points(point):

@@ -176,7 +176,8 @@ def _sincos(theta):
     sin = 2t / (1 + t**2) and cos = (1 - t**2) / (1 + t**2)."""
     t = np.tan(0.5 * theta)
     t2 = t * t
-    return 2.0 * t / (1.0 + t2), (1.0 - t2) / (1.0 + t2)
+    d = 1.0 + t2
+    return 2.0 * t / d, (1.0 - t2) / d
 
 
 def sin(z):

@@ -3,10 +3,11 @@
 Two methods: conjugate gradients (``cg``, the default) and a sparse
 direct solve (``chol``, which despite its name is a SuperLU
 factorisation, ``scipy.sparse.linalg.splu``).  Both are deterministic
-for a fixed configuration.  The program solves with CG only; the
-direct solve is the library reference that CG is checked against,
-``solve(A, b, SolverConfig(method="chol"))``, and needs about 2 GB at
-level 10.
+for a fixed configuration, and CG's bits do not depend on the BLAS
+thread count either: it sums its reductions with :func:`_dot`.  The
+program solves with CG only; the direct solve is the library reference
+that CG is checked against, ``solve(A, b, SolverConfig(method="chol"))``,
+and needs about 2 GB at level 10.
 
 CG is preconditioned by a multigrid V-cycle on the nested lattice
 hierarchy, whose coarse operators are re-discretised: each level's is
@@ -43,6 +44,7 @@ is the meaningful post-condition and is what the test-suite asserts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,13 +103,20 @@ def solve(A: SparseSpd, b: np.ndarray, config: SolverConfig | None = None):
     if b.shape != (A.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({A.n},)")
 
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:  # the empty system of level 1 included
         return np.zeros(A.n), SolveStats(0, 0.0, 0.0)
 
     if config.method == "chol":
         return _solve_direct(A, b, bnorm)
     return _solve_cg(A, b, bnorm)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` summed by numpy's own loop, not by BLAS ``ddot``,
+    which splits long vectors across its threads: so CG's bits do not
+    depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _multigrid(A: SparseSpd):
@@ -183,23 +192,24 @@ def _solve_cg(A: SparseSpd, b, bnorm: float):
     r = b.copy()
     z = apply_m(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     rnorm = bnorm
     iterations = 0
     for iterations in range(1, maxit + 1):
         Ap = A @ p
-        alpha = rz / float(p @ Ap)
+        alpha = rz / _dot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(_dot(r, r))
         if rnorm <= TOL * bnorm:
             break
         z = apply_m(r)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
 
-    true_res = float(np.linalg.norm(b - A @ x)) / bnorm
+    res = b - A @ x
+    true_res = math.sqrt(_dot(res, res)) / bnorm
     if not rnorm <= TOL * bnorm:  # also when rnorm is NaN
         raise SolverError(
             f"CG did not converge in {maxit} iterations: "

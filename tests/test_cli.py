@@ -197,7 +197,7 @@ def test_export_writes_vtk(tmp_path, what):
 
 @pytest.mark.parametrize("what, sha256", [
     ("mesh", "abc79dc90bafeb979e7dd4c72ecfd1809daf96914c4e3996b37ca7d3c7bdf43f"),
-    ("lift", "e8b0b59002115227d3ad9689372774d8c33663b65f68e9bbaa3f5c714b122aeb"),
+    ("lift", "100630cb4ed1f1baff427c9288da462fdb64d4d1e6a8d3f491afea56b666a205"),
 ], ids=["mesh", "lift"])
 def test_export_bytes_are_pinned(tmp_path, what, sha256):
     """Level-3 files hash as pinned: the mesh as the unblocked writer

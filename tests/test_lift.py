@@ -3,7 +3,9 @@
 The patch tiling is checked as a partition of the subtriangles, the
 fifteen sites are recomputed here as the principal lattice of each
 patch triangle, and cubic reproduction is verified through the whole
-pipeline, including the centre-value correction.
+pipeline, including the centre-value correction.  The reference data
+schemes of ``schemes.py`` are checked here too, since the acceptance
+gates read them.
 """
 
 import dataclasses
@@ -18,11 +20,13 @@ from hypothesis import strategies as st
 
 from hivevem.lattice import HEX_DIRECTIONS, MAX_LEVEL, build_mesh, node_class, position
 from hivevem.lift import (
+    _FRAME_DESIGN,
+    _SITE_AB,
+    FRAME_SIGMA_MIN,
     MIN_LIFT_LEVEL,
     MONOMIAL_POWERS,
-    SCHEMES,
     SUB_SITES,
-    _fit,
+    _frame_local,
     _node_data,
     build_patch_grid,
     evaluate_lift,
@@ -34,6 +38,7 @@ from hivevem.lift import (
 from hivevem.problem import _from_expression, get_problem, zero
 from hivevem.quadrature import rule, sample
 from hivevem.system import FieldP1, interpolate
+from schemes import SCHEMES, node_data, patch_fit, scheme_lift, scheme_sites
 from triangles import patch_subtriangles
 
 
@@ -50,23 +55,12 @@ def cubic_problem():
     )
 
 
-def scheme_sites(grid, p, scheme):
-    """Site ids (into the 15) that a scheme fits on patch ``p``, derived
-    here from the mesh: all 15, or the mesh vertices plus the corner of
-    centre class."""
-    if scheme in ("lattice15-corrected", "oracle-center"):
-        return np.arange(15)
-    ij = grid.mesh.node_ij[grid.site_nodes[p]]
-    corner = (ij[:, None] == grid.corners_ij[p]).all(axis=-1).any(axis=1)
-    keep = ~grid.mesh.is_center[grid.site_nodes[p]]
-    keep |= corner & (node_class(ij[:, 0], ij[:, 1]) == 0)
-    return np.flatnonzero(keep)
-
-
-def zero_lift(grid, scheme):
-    """Lift of the zero field: its ranks and smallest singular values
-    are those of the design matrices, which do not depend on the data."""
-    return lift_solution(interpolate(zero(), grid.mesh), zero(), grid, scheme)
+def fitted(u_h, problem, grid, scheme):
+    """The lift under ``scheme``: the program's for its own scheme, the
+    per-patch reference for the others."""
+    if scheme == "lattice15-corrected":
+        return lift_solution(u_h, problem, grid)
+    return scheme_lift(u_h, problem, grid, scheme)[0]
 
 
 @pytest.fixture(scope="module")
@@ -126,25 +120,30 @@ def test_sites_are_the_principal_lattice(grid3):
         )
         got = sorted(tuple(np.round(xy, 12)) for xy in mesh.node_xy[grid3.site_nodes[p]])
         assert got == want
-    assert np.array_equal(grid3.site_is_center, mesh.is_center[grid3.site_nodes])
 
 
 @pytest.mark.parametrize("level", range(MIN_LIFT_LEVEL, MAX_LEVEL + 1))
 def test_patch_grid_facts_at_every_lift_level(level):
-    """Every site is a node, exactly one corner of each patch is class 0,
-    the node at its ``c0_corner_site``, and every scheme's sites
-    determine a cubic on every patch: its fits have rank 10.  From
-    level 5 on, the ``paper11`` schemes meet all of their fit classes of
-    frame and site mask."""
+    """Every site is a node, and its scaled local coordinates about the
+    patch centroid are those of its frame's design, to round-off: so
+    the two constant pseudo-inverses fit every patch.  Exactly one
+    corner of each patch is class 0, the corner that the ``paper11``
+    references add."""
     grid = build_patch_grid(build_mesh(level))
     assert np.all(grid.site_nodes >= 0)
+    local = (grid.mesh.node_xy[grid.site_nodes] - grid.centroid[:, None]) / grid.edge
+    assert np.allclose(local, _frame_local(_SITE_AB)[grid.frame], rtol=0, atol=1e-12)
     corners = grid.corners_ij
     class0 = node_class(corners[..., 0], corners[..., 1]) == 0
     assert np.all(class0.sum(axis=1) == 1)
-    c0_node = grid.site_nodes[np.arange(grid.n_patches), grid.c0_corner_site]
-    assert np.array_equal(grid.mesh.node_ij[c0_node], corners[class0])
-    for scheme in SCHEMES:
-        assert np.all(zero_lift(grid, scheme).rank == 10), scheme
+
+
+def test_frame_designs_have_full_rank():
+    """Each frame's design matrix determines a cubic at the 15 sites,
+    and its smallest singular value is the frame constant."""
+    for design, sigma_min in zip(_FRAME_DESIGN, FRAME_SIGMA_MIN):
+        assert np.linalg.matrix_rank(design) == 10
+        assert sigma_min == pytest.approx(np.linalg.svd(design)[1][-1], rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +157,8 @@ def test_site_census_by_patch(level, census, mesh_cache):
     """How many of the 15 sites are mesh vertices vs interior centres
     depends on where the patch sits relative to the honeycomb."""
     grid = build_patch_grid(mesh_cache(level))
-    c, count = np.unique(grid.site_is_center.sum(axis=1), return_counts=True)
+    is_center = grid.mesh.is_center[grid.site_nodes]
+    c, count = np.unique(is_center.sum(axis=1), return_counts=True)
     assert {(15 - int(k), int(k)): int(n) for k, n in zip(c, count)} == census
 
 
@@ -198,7 +198,7 @@ def test_fit_reproduces_cubic_site_data(grid3, scheme, patch_cubic):
     is exact under every scheme."""
     q = dataclasses.replace(cubic_problem(), f=lambda x, y: 0.0 * x)
     exact = FieldP1(grid3.mesh, sample(q.u, grid3.mesh.node_xy))
-    lifted = lift_solution(exact, q, grid3, scheme)
+    lifted = fitted(exact, q, grid3, scheme)
     assert np.all(lifted.residual <= 1e-12)
     rng = np.random.default_rng(5)
     for p in range(grid3.n_patches):
@@ -207,73 +207,59 @@ def test_fit_reproduces_cubic_site_data(grid3, scheme, patch_cubic):
         assert np.allclose(patch_cubic(lifted, p, pts)[0], want, atol=1e-11)
 
 
-def test_lift_rejects_unknown_scheme(grid3):
-    for scheme in ("not-a-scheme", "vertices-only-minnorm"):
-        with pytest.raises(ValueError):
-            zero_lift(grid3, scheme)
-
-
 def test_lattice15_fits_are_well_conditioned(mesh_cache):
     """Scaled-frame sigma_min is level-independent and comfortably
-    above the 0.01 floor."""
+    above the 0.01 floor: each patch's own design has its frame's."""
     for level in (3, 4, 5):
-        fits = zero_lift(build_patch_grid(mesh_cache(level)), "lattice15-corrected")
-        assert np.all(fits.rank == 10)
-        assert np.all(fits.sigma_min > 0.01)
-        assert np.allclose(fits.sigma_min, 0.0293, rtol=0, atol=0.02)
+        grid = build_patch_grid(mesh_cache(level))
+        _, rank, sigma_min = scheme_lift(interpolate(zero(), grid.mesh), zero(),
+                                         grid, "lattice15-corrected")
+        assert np.all(rank == 10)
+        assert np.allclose(sigma_min, FRAME_SIGMA_MIN[grid.frame], rtol=1e-12, atol=0)
+    assert np.all(FRAME_SIGMA_MIN > 0.01)
+    assert np.allclose(FRAME_SIGMA_MIN, 0.0293, rtol=0, atol=0.02)
 
 
 def test_paper11_rank_is_ten_on_level3(grid3):
     for p in range(grid3.n_patches):
         # eleven mesh vertices plus the centre-class corner
         assert scheme_sites(grid3, p, "paper11-plain").size == 12
-    assert np.all(zero_lift(grid3, "paper11-plain").rank == 10)
+    zero_field = interpolate(zero(), grid3.mesh)
+    assert np.all(scheme_lift(zero_field, zero(), grid3, "paper11-plain")[1] == 10)
 
 
 def test_deficient_fit_reports_its_rank(grid4):
     """Mesh vertices alone cannot determine a cubic on the interior
     patches of level 4, which carry ten of them: their design matrices
-    have rank 9, below the lstsq cutoff, and the fits report it."""
-    vertices = ~grid4.site_is_center
-    interior = vertices.sum(axis=1) == 10
-    assert np.count_nonzero(interior) == 6
-    _, rank, _, _ = _fit(grid4.frame, vertices, np.zeros(vertices.shape))
-    assert np.all(rank[interior] == 9)
+    have rank 9, below the lstsq cutoff."""
+    vertices = ~grid4.mesh.is_center[grid4.site_nodes]
+    interior = np.flatnonzero(vertices.sum(axis=1) == 10)
+    assert interior.size == 6
+    values = np.zeros(grid4.mesh.n_nodes)
+    for p in interior:
+        assert patch_fit(grid4, p, np.flatnonzero(vertices[p]), values)[1] == 9
 
 
-def reference_fit(u_h, problem, grid, p, scheme):
-    """Patch ``p`` fitted the direct way: site data gathered by hand and
-    ``np.linalg.lstsq`` on the patch's own design matrix, in the frame
-    of its corners' mean and the edge 4 s."""
-    mesh = u_h.mesh
-    nodes = grid.site_nodes[p, scheme_sites(grid, p, scheme)]
-    xy = mesh.node_xy[nodes]
-    data = u_h.values[nodes].copy()
-    center = mesh.is_center[nodes]
-    if scheme == "oracle-center":
-        data[center] = problem.u(xy[center, 0], xy[center, 1])
-    elif scheme.endswith("-corrected"):
-        data[center] += 0.25 * mesh.s ** 2 * problem.f(xy[center, 0], xy[center, 1])
-    X = (xy - position(grid.corners_ij[p], mesh.s).mean(axis=0)) / (4.0 * mesh.s)
-    A = np.stack([X[:, 0] ** p * X[:, 1] ** q for p, q in MONOMIAL_POWERS], 1)
-    coeffs, _, rank, sv = np.linalg.lstsq(A, data, rcond=None)
-    return coeffs, rank, sv
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["lattice15-corrected", "oracle-center"])
 def test_batched_fits_match_per_patch_lstsq(scheme, solved_cache, hex_sine):
-    """One pseudo-inverse per patch class gives each patch's lstsq fit:
-    coefficients to 1e-12, the same full rank, and the same smallest
-    singular value to 1e-12."""
+    """The two constant pseudo-inverses give each patch's lstsq fit to
+    1e-12, and the same residual to round-off: for the program's data,
+    and for exact centre values, which the program fits when the field
+    carries them and ``f`` is zero."""
     mesh, u_h, _, _ = solved_cache(4)
     grid = build_patch_grid(mesh)
-    lifted = lift_solution(u_h, hex_sine, grid, scheme)
+    values = node_data(u_h, hex_sine, scheme)
+    if scheme == "oracle-center":
+        lifted = lift_solution(FieldP1(mesh, values),
+                               dataclasses.replace(hex_sine, f=zero().f), grid)
+    else:
+        lifted = lift_solution(u_h, hex_sine, grid)
     for p in range(grid.n_patches):
-        coeffs, rank, sv = reference_fit(u_h, hex_sine, grid, p, scheme)
+        coeffs, rank, _, residual = patch_fit(grid, p, np.arange(15), values)
         got = lifted.coeffs[p]
         assert np.linalg.norm(got - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
-        assert lifted.rank[p] == rank == 10
-        assert lifted.sigma_min[p] == pytest.approx(sv[-1], rel=1e-12)
+        assert lifted.fits[p].rank == rank == 10
+        assert lifted.residual[p] == pytest.approx(residual, rel=1e-10)
 
 
 # ------------------------------------------------------- centre correction
@@ -285,7 +271,7 @@ def test_corrected_site_data_is_exact_on_cubics(grid3):
     bias exactly for cubics."""
     q = cubic_problem()
     u_i = interpolate(q, grid3.mesh)
-    data = _node_data(u_i, q, "lattice15-corrected")[grid3.site_nodes]
+    data = _node_data(u_i, q)[grid3.site_nodes]
     xy = grid3.mesh.node_xy[grid3.site_nodes]
     assert np.allclose(data, q.u(xy[..., 0], xy[..., 1]), atol=1e-13)
 
@@ -297,10 +283,7 @@ def test_lift_reproduces_global_cubics(scheme, mesh_cache):
     q = cubic_problem()
     mesh = mesh_cache(4)
     grid = build_patch_grid(mesh)
-    u_i = interpolate(q, mesh)
-    if scheme == "oracle-center":
-        u_i = interpolate(q, mesh)  # centre values are replaced anyway
-    lifted = lift_solution(u_i, q, grid, scheme)
+    lifted = fitted(interpolate(q, mesh), q, grid, scheme)
     rng = np.random.default_rng(9)
     pts = 0.4 * rng.normal(size=(50, 2))
     pts = pts[np.abs(pts).max(axis=1) < 0.4]
@@ -316,8 +299,7 @@ def test_plain_centre_data_breaks_cubic_reproduction(mesh_cache):
     q = cubic_problem()
     mesh = mesh_cache(4)
     grid = build_patch_grid(mesh)
-    u_i = interpolate(q, mesh)
-    lifted = lift_solution(u_i, q, grid, "paper11-plain")
+    lifted = scheme_lift(interpolate(q, mesh), q, grid, "paper11-plain")[0]
     worst = 0.0
     for x, y in [(0.05, 0.02), (-0.3, 0.1), (0.2, -0.25)]:
         val, _ = evaluate_lift(lifted, (x, y))
@@ -340,7 +322,7 @@ def test_batched_lift_reproduces_random_cubics(scheme, coeffs):
 
     q = _from_expression("random-cubic", expr)
     grid = grid_at(4)
-    lifted = lift_solution(interpolate(q, grid.mesh), q, grid, scheme)
+    lifted = fitted(interpolate(q, grid.mesh), q, grid, scheme)
     xy = grid.mesh.node_xy
     values, grads = evaluate_lift(lifted, xy)
     _, gx, gy = q.grad_u(xy[:, 0], xy[:, 1])

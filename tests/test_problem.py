@@ -185,11 +185,12 @@ CLOSED_FORMS = [
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("expr, value, first, second", CLOSED_FORMS)
-def test_jet_exp_reciprocal_and_powers(expr, value, first, second, order):
-    """exp, sin through the reciprocal of a constant divisor, and integer
-    powers against closed forms, at both orders; order 1 carries no
-    second-order parts."""
+@pytest.mark.parametrize("expr, value, first, second", CLOSED_FORMS,
+                         ids=["exp_half_x_minus_y", "half_sin_xy", "x3_y2"])
+def test_jet_exp_sin_and_powers(expr, value, first, second, order):
+    """exp, sin over a constant divisor, and integer powers against
+    closed forms, at both orders; order 1 carries no second-order
+    parts."""
     j = expr(*Jet.variables(EX, EY, order))
     assert j.value == pytest.approx(value, rel=1e-14)
     assert j.first == pytest.approx(first, rel=1e-14)

@@ -197,6 +197,40 @@ def test_superlu_is_imported_only_by_chol():
     assert run.returncode == 0, run.stderr
 
 
+BLAS_THREADS_CHECK = """
+import hashlib
+from hivevem import lift, solver, system
+from hivevem.lattice import build_mesh
+from hivevem.problem import get_problem
+
+problem, mesh = get_problem("hex-sine"), build_mesh(8)
+A, b, _ = system.assemble(mesh, problem)
+x, _ = solver.solve(A, b)
+u_h = system.expand(x, mesh)
+coeffs = lift.lift_solution(u_h, problem, lift.build_patch_grid(mesh)).coeffs
+print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (x, coeffs)))
+"""
+
+
+def test_bits_do_not_depend_on_the_blas_thread_count():
+    """The level-8 CG solution and its lift have the same bits with one
+    BLAS thread and with two.  OpenBLAS splits a long ``ddot`` across its
+    threads, so CG's reductions by ``@`` read other last bits at level 8
+    (32 514 unknowns) with two threads.  The thread count is fixed when
+    numpy loads, so each count runs in a fresh interpreter.  On a
+    one-core machine OpenBLAS runs one thread either way, and this test
+    proves nothing there."""
+    src = str(Path(hivevem.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, "-c", BLAS_THREADS_CHECK],
+                           env=dict(env, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t),
+                           capture_output=True, text=True)
+            for t in ("1", "2")]
+    assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_cg_refuses_a_matrix_without_a_mesh(monkeypatch):
     """CG's V-cycle needs the lattice hierarchy, so a matrix without a
     mesh is refused before any hierarchy is built, with a message that

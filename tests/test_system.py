@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from hivevem.lattice import build_mesh
-from hivevem.problem import _from_expression, get_problem, hex_sine
+from hivevem.problem import ManufacturedProblem, _from_expression, get_problem, hex_sine
 from hivevem import quadrature
 from hivevem import system
 from hivevem.quadrature import rule
@@ -481,6 +481,59 @@ def test_galerkin_residual(solved_cache):
     r = b - A @ u_h.values[mesh.free]
     assert np.max(np.abs(r)) <= 1e-13 * max(np.max(np.abs(b)), 1.0)
     assert constraint_gap(u_h) <= 1e-14
+
+
+def polynomial_problem(terms):
+    """u = sum of c x**a y**b over ``terms`` {(a, b): c}, and
+    f = -laplace(u), both in closed form."""
+
+    def u(x, y):
+        return sum(c * x ** p * y ** q for (p, q), c in terms.items())
+
+    def f(x, y):
+        return -sum(c * (p * (p - 1) * x ** max(p - 2, 0) * y ** q
+                         + q * (q - 1) * x ** p * y ** max(q - 2, 0))
+                    for (p, q), c in terms.items())
+
+    return ManufacturedProblem(name="polynomial", u=u, grad_u=None, f=f)
+
+
+#: Re z**6 = x**6 - 15 x**4 y**2 + 15 x**2 y**4 - y**6, harmonic.
+RE_Z6 = {(6, 0): 1.0, (4, 2): -15.0, (2, 4): 15.0, (0, 6): -1.0}
+
+
+def truncation(level, problem):
+    """The truncation error A Iu - b on the free rows at least three
+    lattice steps inside, which see no boundary node (A's rows reach two
+    steps), and the scale |A| |Iu| + |b| of each such row."""
+    mesh = build_mesh(level)
+    A, b, _ = assemble(mesh, problem)
+    x, y = mesh.node_xy[mesh.free].T
+    Iu = problem.u(x, y)
+    i, j = mesh.node_ij[mesh.free].T
+    inner = np.maximum(np.maximum(abs(i), abs(j)), abs(i + j)) <= mesh.n - 3
+    scale = abs(A.to_csr()) @ abs(Iu) + abs(b)
+    return (A @ Iu - b)[inner], scale[inner]
+
+
+def test_interior_equations_are_exact_for_quintics():
+    """The superconvergence mechanism, with no solve: on the inner rows
+    at levels 3-6, the discrete equations hold for every monomial of
+    degree up to five to round-off, ``|tau| <= 16 eps (|A| |Iu| + |b|)``
+    (1.92 eps measured).  The degree-4 load rule integrates ``f phi``
+    exactly for these ``u``, so this measures the operator.  Degree 6 is
+    the first that is not exact: for the harmonic ``Re z**6`` the largest
+    ``|tau|`` falls by 64.0 per level, a pure ``h**6`` term."""
+    eps = np.finfo(float).eps
+    worst = []
+    for level in (3, 4, 5, 6):
+        for a in range(6):
+            for b in range(6 - a):
+                tau, scale = truncation(level, polynomial_problem({(a, b): 1.0}))
+                assert tau.size and np.all(np.abs(tau) <= 16 * eps * scale), (level, a, b)
+        worst.append(np.max(np.abs(truncation(level, polynomial_problem(RE_Z6))[0])))
+    ratios = np.array(worst[:-1]) / worst[1:]
+    assert np.all((63.0 <= ratios) & (ratios <= 65.0)), ratios
 
 
 # ---------------------------------------------------------- interpolation

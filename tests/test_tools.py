@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from hivevem import lift
-
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -20,18 +18,16 @@ def _load(name):
 
 
 def test_fingerprint_prints_every_label(capsys):
-    """Levels 1 to 3 give seven hashes each, four per lift scheme from
-    level 3, the study's two and one per export kind at level 3."""
+    """Levels 1 to 3 give seven hashes each, the lift's two from level
+    3, the study's two and one per export kind at level 3."""
     assert _load("fingerprint").main(["1", "2", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     base = ["mesh", "A", "hierarchy", "b", "center_load", "x", "recovered"]
-    schemes = [f"{s} {name}" for s in lift.SCHEMES
-               for name in ("coeffs", "rank", "sigma_min", "residual")]
     want = ([f"level  {lv}  {label}" for lv in (1, 2) for label in base]
-            + [f"level  3  {label}" for label in base + schemes]
+            + [f"level  3  {label}" for label in base + ["lift coeffs", "lift residual"]]
             + ["study 1..3  csv", "study 1..3  values"]
             + [f"export 3  {what}" for what in ("mesh", "solution", "lift")])
-    assert len(lines) == len(want) == 42
+    assert len(lines) == len(want) == 28
     for line, label in zip(lines, want):
         head, digest = line.rsplit(" ", 1)
         assert " ".join(head.split()) == " ".join(label.split())
@@ -44,7 +40,7 @@ def test_study_fingerprint_is_pinned():
     a number on purpose re-pins these and says why."""
     assert dict(_load("fingerprint").study_hashes(5)) == {
         "csv": "91e4e5752191f734544ae00582173e21fb71388c9c7130c5be656724bdbcf96c",
-        "values": "748c3ef913d81342a054879e3d0b5852a2682dc12cfed3c2dfb4311b6a768c33",
+        "values": "687c8dbef9ce63be073cb71d7c1a9420deebcde65f57292f51047b1421c4d05b",
     }
 
 
