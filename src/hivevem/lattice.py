@@ -175,16 +175,14 @@ class HoneycombMesh:
         ``(i,j+1),(i+1,j),(i+1,j+1)``.  The table spans the cells
         ``-n <= i, j < n`` and a ring of -1 around them, with -1 for
         every triangle outside the closed hexagon.
-        Built on first read from the order in which :func:`build_mesh`
-        emits ``tris``."""
-        # ``tris`` holds the kind-0 triangles, then the kind-1 ones, each
-        # row-major over the cells; counting them in that order numbers them.
-        width = self._lookup.shape[1]
-        _, cells = _unit_triangles(self._lookup.ravel() >= 0, width)
-        table = np.full((width * width, 2), -1)
-        table[cells[0], 0] = np.arange(cells[0].size)
-        table[cells[1], 1] = np.arange(cells[0].size, cells[0].size + cells[1].size)
-        return table.reshape(width, width, 2)[:-1, :-1].copy()
+        Built on first read from the vertices of ``tris``."""
+        # Vertex 1 of the kind-k triangle in cell (i, j) is (i + 1, j),
+        # and vertex 0 is (i, j + k).
+        v0, v1 = (np.take(self.node_ij, self.tris[:, c], axis=0) for c in (0, 1))
+        n = self.n
+        table = np.full((2 * n + 2, 2 * n + 2, 2), -1)
+        table[v1[:, 0] + n, v1[:, 1] + n + 1, v0[:, 1] - v1[:, 1]] = np.arange(len(v1))
+        return table
 
     @cached_property
     def center_corners(self) -> np.ndarray:
@@ -201,20 +199,6 @@ class HoneycombMesh:
     def tri_area(self) -> float:
         """Common area of the equilateral subtriangles."""
         return 0.25 * SQRT3 * self.s * self.s
-
-
-def _unit_triangles(inside: np.ndarray, width: int):
-    """Flat offsets of the vertices of the unit triangles of kind 0 and
-    kind 1 from their cell, (2, 3) in :data:`UNIT_TRIANGLES` order, into
-    a node table of the given width, and the offsets of the cells whose
-    triangle of each kind has all three vertices ``inside``, a flat node
-    mask of the table, ascending.  The table's ring lies outside, so a
-    triangle that wraps round a row or leaves the table is not inside.
-    """
-    steps = UNIT_TRIANGLES @ (width, 1)
-    span = inside.size - width - 1
-    return steps, [np.flatnonzero(np.logical_and.reduce([inside[o:o + span] for o in off]))
-                   for off in steps]
 
 
 def check_level(level, lowest: int = 1) -> None:
@@ -262,8 +246,13 @@ def build_mesh(level: int) -> HoneycombMesh:
 
     # The unit triangles of kind 0, then those of kind 1, row-major over
     # the cells, with their vertices in ``UNIT_TRIANGLES`` order: at a
-    # cell's flat offset plus ``steps``.
-    steps, cells = _unit_triangles(inside, width)
+    # cell's flat offset plus ``steps``.  A triangle is kept when its
+    # three vertices are inside; the table's ring lies outside, so one
+    # that wraps round a row or leaves the table is not.
+    steps = UNIT_TRIANGLES @ (width, 1)
+    span = inside.size - width - 1
+    cells = [np.flatnonzero(np.logical_and.reduce([inside[o:o + span] for o in off]))
+             for off in steps]
     tris = np.stack([lookup[np.concatenate([c + o for c, o in zip(cells, off)])]
                      for off in steps.T], axis=1)
 

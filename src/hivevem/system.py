@@ -79,7 +79,8 @@ class SparseSpd:
     the tests rather than re-proved here.
 
     ``mesh`` is the lattice whose free nodes ``mesh.free`` index the rows
-    when the matrix comes from :func:`assemble`, else ``None``; the
+    when the matrix comes from :func:`assemble`, else ``None``; a mesh
+    with another number of free nodes raises ``ValueError``.  The
     multigrid preconditioner builds its coarse levels below it, so a
     matrix without a mesh is solved with ``method='chol'`` only.  Those
     come from :func:`operator` as the fine matrix does and are not
@@ -94,6 +95,8 @@ class SparseSpd:
         csr = sp.csr_matrix(matrix)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got {csr.shape}")
+        if mesh is not None and mesh.free.size != csr.shape[0]:
+            raise ValueError(f"{csr.shape[0]} rows for {mesh.free.size} free nodes")
         # Canonical form: summing duplicates sorts the indices first.
         csr.sum_duplicates()
         if csr.nnz:
@@ -355,8 +358,7 @@ def expand(x: np.ndarray, mesh: HoneycombMesh) -> FieldP1:
         raise ValueError(f"expected {mesh.free.size} dof values, got {x.shape}")
     values = np.zeros(mesh.n_nodes)
     values[mesh.free] = x
-    values[mesh.centers] = values[mesh.center_corners].mean(axis=1)
-    return FieldP1(mesh=mesh, values=values)
+    return _with_centers(mesh, values)
 
 
 def recover_centers(u_h: FieldP1, center_load: np.ndarray) -> FieldP1:
@@ -382,12 +384,7 @@ def recover_centers(u_h: FieldP1, center_load: np.ndarray) -> FieldP1:
     if np.shape(center_load) != mesh.centers.shape:
         raise ValueError(f"expected {mesh.centers.size} centre loads, "
                          f"got {np.shape(center_load)}")
-    values = u_h.values.copy()
-    values[mesh.centers] = (
-        values[mesh.center_corners].mean(axis=1)
-        + center_load / (2.0 * np.sqrt(3.0))
-    )
-    return FieldP1(mesh=mesh, values=values)
+    return _with_centers(mesh, u_h.values.copy(), center_load / (2.0 * np.sqrt(3.0)))
 
 
 def interpolate(problem: ManufacturedProblem, mesh: HoneycombMesh) -> FieldP1:
@@ -397,6 +394,14 @@ def interpolate(problem: ManufacturedProblem, mesh: HoneycombMesh) -> FieldP1:
     values = np.zeros(mesh.n_nodes)
     nh = mesh.nh_nodes
     values[nh] = sample(problem.u, np.take(mesh.node_xy, nh, axis=0))
-    values[mesh.centers] = values[mesh.center_corners].mean(axis=1)
+    return _with_centers(mesh, values)
+
+
+def _with_centers(mesh: HoneycombMesh, values: np.ndarray, offset=None) -> FieldP1:
+    """The field of ``values`` with each centre set, in place, to the
+    mean of its six corners, plus ``offset`` when one is given.  With
+    none, nothing is added: ``x + 0.0`` would turn -0.0 into +0.0."""
+    mean = values[mesh.center_corners].mean(axis=1)
+    values[mesh.centers] = mean if offset is None else mean + offset
     return FieldP1(mesh=mesh, values=values)
 

@@ -289,13 +289,15 @@ def test_neighbours_are_the_index_of_every_unit_step(level, mesh_cache):
     assert np.count_nonzero(got < 0) > 0
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("level", range(1, MAX_LEVEL - 1))
 def test_tri_index_inverts_tris_and_is_minus_one_outside(level):
     """``tri_table`` maps every subtriangle back from its cell, the
     vertex-wise minimum, and kind, 1 when the cell corner (i+1, j+1)
     is a vertex; a unit triangle of the table's cells has an index
     exactly when its three vertices are nodes, so the ring of cells
-    around the hexagon's is -1.  The table is built on first read only."""
+    around the hexagon's is -1.  The table is built on first read only.
+    The levels are those at which the lift's patch grid reads it, the
+    coarse levels up to ``MAX_LEVEL - 2``."""
     mesh = build_mesh(level)
     assert "tri_table" not in vars(mesh)
     table = mesh.tri_table

@@ -80,6 +80,15 @@ def test_cg_with_a_nan_residual_raises(mesh_cache, hex_sine, monkeypatch):
         solve(A, b, SolverConfig(method="cg"))
 
 
+@pytest.mark.parametrize("rows", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]]])
+def test_direct_solve_of_a_singular_matrix_raises(rows):
+    """SuperLU's own error for an exactly singular factor comes out as
+    the :class:`SolverError` that ``solve`` promises."""
+    A = SparseSpd(sp.csr_matrix(np.array(rows)))
+    with pytest.raises(SolverError, match="singular"):
+        solve(A, np.ones(2), SolverConfig(method="chol"))
+
+
 def test_zero_rhs_short_circuits():
     A = random_spd(5)
     x, stats = solve(A, np.zeros(5), SolverConfig(method="cg"))

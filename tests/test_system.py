@@ -355,6 +355,14 @@ def test_sparsespd_judges_an_asymmetric_pattern_by_value():
     assert SparseSpd(zero_stored).data.size == 3
 
 
+def test_sparsespd_rejects_a_mesh_of_another_size(mesh_cache, hex_sine):
+    """The free nodes of the mesh index the rows, so a matrix of level 5
+    with the level-6 mesh is refused at once, not in the V-cycle."""
+    A, _, _ = assemble(mesh_cache(5), hex_sine)
+    with pytest.raises(ValueError, match="480 rows for 1986 free nodes"):
+        SparseSpd(A.to_csr(), mesh_cache(6))
+
+
 @pytest.mark.parametrize("rows", [[[2.0, np.nan], [1.0, 2.0]],
                                   [[np.inf, 0.0], [0.0, 2.0]]])
 def test_sparsespd_rejects_non_finite_entries(rows):

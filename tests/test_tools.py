@@ -18,16 +18,16 @@ def _load(name):
 
 
 def test_fingerprint_prints_every_label(capsys):
-    """Levels 1 to 3 give seven hashes each, the lift's two from level
+    """Levels 1 to 3 give eight hashes each, the lift's two from level
     3, the study's two and one per export kind at level 3."""
     assert _load("fingerprint").main(["1", "2", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    base = ["mesh", "A", "hierarchy", "b", "center_load", "x", "recovered"]
+    base = ["mesh", "tri_table", "A", "hierarchy", "b", "center_load", "x", "recovered"]
     want = ([f"level  {lv}  {label}" for lv in (1, 2) for label in base]
             + [f"level  3  {label}" for label in base + ["lift coeffs", "lift residual"]]
             + ["study 1..3  csv", "study 1..3  values"]
             + [f"export 3  {what}" for what in ("mesh", "solution", "lift")])
-    assert len(lines) == len(want) == 28
+    assert len(lines) == len(want) == 31
     for line, label in zip(lines, want):
         head, digest = line.rsplit(" ", 1)
         assert " ".join(head.split()) == " ".join(label.split())

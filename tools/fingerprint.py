@@ -1,7 +1,8 @@
 """Print SHA-256 fingerprints of the pipeline's arrays, level by level.
 
 For every level given it hashes the mesh (``node_ij``, ``tris``,
-``centers``, ``free``, ``center_corners``), the condensed matrix A
+``centers``, ``free``, ``center_corners``), its ``tri_table``, which
+the lift's patch grid reads at the coarse level, the condensed matrix A
 (``data``, ``indices``, ``indptr``), the multigrid hierarchy of
 ``solver._hierarchy`` (every level's operator and transfer, and the
 coarsest operator, each as ``data``, ``indices``, ``indptr``), the load
@@ -64,6 +65,7 @@ def level_hashes(level: int, problem) -> list[tuple[str, str]]:
     out = [
         ("mesh", digest(mesh.node_ij, mesh.tris, mesh.centers, mesh.free,
                         mesh.center_corners)),
+        ("tri_table", digest(mesh.tri_table)),
         ("A", digest(csr.data, csr.indices, csr.indptr)),
         ("hierarchy", digest(*(getattr(m, name) for m in hierarchy
                                for name in ("data", "indices", "indptr")))),
