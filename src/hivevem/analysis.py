@@ -28,7 +28,7 @@ from dataclasses import MISSING, field, make_dataclass
 
 import numpy as np
 
-from .lattice import SQRT3, HoneycombMesh
+from .lattice import SQRT3
 from .lift import SUB_SITES, LiftResult, patch_quadrature
 from .problem import ManufacturedProblem
 from .quadrature import rule
@@ -42,20 +42,6 @@ class MeshMismatchError(ValueError):
     """Fields compared across different meshes."""
 
 
-def _nodal_l2(mesh: HoneycombMesh, nodal: np.ndarray) -> float:
-    q = rule(2)
-    vals = nodal[mesh.tris] @ q.points.T          # (T, nq)
-    return math.sqrt(mesh.tri_area * float(np.einsum("tq,q->", vals ** 2, q.weights)))
-
-
-def _nodal_h1(mesh: HoneycombMesh, nodal: np.ndarray) -> float:
-    # On an equilateral triangle of any size, the integral of |grad v|^2
-    # is the sum of the squared edge differences over 2 sqrt(3).
-    v = nodal[mesh.tris]
-    d = v[:, [1, 2, 0]] - v
-    return math.sqrt(float(np.sum(d * d)) / (2.0 * SQRT3))
-
-
 def norms_superclose(u_h: FieldP1, u_i: FieldP1) -> tuple[float, float, float]:
     """L2, H1-seminorm and vertex max norm of ``u_i - u_h``; the L2 norm
     takes the degree-2 rule, exact for the piecewise-quadratic integrand."""
@@ -63,8 +49,14 @@ def norms_superclose(u_h: FieldP1, u_i: FieldP1) -> tuple[float, float, float]:
         raise MeshMismatchError("superclose norms need fields on one mesh")
     mesh = u_h.mesh
     diff = u_i.values - u_h.values
-    l2 = _nodal_l2(mesh, diff)
-    h1 = _nodal_h1(mesh, diff)
+    v = diff[mesh.tris]                           # (T, 3)
+    q = rule(2)
+    vals = v @ q.points.T                         # (T, nq)
+    l2 = math.sqrt(mesh.tri_area * float(np.einsum("tq,q->", vals ** 2, q.weights)))
+    # On an equilateral triangle of any size, the integral of |grad v|^2
+    # is the sum of the squared edge differences over 2 sqrt(3).
+    d = v[:, [1, 2, 0]] - v
+    h1 = math.sqrt(float(np.sum(d * d)) / (2.0 * SQRT3))
     linf = float(np.max(np.abs(diff[mesh.nh_nodes])))
     return l2, h1, linf
 

@@ -185,16 +185,12 @@ def export(level: int, what: str, path) -> None:
     exact = quadrature.sample(problem.u, mesh.node_xy)
     if what == "solution":
         # The centres as the study measures them (see recover_centers).
-        values = system.recover_centers(u_h, center_load).values
-        data = {"u_h": values, "error": exact - values}
-        title = f"{PROBLEM} solution, level {level}"
+        name, values = "u_h", system.recover_centers(u_h, center_load).values
     else:
         grid = lift.build_patch_grid(mesh)
-        lifted = lift.lift_solution(u_h, problem, grid)
-        values = _lift_at_nodes(lifted)
-        data = {"u_lift": values, "error": exact - values}
-        title = f"{PROBLEM} lift, level {level}"
-    vtkio.write_vtk(mesh, path, point_data=data, title=title)
+        name, values = "u_lift", _lift_at_nodes(lift.lift_solution(u_h, problem, grid))
+    vtkio.write_vtk(mesh, path, point_data={name: values, "error": exact - values},
+                    title=f"{PROBLEM} {what}, level {level}")
 
 
 def _lift_at_nodes(lifted: lift.LiftResult) -> np.ndarray:

@@ -216,8 +216,9 @@ def build_mesh(level: int) -> HoneycombMesh:
     Parameters
     ----------
     level : int
-        Between 1 and ``MAX_LEVEL``.  Level 1 is the single hexagon
-        that coincides with the domain.
+        Between 1 and ``MAX_LEVEL``, a Python or numpy integer; the mesh
+        stores it, and computes with it, as a Python ``int``.  Level 1
+        is the single hexagon that coincides with the domain.
 
     Raises
     ------
@@ -225,7 +226,8 @@ def build_mesh(level: int) -> HoneycombMesh:
         If :func:`check_level` refuses the level.
     """
     check_level(level)
-
+    # A numpy integer would compute n and the table in its own dtype.
+    level = int(level)
     n = 2 ** (level - 1)
     s = 1.0 / n
     # The node table spans |i|, |j| <= n + 1: the nodes and a ring of -1.

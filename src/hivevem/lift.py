@@ -30,7 +30,10 @@ frame, the same at every level; each has rank 10, which the tests
 check, and its pseudo-inverse is built once, at import.  The rank and
 the smallest singular value of each fit are therefore constants of the
 lattice, :data:`FRAME_SIGMA_MIN`; each fit's residual is reported in
-:class:`LiftResult`.
+:class:`LiftResult`.  For the same reason the degree-6 rule on a
+patch's 16 subtriangles, its points in the frame and the monomials at
+them, is tabulated once per frame at import; :func:`patch_quadrature`
+hands it to the error norms.
 
 The tests keep the reference data schemes that the program does not
 run: the ``paper11`` site set (the mesh vertices plus the centre-class
@@ -41,7 +44,7 @@ at the centres.  They fit them with their own least squares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +128,15 @@ _FRAME_DESIGN = monomial_basis(_frame_local(_SITE_AB))[..., 0, :]
 _U, _SV, _VT = np.linalg.svd(_FRAME_DESIGN, full_matrices=False)
 _U /= _SV[:, None]
 FRAME_SIGMA_MIN = _SV[:, -1]
+
+#: Scaled local coordinates (2, 16 nq, 2) of the points of the degree-6
+#: rule on the 16 subtriangles of a patch, per frame, and their
+#: :func:`monomial_basis` (2, 16 nq, 3, 10), read-only.
+_PATCH_LOCAL = np.einsum("qk,ftkx->ftqx", rule(6).points,
+                         _frame_local(_SUB_AB)).reshape(len(_FRAMES), -1, 2)
+_PATCH_BASIS = monomial_basis(_PATCH_LOCAL)
+_PATCH_LOCAL.setflags(write=False)
+_PATCH_BASIS.setflags(write=False)
 
 
 @dataclass
@@ -322,19 +334,6 @@ def evaluate_lift(result: LiftResult, point):
     return values, grads
 
 
-@lru_cache(maxsize=None)
-def _patch_rule():
-    """Scaled local coordinates (2, 16 nq, 2) of the points of the
-    degree-6 rule on the 16 subtriangles of a patch, per frame, and
-    their :func:`monomial_basis` (2, 16 nq, 3, 10), read-only."""
-    local = np.einsum("qk,ftkx->ftqx", rule(6).points, _frame_local(_SUB_AB))
-    local = local.reshape(len(_FRAMES), -1, 2)
-    basis = monomial_basis(local)
-    local.setflags(write=False)
-    basis.setflags(write=False)
-    return local, basis
-
-
 def patch_quadrature(grid: PatchGrid):
     """Points of the degree-6 rule on the 16 subtriangles of every patch.
 
@@ -342,14 +341,14 @@ def patch_quadrature(grid: PatchGrid):
     carry at most :data:`~hivevem.quadrature.BLOCK_POINTS` points
     together: the coordinates ``xy`` (2, n, 16 nq) of their points,
     subtriangle major, and the :func:`monomial_basis` (16 nq, 3, 10) at
-    the scaled local coordinates they share, computed once.  On
-    subtriangle ``t`` the rule's barycentric coordinates refer to the
-    sites ``SUB_SITES[t]``, in order.  The blocks bound the memory of
-    problem evaluations at fine levels.
+    the scaled local coordinates they share: the frame's read-only table,
+    built at import and the same for every grid.  On subtriangle ``t``
+    the rule's barycentric coordinates refer to the sites
+    ``SUB_SITES[t]``, in order.  The blocks bound the memory of problem
+    evaluations at fine levels.
     """
-    local, basis = _patch_rule()
-    for f, frame_local in enumerate(local):
+    for f, frame_local in enumerate(_PATCH_LOCAL):
         offsets = np.ascontiguousarray(grid.edge * frame_local.T[:, None])
         members = np.flatnonzero(grid.frame == f)
         for ids in blocks(members, frame_local.shape[0]):
-            yield ids, grid.centroid[ids].T[..., None] + offsets, basis[f]
+            yield ids, grid.centroid[ids].T[..., None] + offsets, _PATCH_BASIS[f]

@@ -70,10 +70,11 @@ class SparseSpd:
     """Symmetric positive definite matrix in compressed-row storage.
 
     Thin wrapper over a scipy CSR matrix that fixes the contract:
-    square, finite, column indices sorted within each row, and
-    numerically symmetric.  A CSR matrix, such as the product of
-    :func:`operator`, is taken without a copy and put in canonical form
-    in place.
+    real, square, finite, column indices sorted within each row, and
+    numerically symmetric; a complex matrix, Hermitian or not, is
+    refused before anything else is checked.  A CSR matrix, such as the
+    product of :func:`operator`, is taken without a copy and put in
+    canonical form in place.
     Positive definiteness follows from the construction (congruence of
     the P1 stiffness with a full-rank prolongation) and is exercised by
     the tests rather than re-proved here.
@@ -93,6 +94,8 @@ class SparseSpd:
         self, matrix: sp.spmatrix, mesh: HoneycombMesh | None = None
     ):
         csr = sp.csr_matrix(matrix)
+        if csr.dtype.kind == "c":
+            raise ValueError(f"matrix must be real, got dtype {csr.dtype}")
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got {csr.shape}")
         if mesh is not None and mesh.free.size != csr.shape[0]:
@@ -384,7 +387,7 @@ def recover_centers(u_h: FieldP1, center_load: np.ndarray) -> FieldP1:
     if np.shape(center_load) != mesh.centers.shape:
         raise ValueError(f"expected {mesh.centers.size} centre loads, "
                          f"got {np.shape(center_load)}")
-    return _with_centers(mesh, u_h.values.copy(), center_load / (2.0 * np.sqrt(3.0)))
+    return _with_centers(mesh, u_h.values.copy(), center_load / (2.0 * SQRT3))
 
 
 def interpolate(problem: ManufacturedProblem, mesh: HoneycombMesh) -> FieldP1:

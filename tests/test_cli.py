@@ -390,16 +390,54 @@ def test_parser_errors_exit_1(argv, capsys):
     assert "usage: hivevem" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_commands_parse():
     """Every ``hivevem`` line of the README's ``sh`` blocks is accepted by
     the real parser, which runs nothing: a stale example fails here."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     commands = [shlex.split(line)[1:]
                 for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
                 for line in block.splitlines() if line.startswith("hivevem ")]
     assert len(commands) >= 3
     for argv in commands:
         assert cli._build_parser().parse_args(argv).command == argv[0]
+
+
+def test_readme_library_block_runs():
+    """The README's ``python`` block runs as written, at level 5: its
+    imports name the modules that define each function, and its CG and
+    direct solves agree."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    names = {}
+    exec(compile(block, str(README), "exec"), names)
+    assert np.max(np.abs(names["x_direct"] - names["x"])) <= 1e-10
+    assert np.isfinite([names["e_lift_l2"], names["value"], *names["grad"]]).all()
+
+
+def test_readme_typical_numbers_match_a_study():
+    """README's "Typical numbers" are those of a level-1..7 study with the
+    lift, at the precision the README prints: level 7's superclose norms
+    and orders, level 5's true L2 error, and the integer orders."""
+    text = " ".join(README.read_text().split())
+    m = re.search(r"at order 4 \(level 7: (\S+) / (\S+) / (\S+) with orders "
+                  r"(\S+)/(\S+)/(\S+)\), the true L² error at order (\d) \(level 5: "
+                  r"(\S+)\), and the lifted solution at orders (\d) \(L²\) and (\d) "
+                  r"\(broken H¹\)", text)
+    assert m is not None
+    rows = run_study(StudyConfig(min_level=1, max_level=7, lift_enabled=True))
+    quoted = dict(zip(
+        [(7, "e_ih_l2"), (7, "e_ih_h1"), (7, "e_ih_linf"), (7, "r_ih_l2"),
+         (7, "r_ih_h1"), (7, "r_ih_linf"), (5, "r_l2"), (5, "e_l2"),
+         (7, "r_lift_l2"), (7, "r_lift_h1h")],
+        m.groups()))
+    for (level, name), figure in quoted.items():
+        value = getattr(rows[level - 1], name)
+        mantissa = figure.split("e")[0]
+        digits = len(mantissa.split(".")[1]) if "." in mantissa else 0
+        spec = f".{digits}{'e' if 'e' in figure else 'f'}"
+        assert float(format(value, spec)) == float(figure), (level, name, value)
 
 
 def test_writable_check_leaves_the_path_as_it_was(tmp_path):

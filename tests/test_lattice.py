@@ -5,6 +5,7 @@ n = 2**(level-1) rather than read off the mesh, and the boundary test
 uses the hexagon support function instead of lattice arithmetic.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -338,6 +339,23 @@ def test_level_validation():
 def test_levels_that_are_not_integers_are_rejected(level):
     with pytest.raises(ValueError, match="level must be an integer"):
         build_mesh(level)
+
+
+@pytest.mark.parametrize("dtype", sorted(
+    {np.dtype(c) for c in np.typecodes["AllInteger"]}, key=lambda d: d.str), ids=str)
+def test_numpy_integer_levels_build_the_python_level_mesh(dtype, mesh_cache):
+    """``check_level`` accepts any numpy integer, and the mesh is built in
+    Python integers: equal in every array, ``tri_table`` and
+    ``center_corners`` included, with ``level`` a Python ``int``.  In
+    the level's own dtype, ``uint8(3)`` gave an empty mesh and
+    ``int16(9)`` an ``IndexError``."""
+    for level in range(1, 9):
+        want, got = mesh_cache(level), build_mesh(dtype.type(level))
+        assert type(got.level) is int and got.level == level
+        for name in [f.name for f in dataclasses.fields(want)
+                     ] + ["tri_table", "center_corners"]:
+            a, b = np.asarray(getattr(want, name)), np.asarray(getattr(got, name))
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_interior_center_neighbourhood(mesh_cache):

@@ -372,6 +372,15 @@ def test_sparsespd_rejects_non_finite_entries(rows):
         SparseSpd(sp.csr_matrix(np.array(rows)))
 
 
+@pytest.mark.parametrize("rows", [[[2, 1j], [1j, 2]], [[2, 1j], [-1j, 2]]])
+def test_sparsespd_rejects_a_complex_matrix(rows):
+    """The complex symmetric matrix would be solved in complex
+    arithmetic, and the Hermitian one refused as not symmetric only
+    after a ``ComplexWarning``: both are refused as complex, first."""
+    with pytest.raises(ValueError, match="must be real"):
+        SparseSpd(sp.csr_matrix(np.array(rows)))
+
+
 def test_assembly_peak_memory_is_a_few_copies_of_a(
     mesh_cache, hex_sine, monkeypatch
 ):

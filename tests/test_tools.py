@@ -49,6 +49,15 @@ def test_fingerprint_needs_a_level(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["0"], ["x"], ["2.5"], ["3", "11"]])
+def test_fingerprint_checks_every_level_before_hashing(capsys, argv):
+    """A level that is not an integer, or out of range, gives the usage
+    and exit code 1 with nothing printed, also after a good one."""
+    assert _load("fingerprint").main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "usage" in err
+
+
 def test_sloc_prints_a_total_of_the_package(capsys):
     assert _load("sloc").main([]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]

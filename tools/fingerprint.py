@@ -23,7 +23,9 @@ compute the same numbers bit for bit.  The lines do not depend on the
 BLAS thread count: one thread and two print the same.
 
 Usage: ``python tools/fingerprint.py LEVEL [LEVEL ...]``; it imports
-``hivevem`` from the ``src`` directory next to it.
+``hivevem`` from the ``src`` directory next to it.  Every argument must
+be a level that :func:`hivevem.lattice.check_level` accepts; otherwise
+it prints the reason and the usage, hashes nothing and exits with 1.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hivevem import cli, lift, solver, system  # noqa: E402
-from hivevem.lattice import build_mesh  # noqa: E402
+from hivevem.lattice import build_mesh, check_level  # noqa: E402
 from hivevem.problem import get_problem  # noqa: E402
 
 
@@ -106,8 +108,14 @@ def export_hashes(level: int) -> list[tuple[str, str]]:
 
 
 def main(argv=None) -> int:
-    levels = [int(a) for a in (sys.argv[1:] if argv is None else argv)]
-    if not levels:
+    try:
+        levels = [int(a) for a in (sys.argv[1:] if argv is None else argv)]
+        if not levels:
+            raise ValueError("no level given")
+        for level in levels:
+            check_level(level)
+    except ValueError as exc:
+        print(f"fingerprint: {exc}", file=sys.stderr)
         print("usage: python tools/fingerprint.py LEVEL [LEVEL ...]", file=sys.stderr)
         return 1
     problem = get_problem("hex-sine")
