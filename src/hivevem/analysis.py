@@ -15,10 +15,13 @@ analytic cubic gradients.  The monomials are tabulated once for each of
 the two patch frames, one per kind of patch triangle, and applied to
 blocks of patches.
 
-At a level with a lift, one pass over the patch rule gives all three
-true errors: the patches tile the subtriangles, so the nodal field's L2
-error is the same integral, and u and its gradient come from one jet
-evaluation per block.  Levels without a lift run the subtriangle pass.
+:func:`norm_l2_true` returns the three true errors of a level, the
+nodal field's L2 error and the lift's two, with ``None`` for the lift's
+where there is none.  At a level with a lift, one pass over the patch
+rule gives all three: the patches tile the subtriangles, so the nodal
+field's L2 error is the same integral, and u and its gradient come from
+one jet evaluation per block.  Levels without a lift run the subtriangle
+pass.
 """
 
 from __future__ import annotations
@@ -32,14 +35,10 @@ from .lattice import SQRT3
 from .lift import SUB_SITES, LiftResult, patch_quadrature
 from .problem import ManufacturedProblem
 from .quadrature import rule
-from .system import FieldP1, tri_quadrature
+from .system import FieldP1, MeshMismatchError, tri_quadrature
 
 #: Errors at or below this scale count as round-off; no order is formed.
 ROUNDOFF = 100.0 * np.finfo(float).eps
-
-
-class MeshMismatchError(ValueError):
-    """Fields compared across different meshes."""
 
 
 def norms_superclose(u_h: FieldP1, u_i: FieldP1) -> tuple[float, float, float]:
@@ -62,11 +61,13 @@ def norms_superclose(u_h: FieldP1, u_i: FieldP1) -> tuple[float, float, float]:
 
 
 def norm_l2_true(approx: FieldP1, problem: ManufacturedProblem, *, lift=None):
-    """L2 norm of ``u - approx`` for a nodal field.
+    """The true errors of a nodal field and of its lift, always the
+    tuple ``(e_l2, e_lift_l2, e_lift_h1h)``.
 
-    With ``lift``, ``approx`` is a nodal field on the lift's mesh and the
-    result is the tuple ``(e_l2, e_lift_l2, e_lift_h1h)``: the field's L2
-    error and the lift's L2 and patch-broken H1 errors, from one pass
+    ``e_l2`` is the L2 norm of ``u - approx``.  Without ``lift`` the two
+    lift terms are ``None`` and ``e_l2`` comes from the subtriangle pass.
+    With ``lift``, ``approx`` is a nodal field on the lift's mesh and
+    they are the lift's L2 and patch-broken H1 errors, from one pass
     over the patch rule that takes u and its gradient from one jet
     evaluation per block.  The field's error is then summed patch by
     patch, which moves it from the subtriangle pass by round-off only.
@@ -74,7 +75,7 @@ def norm_l2_true(approx: FieldP1, problem: ManufacturedProblem, *, lift=None):
     if not isinstance(approx, FieldP1):
         raise TypeError(f"cannot measure {type(approx).__name__}")
     if lift is None:
-        return _field_l2_error(approx, problem)
+        return _field_l2_error(approx, problem), None, None
     if approx.mesh is not lift.grid.mesh:
         raise MeshMismatchError("field and lift live on different meshes")
     return _patch_errors(lift, problem, approx)

@@ -108,14 +108,10 @@ def study_row(
     u_i = system.interpolate(problem, mesh)
     l2, h1, linf = analysis.norms_superclose(u_h, u_i)
     u_rec = system.recover_centers(u_h, center_load)
+    lifted = None
     if config.lift_enabled and level >= lift.MIN_LIFT_LEVEL:
-        grid = lift.build_patch_grid(mesh)
-        lifted = lift.lift_solution(u_h, problem, grid)
-        e_l2, e_lift_l2, e_lift_h1h = analysis.norm_l2_true(
-            u_rec, problem, lift=lifted)
-    else:
-        e_l2, e_lift_l2, e_lift_h1h = (
-            analysis.norm_l2_true(u_rec, problem), None, None)
+        lifted = lift.lift_solution(u_h, problem, lift.build_patch_grid(mesh))
+    e_l2, e_lift_l2, e_lift_h1h = analysis.norm_l2_true(u_rec, problem, lift=lifted)
     return analysis.StudyRow(
         level=level,
         h=mesh.s,

@@ -37,7 +37,9 @@ the square ``|i|, |j| <= n + 1``: the nodes and a ring of -1 around
 them.  Lattice steps are then fixed flat offsets into the table, so the
 subtriangles, the corners of the centres and the neighbours of the
 nodes are gathers at a node's or a cell's offset plus the steps'.  A
-second table, ``tri_table``, numbers the subtriangles by cell and kind.
+second table, ``tri_table``, numbers the subtriangles by cell and kind,
+and ``tri_kind`` gives each subtriangle's kind: the one place where the
+kind is read off vertex coordinates.
 
 :func:`check_level` is the one test of a refinement level: the mesh,
 the lift's patch grid and the command line's settings all ask it.
@@ -111,9 +113,10 @@ class HoneycombMesh:
 
     :meth:`index` maps lattice coordinates to node indices and
     :meth:`neighbours` unit steps from every node to node indices.
-    :attr:`tri_table` maps lattice unit triangles, by cell and kind, to
-    subtriangle indices.  It and :attr:`center_corners` are derived on
-    first read.
+    :attr:`tri_kind` gives the kind of every subtriangle, computed on
+    each read, and :attr:`tri_table` maps lattice unit triangles, by
+    cell and kind, to subtriangle indices.  It and
+    :attr:`center_corners` are derived on first read.
     """
 
     level: int
@@ -168,6 +171,15 @@ class HoneycombMesh:
         width = self._lookup.shape[1]
         return self._lookup.ravel()[at[:, None] + np.asarray(steps) @ (width, 1)]
 
+    @property
+    def tri_kind(self) -> np.ndarray:
+        """Kind of every subtriangle, 0 or 1, as ``UNIT_TRIANGLES``
+        numbers them; int64 (T,).  Vertex 1 of the kind-k triangle in
+        cell (i, j) is (i + 1, j) and vertex 0 is (i, j + k), so k is
+        the drop in j from vertex 0 to vertex 1.  Computed on each read,
+        so the mesh holds no array of it."""
+        return self.node_ij[self.tris[:, 0], 1] - self.node_ij[self.tris[:, 1], 1]
+
     @cached_property
     def tri_table(self) -> np.ndarray:
         """Subtriangle indices by cell and kind, ``[i + n + 1, j + n + 1,
@@ -175,13 +187,12 @@ class HoneycombMesh:
         ``(i,j+1),(i+1,j),(i+1,j+1)``.  The table spans the cells
         ``-n <= i, j < n`` and a ring of -1 around them, with -1 for
         every triangle outside the closed hexagon.
-        Built on first read from the vertices of ``tris``."""
-        # Vertex 1 of the kind-k triangle in cell (i, j) is (i + 1, j),
-        # and vertex 0 is (i, j + k).
-        v0, v1 = (np.take(self.node_ij, self.tris[:, c], axis=0) for c in (0, 1))
+        Built on first read from vertex 1 of each triangle, (i + 1, j),
+        and :attr:`tri_kind`."""
+        v1 = np.take(self.node_ij, self.tris[:, 1], axis=0)
         n = self.n
         table = np.full((2 * n + 2, 2 * n + 2, 2), -1)
-        table[v1[:, 0] + n, v1[:, 1] + n + 1, v0[:, 1] - v1[:, 1]] = np.arange(len(v1))
+        table[v1[:, 0] + n, v1[:, 1] + n + 1, self.tri_kind] = np.arange(len(v1))
         return table
 
     @cached_property

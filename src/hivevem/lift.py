@@ -24,13 +24,13 @@ function, so the data is fourth-order accurate.  Fits use a scaled
 local frame, origin at the patch centroid and coordinates divided by
 L, so design matrices stay well conditioned uniformly in the level.  In
 that frame the sites depend only on the patch's frame, the kind of its
-coarse unit triangle, which fixes the two lattice steps along its edges
-from its corner 0.  So there are two design matrices in all, one per
-frame, the same at every level; each has rank 10, which the tests
-check, and its pseudo-inverse is built once, at import.  The rank and
-the smallest singular value of each fit are therefore constants of the
-lattice, :data:`FRAME_SIGMA_MIN`; each fit's residual is reported in
-:class:`LiftResult`.  For the same reason the degree-6 rule on a
+coarse unit triangle (the coarse mesh's ``tri_kind``), which fixes the
+two lattice steps along its edges from its corner 0.  So there are two
+design matrices in all, one per frame, the same at every level; each
+has rank 10, which the tests check, and its pseudo-inverse is built
+once, at import.  The rank and the smallest singular value of each fit
+are therefore constants of the lattice, :data:`FRAME_SIGMA_MIN`; each
+fit's residual is reported in :class:`LiftResult`.  For the same reason the degree-6 rule on a
 patch's 16 subtriangles, its points in the frame and the monomials at
 them, is tabulated once per frame at import; :func:`patch_quadrature`
 hands it to the error norms.
@@ -53,7 +53,7 @@ from .lattice import (
 )
 from .problem import ManufacturedProblem
 from .quadrature import blocks, rule, sample
-from .system import FieldP1
+from .system import FieldP1, MeshMismatchError, as_real
 
 MIN_LIFT_LEVEL = 3
 
@@ -153,7 +153,7 @@ class PatchGrid:
     mesh: HoneycombMesh
     edge: float                  # L = 4 s
     corners_ij: np.ndarray       # (P, 3, 2) lattice coordinates
-    frame: np.ndarray            # (P,) row of _FRAMES, the coarse kind
+    frame: np.ndarray            # (P,) row of _FRAMES, the coarse tri_kind
     site_nodes: np.ndarray       # (P, 15)
     centroid: np.ndarray         # (P, 2)
     cell_patches: np.ndarray     # the coarse tri_table, -1 outside
@@ -212,8 +212,8 @@ def build_patch_grid(mesh: HoneycombMesh) -> PatchGrid:
     check_level(mesh.level, MIN_LIFT_LEVEL)
     coarse = build_mesh(mesh.level - 2)
     corners = 4 * coarse.node_ij[coarse.tris]
-    # Corner 1 lies a step (4, 0) from corner 0 on kind 0, (4, -4) on kind 1.
-    frame = (corners[:, 0, 1] - corners[:, 1, 1]) // 4
+    # A patch's frame is the kind of its coarse triangle.
+    frame = coarse.tri_kind
 
     sites = corners[:, :1] + np.einsum("sa,fad->fsd", _SITE_AB, _FRAMES)[frame]
     site_nodes = mesh.index(sites[..., 0], sites[..., 1])
@@ -257,7 +257,7 @@ def lift_solution(u_h: FieldP1, problem: ManufacturedProblem,
     the patches of each frame, in ascending order, times the frame's
     pseudo-inverse."""
     if u_h.mesh is not grid.mesh:
-        raise ValueError("solution and patch grid live on different meshes")
+        raise MeshMismatchError("solution and patch grid live on different meshes")
     data = _node_data(u_h, problem)[grid.site_nodes]
     coeffs, residual = np.empty((grid.n_patches, 10)), np.empty(grid.n_patches)
     for f, design in enumerate(_FRAME_DESIGN):
@@ -270,8 +270,9 @@ def lift_solution(u_h: FieldP1, problem: ManufacturedProblem,
 
 def _points(point):
     """``point`` as a float array of shape ``(2,)`` or ``(k, 2)``, and
-    its rows ``(k, 2)``; another shape raises ``ValueError``."""
-    xy = np.asarray(point, dtype=float)
+    its rows ``(k, 2)``; another shape, or complex input, raises
+    ``ValueError``."""
+    xy = as_real(point, "points")
     if xy.ndim not in (1, 2) or xy.shape[-1] != 2:
         raise ValueError(f"points must have shape (2,) or (k, 2), got {xy.shape}")
     return xy, xy.reshape(-1, 2)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import SQRT3, UNIT_TRIANGLES, HoneycombMesh, position
+from .lattice import HEX_DIRECTIONS, SQRT3, UNIT_TRIANGLES, HoneycombMesh, position
 from .problem import ManufacturedProblem
 from .quadrature import blocks, rule, sample
 
@@ -74,7 +74,9 @@ class SparseSpd:
     numerically symmetric; a complex matrix, Hermitian or not, is
     refused before anything else is checked.  A CSR matrix, such as the
     product of :func:`operator`, is taken without a copy and put in
-    canonical form in place.
+    canonical form in place.  Symmetry is measured one way for every
+    pattern, as the largest entry of ``A - A^T``, and an empty matrix
+    passes both the finiteness and the symmetry test.
     Positive definiteness follows from the construction (congruence of
     the P1 stiffness with a full-rank prolongation) and is exercised by
     the tests rather than re-proved here.
@@ -102,23 +104,13 @@ class SparseSpd:
             raise ValueError(f"{csr.shape[0]} rows for {mesh.free.size} free nodes")
         # Canonical form: summing duplicates sorts the indices first.
         csr.sum_duplicates()
-        if csr.nnz:
-            scale = float(np.max(np.abs(csr.data)))
-            # The max is inf or NaN exactly when an entry is not finite.
-            if not np.isfinite(scale):
-                raise ValueError("matrix has non-finite entries")
-            # On a symmetric pattern, the transpose's data lines up
-            # with A's; only an asymmetric pattern builds A - A^T.
-            t = csr.tocsc()
-            if np.array_equal(t.indptr, csr.indptr) and np.array_equal(
-                t.indices, csr.indices
-            ):
-                gap = np.subtract(t.data, csr.data, out=t.data)
-            else:
-                gap = (csr - csr.T).data
-            asym = float(np.max(np.abs(gap, out=gap), initial=0.0))
-            if asym > 1e-14 * max(scale, 1.0):
-                raise ValueError(f"matrix is not symmetric: |A - A^T| = {asym}")
+        scale = float(np.max(np.abs(csr.data), initial=0.0))
+        # The max is inf or NaN exactly when an entry is not finite.
+        if not np.isfinite(scale):
+            raise ValueError("matrix has non-finite entries")
+        asym = float(np.max(np.abs((csr - csr.T).data), initial=0.0))
+        if asym > 1e-14 * max(scale, 1.0):
+            raise ValueError(f"matrix is not symmetric: |A - A^T| = {asym}")
         self._csr = csr
         self.mesh = mesh
 
@@ -137,12 +129,31 @@ class SparseSpd:
         return self._csr
 
 
+class MeshMismatchError(ValueError):
+    """Fields, or a field and a lift, on different meshes."""
+
+
 @dataclass(frozen=True)
 class FieldP1:
-    """Piecewise-linear nodal field on the full triangular submesh."""
+    """Piecewise-linear nodal field on the full triangular submesh:
+    real ``values`` of shape ``(mesh.n_nodes,)``, else ``ValueError``."""
 
     mesh: HoneycombMesh
     values: np.ndarray
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.values) or np.shape(self.values) != (self.mesh.n_nodes,):
+            raise ValueError(f"need real values of shape ({self.mesh.n_nodes},), got "
+                             f"{np.asarray(self.values).dtype} {np.shape(self.values)}")
+
+
+def as_real(values, what: str) -> np.ndarray:
+    """``values`` as a float array; complex ones raise ``ValueError``
+    rather than lose their imaginary part in the conversion."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
 
 
 def prolongation(mesh: HoneycombMesh) -> sp.csr_matrix:
@@ -238,9 +249,9 @@ def tri_quadrature(mesh: HoneycombMesh, q):
     same :func:`~hivevem.lattice.position` coordinates as
     ``mesh.node_xy``, and each block takes its rows.
     """
-    # Vertex 1 of the triangle of kind k in cell (i, j) is (i + 1, j),
-    # and vertex 0 is (i, j + k): the cell keys of the triangles whose
-    # vertex 1 is a node, per node.
+    # Vertex 1 of the triangle of kind k in cell (i, j) is (i + 1, j):
+    # the cell keys of the triangles whose vertex 1 is a node, per node.
+    # The kind is the mesh's ``tri_kind``.
     i, j = mesh.node_ij.T
     m = 2 * i + j - 2
     # Vertex keys by kind and cell key; the lattice point (a // 2, a % 2)
@@ -252,8 +263,7 @@ def tri_quadrature(mesh: HoneycombMesh, q):
     bary = q.points.T
     tables = [(v[..., 0, :] * bary[0] + v[..., 1, :] * bary[1] + v[..., 2, :] * bary[2]
                ).reshape(-1, q.n_points) for v in (x, y)]
-    v0, v1 = mesh.tris[:, 0], mesh.tris[:, 1]
-    kind = j[v0] - j[v1]
+    kind, v1 = mesh.tri_kind, mesh.tris[:, 1]
     rows = (kind * a.shape[1] + (m - m.min())[v1], kind * b.shape[1] + (j - j.min())[v1])
     for tris, *block_rows in zip(*(blocks(r, q.n_points) for r in (mesh.tris, *rows))):
         xy = np.empty((2, tris.shape[0], q.n_points))
@@ -264,11 +274,12 @@ def tri_quadrature(mesh: HoneycombMesh, q):
         yield tris, xy.reshape(2, -1)
 
 
-#: Lattice steps to the seven entries of a row of K.  Node indices run
-#: i-major, so this is the sorted column order.
-_STENCIL = np.array([(-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0)])
+#: Lattice steps to the seven entries of a row of K, the node and its
+#: six neighbours.  Node indices run i-major, so the sorted steps are
+#: the sorted column order.
+_STENCIL = sorted([(0, 0), *HEX_DIRECTIONS])
 #: Columns of the steps of ``HEX_DIRECTIONS`` in ``_STENCIL``.
-_HEX_COLUMNS = [6, 4, 1, 0, 2, 5]
+_HEX_COLUMNS = [_STENCIL.index(step) for step in HEX_DIRECTIONS]
 #: Columns of ``center_corners`` in ascending node order.
 _ASCENDING_CORNERS = np.argsort(_HEX_COLUMNS)
 
@@ -356,7 +367,7 @@ def assemble(mesh: HoneycombMesh, problem: ManufacturedProblem):
 def expand(x: np.ndarray, mesh: HoneycombMesh) -> FieldP1:
     """Nodal field from a vector over ``mesh.free``: boundary zero,
     centres set to the mean of their corners."""
-    x = np.asarray(x, dtype=float)
+    x = as_real(x, "dof values")
     if x.shape != mesh.free.shape:
         raise ValueError(f"expected {mesh.free.size} dof values, got {x.shape}")
     values = np.zeros(mesh.n_nodes)
@@ -384,9 +395,10 @@ def recover_centers(u_h: FieldP1, center_load: np.ndarray) -> FieldP1:
     solution should be measured on this representation.
     """
     mesh = u_h.mesh
-    if np.shape(center_load) != mesh.centers.shape:
+    center_load = as_real(center_load, "centre loads")
+    if center_load.shape != mesh.centers.shape:
         raise ValueError(f"expected {mesh.centers.size} centre loads, "
-                         f"got {np.shape(center_load)}")
+                         f"got {center_load.shape}")
     return _with_centers(mesh, u_h.values.copy(), center_load / (2.0 * SQRT3))
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from hivevem.analysis import (
     ROUNDOFF,
-    MeshMismatchError,
     StudyRow,
     norm_h1_broken_true,
     norm_l2_true,
@@ -19,7 +18,7 @@ from hivevem import quadrature
 from hivevem.lift import build_patch_grid, evaluate_patches, lift_solution
 from hivevem.problem import _from_expression, get_problem
 from hivevem.quadrature import rule
-from hivevem.system import FieldP1, interpolate, tri_quadrature
+from hivevem.system import FieldP1, MeshMismatchError, interpolate, tri_quadrature
 from schemes import scheme_lift
 from triangles import p1_gradients, patch_subtriangles
 
@@ -133,12 +132,26 @@ def test_l2_error_of_the_zero_field_is_the_solution_norm(mesh_cache, hex_sine):
     the degree-8 rule gives to 1e-11 as well."""
     mesh = mesh_cache(5)
     zero = FieldP1(mesh=mesh, values=np.zeros(mesh.n_nodes))
-    got = norm_l2_true(zero, hex_sine)
+    got = norm_l2_true(zero, hex_sine)[0]
     assert got == pytest.approx(8.686221036716e-2, rel=1e-10)
     q = rule(8)
     sq = sum(float(np.sum(hex_sine.u(*xy).reshape(-1, q.n_points) ** 2 @ q.weights))
              for _, xy in tri_quadrature(mesh, q))
     assert math.sqrt(mesh.tri_area * sq) == pytest.approx(got, rel=1e-11)
+
+
+@pytest.mark.parametrize("level, want", [
+    (1, "0x1.62e8ccb4981d0p-4"), (2, "0x1.043f97bcaed1fp-5"), (5, "0x1.43f8a6062d87fp-11"),
+])
+def test_norm_l2_true_without_a_lift_has_the_same_shape(mesh_cache, hex_sine, level, want):
+    """Without a lift the result is still the three errors, the lift's
+    ``None``, and the field's error keeps its bits: ``want`` is the
+    ``float.hex`` of the float that the call returned before it had one
+    return shape."""
+    e_l2, e_lift_l2, e_lift_h1h = norm_l2_true(pointwise(hex_sine, mesh_cache(level)),
+                                               hex_sine)
+    assert e_lift_l2 is None and e_lift_h1h is None
+    assert type(e_l2) is float and e_l2.hex() == want
 
 
 def test_lift_norms_vanish_for_reproduced_cubics(mesh_cache):
@@ -180,7 +193,7 @@ def test_single_pass_matches_the_separate_norms(level, scheme, solved_cache, hex
     else:
         lifted = lift_solution(u_h, hex_sine, grid)
     e_l2, e_lift_l2, e_lift_h1h = norm_l2_true(u_h, hex_sine, lift=lifted)
-    assert e_l2 == pytest.approx(norm_l2_true(u_h, hex_sine), rel=1e-12)
+    assert e_l2 == pytest.approx(norm_l2_true(u_h, hex_sine)[0], rel=1e-12)
     assert e_lift_l2 == pytest.approx(lift_l2_by_subtriangles(lifted, hex_sine),
                                       rel=1e-12)
     assert e_lift_h1h == norm_h1_broken_true(lifted, hex_sine)
@@ -188,7 +201,7 @@ def test_single_pass_matches_the_separate_norms(level, scheme, solved_cache, hex
 
 def test_interpolation_error_is_second_order(mesh_cache, hex_sine):
     errs = [
-        norm_l2_true(pointwise(hex_sine, mesh_cache(level)), hex_sine)
+        norm_l2_true(pointwise(hex_sine, mesh_cache(level)), hex_sine)[0]
         for level in (3, 4, 5)
     ]
     rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -211,7 +224,7 @@ def test_blocked_error_norms_match_whole_mesh_sums(
     lifted = lift_solution(u_h, hex_sine, build_patch_grid(mesh))
     lift_norms = norm_l2_true(u_h, hex_sine, lift=lifted)[1:]
     monkeypatch.setattr(quadrature, "BLOCK_POINTS", block_points)
-    assert norm_l2_true(u_h, hex_sine) == pytest.approx(want, rel=1e-12)
+    assert norm_l2_true(u_h, hex_sine)[0] == pytest.approx(want, rel=1e-12)
     assert norm_h1_broken_true(lifted, hex_sine) == pytest.approx(
         lift_norms[1], rel=1e-12
     )

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from hivevem import lattice
 from hivevem.lattice import (
     MAX_LEVEL,
+    UNIT_TRIANGLES,
     build_mesh,
     node_class,
     position,
@@ -288,6 +289,19 @@ def test_neighbours_are_the_index_of_every_unit_step(level, mesh_cache):
     want = mesh.index(i[:, None] + steps[:, 0], j[:, None] + steps[:, 1])
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.count_nonzero(got < 0) > 0
+
+
+@pytest.mark.parametrize("level", range(1, MAX_LEVEL - 1))
+def test_tri_kind_places_every_subtriangle_in_its_cell(level):
+    """Subtriangle t has the vertices ``UNIT_TRIANGLES[tri_kind[t]]``
+    from its cell, the vertex-wise minimum, in order: so the kind is an
+    int64 0 or 1, computed on each read and kept nowhere."""
+    mesh = build_mesh(level)
+    kind = mesh.tri_kind
+    assert kind.dtype == np.int64 and kind.shape == (mesh.n_tris,)
+    ij = mesh.node_ij[mesh.tris]
+    assert np.array_equal(ij, ij.min(axis=1)[:, None] + UNIT_TRIANGLES[kind])
+    assert "tri_kind" not in vars(mesh)
 
 
 @pytest.mark.parametrize("level", range(1, MAX_LEVEL - 1))

@@ -37,7 +37,7 @@ from hivevem.lift import (
 )
 from hivevem.problem import _from_expression, get_problem, zero
 from hivevem.quadrature import rule, sample
-from hivevem.system import FieldP1, interpolate
+from hivevem.system import FieldP1, MeshMismatchError, interpolate
 from schemes import SCHEMES, node_data, patch_fit, scheme_lift, scheme_sites
 from triangles import patch_subtriangles
 
@@ -136,6 +136,15 @@ def test_patch_grid_facts_at_every_lift_level(level):
     corners = grid.corners_ij
     class0 = node_class(corners[..., 0], corners[..., 1]) == 0
     assert np.all(class0.sum(axis=1) == 1)
+
+
+@pytest.mark.parametrize("level", range(MIN_LIFT_LEVEL, MAX_LEVEL - 1))
+def test_patch_frame_is_the_coarse_tri_kind(level):
+    """A patch's frame is the kind of its coarse triangle, read from the
+    coarse mesh and not derived again from the corners."""
+    grid = grid_at(level)
+    kind = build_mesh(level - 2).tri_kind
+    assert grid.frame.dtype == kind.dtype and np.array_equal(grid.frame, kind)
 
 
 def test_frame_designs_have_full_rank():
@@ -523,6 +532,18 @@ def test_points_of_other_shapes_are_rejected(grid3, shape):
         evaluate_lift(lifted, points)
 
 
+@pytest.mark.parametrize("point", [[0.1 + 0j, 0.0], np.array([[0.1, 0.0]]) + 0j])
+def test_complex_points_are_rejected(grid3, point):
+    """Location and evaluation refuse a complex point before converting
+    it, rather than drop its imaginary part with a ``ComplexWarning``."""
+    lifted = lift_solution(interpolate(cubic_problem(), grid3.mesh),
+                           cubic_problem(), grid3)
+    with pytest.raises(ValueError, match="must be real"):
+        locate_patch(grid3, point)
+    with pytest.raises(ValueError, match="must be real"):
+        evaluate_lift(lifted, point)
+
+
 @pytest.mark.parametrize("level", [3, 4])
 def test_empty_batches_give_empty_results(level):
     """A (0, 2) batch locates to an empty index array and evaluates to
@@ -571,7 +592,19 @@ def test_gradient_matches_finite_differences(solved_cache):
 
 
 def test_lift_requires_matching_mesh(mesh_cache, hex_sine):
+    """The lift raises the norms' error type for this fault, which is
+    still a ``ValueError``, so the command line's exit code stays 2."""
+    assert issubclass(MeshMismatchError, ValueError)
     grid = build_patch_grid(mesh_cache(3))
     other = interpolate(hex_sine, mesh_cache(4))
-    with pytest.raises(Exception):
+    with pytest.raises(MeshMismatchError):
         lift_solution(other, hex_sine, grid)
+
+
+def test_lift_refuses_values_of_another_length(mesh_cache, hex_sine):
+    """Three values too many are refused when the field is made, not
+    fitted into a lift of the level's 24 patches."""
+    mesh = mesh_cache(4)
+    grid = grid_at(4)
+    with pytest.raises(ValueError, match="real values of shape"):
+        lift_solution(FieldP1(mesh, np.zeros(mesh.n_nodes + 3)), hex_sine, grid)

@@ -177,6 +177,22 @@ def test_expand_validates_length(mesh_cache):
         expand(np.zeros(mesh.free.size + 1), mesh)
 
 
+def test_expand_rejects_complex_values(mesh_cache):
+    """The imaginary part is not dropped with a ``ComplexWarning``."""
+    mesh = mesh_cache(3)
+    with pytest.raises(ValueError, match="must be real"):
+        expand(np.zeros(mesh.free.size) + 0j, mesh)
+
+
+@pytest.mark.parametrize("values", [
+    lambda n: np.zeros(n + 3), lambda n: np.zeros((n, 1)), lambda n: np.zeros(n) + 0j,
+], ids=["long", "column", "complex"])
+def test_field_needs_one_real_value_per_node(mesh_cache, values):
+    mesh = mesh_cache(3)
+    assert FieldP1(mesh, np.zeros(mesh.n_nodes)).values.shape == (mesh.n_nodes,)
+    with pytest.raises(ValueError, match="real values of shape"):
+        FieldP1(mesh, values(mesh.n_nodes))
+
 def test_prolongation_rows(mesh_cache):
     mesh = mesh_cache(3)
     C = prolongation(mesh)
@@ -353,6 +369,15 @@ def test_sparsespd_judges_an_asymmetric_pattern_by_value():
         shape=(2, 2),
     )
     assert SparseSpd(zero_stored).data.size == 3
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_sparsespd_accepts_a_matrix_with_no_entries(n):
+    """The 0x0 matrix of level 1, and an n x n one with nothing stored,
+    pass the finiteness and the symmetry test with a scale of 0."""
+    A = SparseSpd(sp.csr_matrix((n, n)))
+    assert A.n == n and A.data.size == 0
+    assert np.array_equal(A @ np.ones(n), np.zeros(n))
 
 
 def test_sparsespd_rejects_a_mesh_of_another_size(mesh_cache, hex_sine):
@@ -595,6 +620,18 @@ def test_recover_centers_validates_the_center_load(mesh_cache, hex_sine):
     for bad in (1.0, np.ones(1), np.ones(mesh.centers.size + 1)):
         with pytest.raises(ValueError, match="centre loads"):
             recover_centers(u_i, bad)
+
+
+def test_recover_centers_takes_a_list_and_refuses_complex(mesh_cache, hex_sine):
+    """A list of loads gives the array's field bit for bit, and complex
+    loads are refused, not truncated with a ``ComplexWarning``."""
+    mesh = mesh_cache(3)
+    _, _, center_load = assemble(mesh, hex_sine)
+    u_i = interpolate(hex_sine, mesh)
+    want = recover_centers(u_i, center_load).values
+    assert np.array_equal(recover_centers(u_i, list(center_load)).values, want)
+    with pytest.raises(ValueError, match="must be real"):
+        recover_centers(u_i, center_load + 0j)
 
 
 def test_recover_centers_fourth_order(solved_cache):

@@ -68,6 +68,16 @@ def test_sloc_prints_a_total_of_the_package(capsys):
     assert all(n > 0 for n in counts.values())
 
 
+@pytest.mark.parametrize("where", ["missing", "empty"])
+def test_sloc_refuses_a_directory_without_code(tmp_path, capsys, where):
+    """A mistyped or empty DIR gives a message and exit code 1, not a
+    total of 0 that would read as a cut of the whole package."""
+    root = tmp_path / "no-such-dir" if where == "missing" else tmp_path
+    assert _load("sloc").main([str(root)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and str(root) in err
+
+
 @pytest.mark.parametrize("source, code", [
     ('"""Doc."""\n\n# note\nx = 1\n', 1),
     ('def f():\n    """Doc\n    more."""\n    return (1,\n            2)\n', 3),

@@ -5,7 +5,8 @@ comment nor part of a docstring (the first string statement of a
 module, class or function).  Blank lines count as nothing.
 
 Usage: ``python tools/sloc.py [DIR]``; DIR defaults to the repository's
-``src/hivevem``.
+``src/hivevem``.  A DIR that is not a directory, or holds no ``.py``
+file, gives a message and exit code 1, not a total of 0.
 """
 
 from __future__ import annotations
@@ -49,8 +50,12 @@ def code_lines(path: Path) -> int:
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0]) if args else Path(__file__).parent.parent / "src" / "hivevem"
+    paths = sorted(root.rglob("*.py")) if root.is_dir() else []
+    if not paths:
+        print(f"sloc: {root} is not a directory with .py files", file=sys.stderr)
+        return 1
     total = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in paths:
         n = code_lines(path)
         total += n
         print(f"{n:6d}  {path.relative_to(root)}")
